@@ -80,7 +80,6 @@ def _dlog_table(f: int) -> dict[int, tuple[int, ...]]:
         return {0: ()}
     # iterate mixed-radix exponent vectors
     exps = [0] * len(gens)
-    vals = [1] * (len(gens) + 1)
     def rec(i, acc):
         if i == len(gens):
             table[acc] = tuple(exps)
@@ -143,9 +142,6 @@ class DirichletChar:
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def is_odd(self) -> bool:
-        return self.parity == -1
 
     # -- evaluation ----------------------------------------------------------
 

@@ -2,10 +2,11 @@
 
 Every subcommand prints a single JSON document (compact by default,
 indented with --pretty) whose arithmetic values are exact decimal strings;
-runs with identical arguments are byte-identical.  Pure computations are
-cached on disk under --cache-dir (default ./.eiscache) keyed by the
-canonical parameter text; `verify-cache` recomputes every entry and checks
-the stored payloads byte for byte.
+runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
+subcommand once; the parser, the dispatch and the cache key (the command plus
+every declared flag) are built from it.  Pure computations are cached on disk
+under --cache-dir (default ./.eiscache); `verify-cache` recomputes every
+entry and checks the stored payloads byte for byte.
 
 Exit codes: 0 success, 1 parameter/usage error, 2 computation error.
 """
@@ -18,10 +19,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
+from math import lcm
+from typing import Callable
 
-from .characters import enumerate_chars, parse_char, conductor as char_conductor
+from .characters import enumerate_chars, parse_char, primitive_char, conductor as char_conductor
 from .criteria import (
     aux_char_search,
+    dim_chi_hypothesis,
     full_report,
     ingest_records,
     nonprincipality_verdict,
@@ -32,12 +37,9 @@ from .exact import padic_context
 from .hecke1 import depth_scan, sturm_bound
 from .lfunc import bernoulli, eta, kummer_check
 from .qexp import build_h, eisenstein_qexp
-from .characters import primitive_char
 
-CACHE_SCHEMA_VERSION = 1
-
-DEFAULT_S = 6
-DEFAULT_SMAX = 3
+# Version 2 stores params typed (ints, None, booleans) rather than as text.
+CACHE_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +55,7 @@ class Cache:
 
     @staticmethod
     def key_text(command: str, params: dict) -> str:
-        parts = [command] + [f"{k}={params[k]}" for k in sorted(params)]
-        return "|".join(parts)
+        return command + "|" + json.dumps(params, sort_keys=True, separators=(",", ":"))
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -98,7 +99,7 @@ class Cache:
 
 
 # ---------------------------------------------------------------------------
-# command computations (pure: normalized params dict -> JSON payload)
+# command computations (typed keyword arguments -> JSON payload)
 # ---------------------------------------------------------------------------
 
 def _parse_sigma(text: str) -> list[int]:
@@ -111,30 +112,19 @@ def _parse_sigma(text: str) -> list[int]:
     return out
 
 
-def _compute_bernoulli(params):
-    n = int(params["n"])
+def _bernoulli(n):
     return {"n": n, "value": str(bernoulli(n))}
 
 
-def _compute_eta(params):
-    psi = parse_char(params["psi"])
-    p = int(params["p"])
-    k = int(params["k"])
-    sigma = _parse_sigma(params["sigma"])
-    s = int(params["s"])
-    psi0 = primitive_char(psi)
-    ctx = padic_context(p, psi0.order, s)
-    value = eta(psi0, k, sigma, ctx)
-    out = {"p": p, "k": k, "psi": psi0.canonical_text(), "sigma": sigma}
-    out.update(value.as_dict())
-    return out
+def _eta(p, k, psi, sigma, s):
+    psi0 = primitive_char(parse_char(psi))
+    sigma = _parse_sigma(sigma)
+    value = eta(psi0, k, sigma, padic_context(p, psi0.order, s))
+    return {"p": p, "k": k, "psi": psi0.canonical_text(), "sigma": sigma} | value.as_dict()
 
 
-def _compute_chars(params):
-    f = int(params["f"])
-    parity = None if params["parity"] == "" else int(params["parity"])
-    exact = None if params["conductor"] == "" else int(params["conductor"])
-    chars = enumerate_chars(f, parity=parity, exact_conductor=exact)
+def _chars(f, parity, conductor):
+    chars = enumerate_chars(f, parity=parity, exact_conductor=conductor)
     return {
         "modulus": f,
         "count": len(chars),
@@ -144,23 +134,13 @@ def _compute_chars(params):
     }
 
 
-def _compute_eisenstein(params):
-    l = int(params["l"])
-    phi = parse_char(params["phi"])
-    prec = int(params["prec"])
-    return eisenstein_qexp(l, phi, prec).as_dict()
+def _eisenstein(l, phi, prec):
+    return eisenstein_qexp(l, parse_char(phi), prec).as_dict()
 
 
-def _compute_build_h(params):
-    p = int(params["p"])
-    k = int(params["k"])
-    psi = primitive_char(parse_char(params["psi"]))
-    ell = int(params["ell"])
-    m = int(params["m"])
-    sigma = _parse_sigma(params["sigma"])
-    s = int(params["s"])
-    prec = int(params["prec"])
-    from math import lcm
+def _build_h(p, k, psi, ell, m, sigma, s, prec):
+    psi = primitive_char(parse_char(psi))
+    sigma = _parse_sigma(sigma)
     aux = aux_char_search(p, k, psi, ell, m, s=s)
     if not aux.found:
         raise ComputationError(
@@ -171,14 +151,11 @@ def _compute_build_h(params):
     return {"aux_char": aux.as_dict(), "report": rep.as_dict(), "h": h.as_dict()}
 
 
-def _compute_scan(params):
-    k = int(params["k"])
-    p = int(params["p"])
-    sigma = _parse_sigma(params["sigma"])
-    s_max = int(params["smax"])
-    records, skipped = depth_scan(k, p, sigma, s_max)
+def _scan(k, p, sigma, smax):
+    sigma = _parse_sigma(sigma)
+    records, skipped = depth_scan(k, p, sigma, smax)
     return {
-        "k": k, "p": p, "sigma": sigma, "s_max": s_max,
+        "k": k, "p": p, "sigma": sigma, "s_max": smax,
         "sturm_bound": sturm_bound(k, 1),
         "records": [r.as_dict() | {"capped": r.capped} for r in records],
         "skipped": [{"weight": sk.weight, "p": sk.p, "reason": sk.reason}
@@ -186,53 +163,164 @@ def _compute_scan(params):
     }
 
 
-def _compute_selmer(params):
-    p = int(params["p"])
-    k = int(params["k"])
-    sigma = _parse_sigma(params["sigma"])
-    f_res = int(params["fres"])
-    return selmer_upper_km1(p, k, sigma, f_res).as_dict()
+def _selmer(p, k, sigma, fres):
+    return selmer_upper_km1(p, k, _parse_sigma(sigma), fres).as_dict()
 
 
-def _compute_aux_char(params):
-    p = int(params["p"])
-    k = int(params["k"])
-    psi = primitive_char(parse_char(params["psi"]))
-    ell = int(params["ell"])
-    m_max = int(params["mmax"])
-    s = int(params["s"])
-    return aux_char_search(p, k, psi, ell, m_max, s=s).as_dict()
+def _aux_char(p, k, psi, ell, mmax, s):
+    return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax, s=s).as_dict()
 
 
-def _compute_kummer(params):
-    return kummer_check(int(params["p"]), int(params["k"]))
+def _kummer(p, k):
+    # called by its module-level name, so that a tracer rebinding it sees the call
+    return kummer_check(p, k)
 
 
-def _compute_example37(params):
+def _criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
+               assume_nontrivial_extension):
+    records = ingest_records(records, p=p, weight=k)
+    psi = primitive_char(parse_char(psi))
+    sigma = _parse_sigma(sigma)
+    eta_value = eta(psi, k, sigma, padic_context(p, psi.order, s))
+    explicit = dim_chi_upper is not None
+    if not explicit:
+        dim_chi_upper = selmer_upper_km1(p, k, sigma, fres).dim_chi_upper
+    established = dim_chi_hypothesis(
+        dim_chi_upper, assumed=assume_nontrivial_extension)["dim_chi_equals_1"]
+    source = ("explicit" if explicit else "selmer-upper-plus-assertion" if established
+              else "selmer-upper-only")
+    crit = nonprincipality_verdict(eta_value, records, e=e, f_res=fres,
+                                   dim_chi_upper=1 if established else None)
+    return {"p": p, "k": k, "sigma": sigma, "dim_chi_upper": dim_chi_upper,
+            "hypothesis_source": source} | crit.as_dict()
+
+
+def _report(p, k, psi, sigma, s, prec, ell, mmax, records, smax,
+            assume_nontrivial_extension):
     return full_report(
-        37, 32, parse_char("trivial"), [31, 37],
-        s=int(params["s"]), prec=int(params["prec"]),
-        records_path=fixture_path("example37.json"),
-        s_max=int(params["smax"]))
+        p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), s=s, prec=prec,
+        ell=ell, m_max=mmax, records_path=records,
+        assume_nontrivial_extension=assume_nontrivial_extension, s_max=smax)
 
 
-COMMANDS = {
-    "bernoulli": _compute_bernoulli,
-    "eta": _compute_eta,
-    "chars": _compute_chars,
-    "eisenstein": _compute_eisenstein,
-    "build-h": _compute_build_h,
-    "scan": _compute_scan,
-    "selmer": _compute_selmer,
-    "aux-char": _compute_aux_char,
-    "kummer": _compute_kummer,
-    "example37": _compute_example37,
-}
+def _example37(s, prec, smax):
+    return full_report(37, 32, parse_char("trivial"), [31, 37], s=s, prec=prec,
+                       records_path=fixture_path("example37.json"), s_max=smax)
 
 
 def fixture_path(name: str) -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.join(here, "fixtures", name)
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Flag:
+    """One subcommand option --name; type bool makes it a switch."""
+
+    name: str
+    type: type = int
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    def add_to(self, parser) -> None:
+        if self.type is bool:
+            parser.add_argument("--" + self.name, action="store_true")
+        else:
+            parser.add_argument("--" + self.name, type=self.type, default=self.default,
+                                required=self.required, choices=self.choices)
+
+    def accepts(self, value) -> bool:
+        """Whether a stored parameter value is one this flag can produce."""
+        if value is None:
+            return self.default is None and not self.required
+        return type(value) is self.type and (self.choices is None or value in self.choices)
+
+
+@dataclass(frozen=True)
+class Command:
+    fn: Callable
+    help: str
+    flags: tuple[Flag, ...] = ()
+    cached: bool = True       # pure: stored under --cache-dir, keyed by every flag
+    reads_cache: bool = False  # fn takes the Cache as its first argument
+
+    def accepts(self, params) -> bool:
+        return (isinstance(params, dict) and params.keys() == {f.dest for f in self.flags}
+                and all(f.accepts(params[f.dest]) for f in self.flags))
+
+
+def _required(name, type=int):
+    return Flag(name, type, required=True)
+
+
+P, K, ELL, SIGMA = _required("p"), _required("k"), _required("ell"), _required("sigma", str)
+PSI = Flag("psi", str, "trivial")
+S = Flag("s", default=6)
+SMAX = Flag("smax", default=3)
+MMAX = Flag("mmax", default=1)
+FRES = Flag("fres", default=1)
+NONTRIVIAL = Flag("assume-nontrivial-extension", bool, False)
+REPORT_PREC = Flag("prec", default=40)
+
+
+def _verify_cache(cache: Cache) -> dict:
+    checked = 0
+    mismatches = []
+    unknown = []
+    for name, entry in cache.entries():
+        entry = entry if isinstance(entry, dict) else {}
+        command, params = entry.get("command"), entry.get("params")
+        spec = COMMANDS.get(command) if isinstance(command, str) else None
+        if (spec is None or not spec.cached or not spec.accepts(params)
+                or entry.get("version") != CACHE_SCHEMA_VERSION
+                or entry.get("key") != Cache.key_text(command, params)):
+            unknown.append(name)
+            continue
+        checked += 1
+        if _render(entry.get("payload"), False) != _render(spec.fn(**params), False):
+            mismatches.append({"file": name, "key": entry["key"]})
+    return {"checked": checked, "mismatches": mismatches,
+            "unverifiable": unknown, "ok": not mismatches}
+
+
+COMMANDS = {
+    "bernoulli": Command(_bernoulli, "exact Bernoulli number", (_required("n"),)),
+    "eta": Command(_eta, "congruence-module bound and its valuation",
+                   (P, K, PSI, SIGMA, S)),
+    "chars": Command(_chars, "enumerate Dirichlet characters",
+                     (_required("f"), Flag("parity", choices=(-1, 1)), Flag("conductor"))),
+    "eisenstein": Command(_eisenstein, "Eisenstein series q-expansion",
+                          (_required("l"), Flag("phi", str, "trivial"),
+                           Flag("prec", default=50))),
+    "build-h": Command(_build_h, "construct and verify the cuspidal combination H",
+                       (P, K, PSI, ELL, Flag("m", default=1), SIGMA, S,
+                        Flag("prec", default=100))),
+    "scan": Command(_scan, "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
+    "selmer": Command(_selmer, "Selmer group bounds", (P, K, SIGMA, FRES)),
+    "aux-char": Command(_aux_char, "search for a p-unit auxiliary character",
+                        (P, K, PSI, ELL, MMAX, S)),
+    "kummer": Command(_kummer, "Kummer congruence check", (P, K)),
+    "criterion": Command(_criterion, "non-principality verdict from eigensystem records",
+                         (P, K, PSI, SIGMA, _required("records", str), S,
+                          Flag("e", default=1), FRES, Flag("dim-chi-upper"), NONTRIVIAL),
+                         cached=False),
+    "report": Command(_report, "full composite report",
+                      (P, K, PSI, SIGMA, S, REPORT_PREC, Flag("ell"), MMAX,
+                       Flag("records", str), SMAX, NONTRIVIAL), cached=False),
+    "example37": Command(_example37, "preset: the full p=37, k=32, level-31 example",
+                         (S, REPORT_PREC, SMAX)),
+    "verify-cache": Command(_verify_cache, "recompute every cache entry and compare bytes",
+                            cached=False, reads_cache=True),
+}
 
 
 def run_cached(command: str, params: dict, cache: Cache | None):
@@ -241,14 +329,14 @@ def run_cached(command: str, params: dict, cache: Cache | None):
         hit = cache.get(key)
         if hit is not None:
             return hit
-    payload = COMMANDS[command](params)
+    payload = COMMANDS[command].fn(**params)
     if cache is not None:
         cache.put(command, params, key, payload)
     return payload
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,98 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="cache directory (default ./.eiscache)")
     ap.add_argument("--no-cache", action="store_true", help="bypass the cache")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed reserved for randomized subcommands")
     sub = ap.add_subparsers(dest="command")
-
-    def add(name, **kw):
-        return sub.add_parser(name, **kw)
-
-    sp = add("bernoulli", help="exact Bernoulli number")
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = add("eta", help="congruence-module bound and its valuation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--psi", default="trivial")
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-
-    sp = add("chars", help="enumerate Dirichlet characters")
-    sp.add_argument("--f", type=int, required=True)
-    sp.add_argument("--parity", type=int, choices=(-1, 1))
-    sp.add_argument("--conductor", type=int)
-
-    sp = add("eisenstein", help="Eisenstein series q-expansion")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--phi", default="trivial")
-    sp.add_argument("--prec", type=int, default=50)
-
-    sp = add("build-h", help="construct and verify the cuspidal combination H")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--psi", default="trivial")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-    sp.add_argument("--prec", type=int, default=100)
-
-    sp = add("scan", help="depth scan of level-1 eigensystems")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--smax", type=int, default=DEFAULT_SMAX)
-
-    sp = add("selmer", help="Selmer group bounds")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--fres", type=int, default=1)
-
-    sp = add("aux-char", help="search for a p-unit auxiliary character")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--psi", default="trivial")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--mmax", type=int, default=1)
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-
-    sp = add("kummer", help="Kummer congruence check")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = add("criterion", help="non-principality verdict from eigensystem records")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--psi", default="trivial")
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--records", required=True)
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--fres", type=int, default=1)
-    sp.add_argument("--dim-chi-upper", type=int, default=None)
-    sp.add_argument("--assume-nontrivial-extension", action="store_true")
-
-    sp = add("report", help="full composite report")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--psi", default="trivial")
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-    sp.add_argument("--prec", type=int, default=40)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--mmax", type=int, default=1)
-    sp.add_argument("--records")
-    sp.add_argument("--smax", type=int, default=DEFAULT_SMAX)
-    sp.add_argument("--assume-nontrivial-extension", action="store_true")
-
-    sp = add("example37", help="preset: the full p=37, k=32, level-31 example")
-    sp.add_argument("--s", type=int, default=DEFAULT_S)
-    sp.add_argument("--prec", type=int, default=40)
-    sp.add_argument("--smax", type=int, default=DEFAULT_SMAX)
-
-    add("verify-cache", help="recompute every cache entry and compare bytes")
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        for flag in spec.flags:
+            flag.add_to(sp)
     return ap
 
 
@@ -360,51 +361,6 @@ def _render(payload, pretty: bool) -> str:
     if pretty:
         return json.dumps(payload, indent=2)
     return json.dumps(payload, separators=(",", ":"))
-
-
-def _criterion_payload(args) -> dict:
-    records = ingest_records(args.records)
-    psi = primitive_char(parse_char(args.psi))
-    sigma = _parse_sigma(args.sigma)
-    ctx = padic_context(args.p, psi.order, args.s)
-    eta_value = eta(psi, args.k, sigma, ctx)
-    dim_chi = args.dim_chi_upper
-    hypothesis_source = "explicit"
-    if dim_chi is None:
-        selmer = selmer_upper_km1(args.p, args.k, sigma, args.fres)
-        if selmer.dim_chi_upper == 1 and args.assume_nontrivial_extension:
-            dim_chi = 1
-            hypothesis_source = "selmer-upper-plus-assertion"
-        else:
-            dim_chi = selmer.dim_chi_upper
-            hypothesis_source = "selmer-upper-only"
-    crit = nonprincipality_verdict(eta_value, records, e=args.e, f_res=args.fres,
-                                   dim_chi_upper=dim_chi)
-    out = {"p": args.p, "k": args.k, "sigma": sigma,
-           "dim_chi_upper": dim_chi, "hypothesis_source": hypothesis_source}
-    out.update(crit.as_dict())
-    return out
-
-
-def _verify_cache_payload(cache: Cache) -> dict:
-    checked = 0
-    mismatches = []
-    unknown = []
-    for name, entry in cache.entries():
-        if entry is None or "command" not in entry:
-            unknown.append(name)
-            continue
-        command = entry["command"]
-        if command not in COMMANDS:
-            unknown.append(name)
-            continue
-        expected = _render(entry["payload"], False)
-        actual = _render(COMMANDS[command](entry["params"]), False)
-        checked += 1
-        if expected != actual:
-            mismatches.append({"file": name, "key": entry.get("key")})
-    return {"checked": checked, "mismatches": mismatches,
-            "unverifiable": unknown, "ok": not mismatches}
 
 
 def main(argv=None) -> int:
@@ -416,61 +372,16 @@ def main(argv=None) -> int:
     if args.command is None:
         ap.print_usage()
         return 1
-    cache = None if args.no_cache else Cache(args.cache_dir)
+    spec = COMMANDS[args.command]
+    params = {f.dest: getattr(args, f.dest) for f in spec.flags}
     try:
-        if args.command == "bernoulli":
-            payload = run_cached("bernoulli", {"n": str(args.n)}, cache)
-        elif args.command == "eta":
-            payload = run_cached("eta", {
-                "p": str(args.p), "k": str(args.k), "psi": args.psi,
-                "sigma": args.sigma, "s": str(args.s)}, cache)
-        elif args.command == "chars":
-            payload = run_cached("chars", {
-                "f": str(args.f),
-                "parity": "" if args.parity is None else str(args.parity),
-                "conductor": "" if args.conductor is None else str(args.conductor)},
-                cache)
-        elif args.command == "eisenstein":
-            payload = run_cached("eisenstein", {
-                "l": str(args.l), "phi": args.phi, "prec": str(args.prec)}, cache)
-        elif args.command == "build-h":
-            payload = run_cached("build-h", {
-                "p": str(args.p), "k": str(args.k), "psi": args.psi,
-                "ell": str(args.ell), "m": str(args.m), "sigma": args.sigma,
-                "s": str(args.s), "prec": str(args.prec)}, cache)
-        elif args.command == "scan":
-            payload = run_cached("scan", {
-                "k": str(args.k), "p": str(args.p), "sigma": args.sigma,
-                "smax": str(args.smax)}, cache)
-        elif args.command == "selmer":
-            payload = run_cached("selmer", {
-                "p": str(args.p), "k": str(args.k), "sigma": args.sigma,
-                "fres": str(args.fres)}, cache)
-        elif args.command == "aux-char":
-            payload = run_cached("aux-char", {
-                "p": str(args.p), "k": str(args.k), "psi": args.psi,
-                "ell": str(args.ell), "mmax": str(args.mmax), "s": str(args.s)},
-                cache)
-        elif args.command == "kummer":
-            payload = run_cached("kummer", {"p": str(args.p), "k": str(args.k)}, cache)
-        elif args.command == "criterion":
-            payload = _criterion_payload(args)
-        elif args.command == "report":
-            payload = full_report(
-                args.p, args.k, primitive_char(parse_char(args.psi)),
-                _parse_sigma(args.sigma), s=args.s, prec=args.prec, ell=args.ell,
-                m_max=args.mmax, records_path=args.records,
-                assume_nontrivial_extension=args.assume_nontrivial_extension,
-                s_max=args.smax)
-        elif args.command == "example37":
-            payload = run_cached("example37", {
-                "s": str(args.s), "prec": str(args.prec), "smax": str(args.smax)},
-                cache)
-        elif args.command == "verify-cache":
-            payload = _verify_cache_payload(cache if cache else Cache(args.cache_dir))
+        if spec.cached:
+            cache = None if args.no_cache else Cache(args.cache_dir)
+            payload = run_cached(args.command, params, cache)
+        elif spec.reads_cache:
+            payload = spec.fn(Cache(args.cache_dir), **params)
         else:
-            ap.print_usage()
-            return 1
+            payload = spec.fn(**params)
     except ParameterError as exc:
         print(json.dumps({"error": "parameter", "message": str(exc)}), file=sys.stderr)
         return 1

@@ -195,7 +195,7 @@ def _carmichael_odd_prime_power(ell: int, m: int) -> int:
 
 
 def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
-                    ctx: PadicContext | None = None, s: int = 6) -> AuxCharCertificate:
+                    s: int = 6) -> AuxCharCertificate:
     """First character phi of conductor ell^m (m <= m_max) with
     phi(-1) = (-1)^(k-1) and both L(psi*phi, 0) and L(phi^(-1), 2-k) of
     valuation zero at the chosen prime above p.
@@ -211,19 +211,15 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     psi = primitive_char(psi)
     from .characters import char_inverse, char_product
     parity = (-1) ** (k - 1)
-    last_ctx = ctx
+    ctx_m = None
     for m in range(1, m_max + 1):
-        if ctx is None:
-            # per-conductor context; first-found stability keeps the result
-            # independent of m_max
-            f_work = lcm(psi.order, _carmichael_odd_prime_power(ell, m))
-            if f_work % p == 0:
-                raise ParameterError(
-                    f"value field conductor {f_work} is divisible by p = {p}")
-            ctx_m = padic_context(p, f_work, s)
-        else:
-            ctx_m = ctx
-        last_ctx = ctx_m
+        # per-conductor context; first-found stability keeps the result
+        # independent of m_max
+        f_work = lcm(psi.order, _carmichael_odd_prime_power(ell, m))
+        if f_work % p == 0:
+            raise ParameterError(
+                f"value field conductor {f_work} is divisible by p = {p}")
+        ctx_m = padic_context(p, f_work, s)
         for phi in enumerate_chars(ell**m, parity=parity, exact_conductor=ell**m):
             chi1 = primitive_char(char_product(psi, phi))
             l1 = l_nonpositive(chi1, 0)
@@ -247,8 +243,8 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     return AuxCharCertificate(
         found=False, char=None, conductor=None,
         val_l_psi_phi=None, val_l_phi_inv=None,
-        context_conductor=last_ctx.f if last_ctx else 0,
-        context_precision=last_ctx.s if last_ctx else s,
+        context_conductor=ctx_m.f if ctx_m else 0,
+        context_precision=ctx_m.s if ctx_m else s,
         searched_m_max=m_max)
 
 
@@ -281,6 +277,19 @@ class CriterionReport:
             "verdict": self.verdict,
             "conclusion": self.conclusion_text,
         }
+
+
+def dim_chi_hypothesis(dim_chi_upper: int | None, *, congruence_certificate: bool = False,
+                       assumed: bool = False) -> dict:
+    """Decide whether dim H^1_Sigma(Q, chi) = 1 is established.  An upper
+    bound of 1 alone leaves dimension 0 open; a nontrivial extension must
+    also be known, certified by a level-1 congruence or asserted by the
+    user.  Both the criterion command and the full report decide here."""
+    certificate = ("level1-congruence" if congruence_certificate
+                   else "user-assertion" if assumed else None)
+    return {"dim_chi_upper_bound": dim_chi_upper,
+            "nontrivial_extension_certificate": certificate,
+            "dim_chi_equals_1": dim_chi_upper == 1 and certificate is not None}
 
 
 def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int,
@@ -330,10 +339,12 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int,
 _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth", "source"}
 
 
-def ingest_records(path) -> list[EigensystemRecord]:
+def ingest_records(path, *, p: int | None = None,
+                   weight: int | None = None) -> list[EigensystemRecord]:
     """Load externally computed eigensystem records (JSON array, or an object
     with a "records" array).  Depths are re-checked against the supplied
-    eigenvalue residues; source is forced to "external"."""
+    eigenvalue residues, and each record's p and weight against the given
+    ones; source is forced to "external"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -356,9 +367,9 @@ def ingest_records(path) -> list[EigensystemRecord]:
         if missing:
             raise SchemaError(f"{where}: missing fields {sorted(missing)}")
         try:
-            weight = int(raw["weight"])
+            rec_weight = int(raw["weight"])
             level = int(raw["level"])
-            p = int(raw["p"])
+            rec_p = int(raw["p"])
             depth = int(raw["depth"])
             label = str(raw["prime_label"])
             evs = {int(q): int(str(v)) for q, v in raw["eigenvalues"].items()}
@@ -366,22 +377,26 @@ def ingest_records(path) -> list[EigensystemRecord]:
             raise SchemaError(f"{where}: malformed field: {exc}") from exc
         if depth < 0:
             raise SchemaError(f"{where}: negative depth")
-        sigma = {p} | {q for q, _ in factorize(level)}
+        if (p is not None and rec_p != p) or (weight is not None and rec_weight != weight):
+            raise ParameterError(
+                f"{where}: p = {rec_p}, weight = {rec_weight} does not match "
+                f"p = {p}, k = {weight}")
+        sigma = {rec_p} | {q for q, _ in factorize(level)}
         residual_vals = []
         for q, aq in evs.items():
             if q in sigma:
                 continue
-            r = aq - (1 + q ** (weight - 1))
+            r = aq - (1 + q ** (rec_weight - 1))
             if r != 0:
-                v = valp_rational(Fraction(r), p)
+                v = valp_rational(Fraction(r), rec_p)
                 residual_vals.append(int(v))
         if residual_vals and min(residual_vals) != depth:
             raise SchemaError(
                 f"{where}: depth {depth} inconsistent with eigenvalues "
                 f"(computed {min(residual_vals)})")
         out.append(EigensystemRecord(
-            weight=weight, level=level, p=p, prime_label=label,
-            eigenvalues=evs, modulus_exponent=0, depth=depth, source="external"))
+            weight=rec_weight, level=level, p=rec_p, prime_label=label,
+            eigenvalues=evs, depth=depth, source="external"))
     return out
 
 
@@ -390,18 +405,15 @@ def ingest_records(path) -> list[EigensystemRecord]:
 # ---------------------------------------------------------------------------
 
 def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
-                s: int = 6, prec: int | None = None, ell: int | None = None,
+                s: int = 6, prec: int = 40, ell: int | None = None,
                 m_max: int = 1, records_path=None,
-                assume_nontrivial_extension: bool = False,
-                s_max: int = 3, run_h_construction: bool = True) -> dict:
+                assume_nontrivial_extension: bool = False, s_max: int = 3) -> dict:
     """Assemble the full pipeline into one JSON-ready report with sections
     parameters, eta, selmer, aux_char, h_construction, depths, criterion."""
     sigma = sorted(set(int(x) for x in sigma))
     if p not in sigma:
         raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
     psi = primitive_char(psi)
-    if prec is None:
-        prec = 40
 
     report: dict = {}
     report["parameters"] = {
@@ -431,7 +443,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     else:
         report["aux_char"] = None
 
-    if run_h_construction and aux is not None and aux.found:
+    if aux is not None and aux.found:
         work_f = lcm(psi.order, aux.char.order)
         ctx_h = padic_context(p, work_f, s)
         _, h_rep = build_h(psi, k, ell, 1, aux.char, sigma, ctx_h, prec)
@@ -454,28 +466,22 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
         depths_section["level1_scan"] = None
     external_records = []
     if records_path is not None:
-        external_records = ingest_records(records_path)
+        external_records = ingest_records(records_path, p=p, weight=k)
         depths_section["external"] = [r.as_dict() for r in external_records]
     else:
         depths_section["external"] = None
     report["depths"] = depths_section
 
-    congruence_certificate = any(r.depth and r.depth >= 1 for r in internal_records)
-    dim_established = (selmer.dim_chi_upper == 1
-                       and (congruence_certificate or assume_nontrivial_extension))
-    hypothesis = {
-        "dim_chi_upper_bound": selmer.dim_chi_upper,
-        "nontrivial_extension_certificate": (
-            "level1-congruence" if congruence_certificate
-            else ("user-assertion" if assume_nontrivial_extension else None)),
-        "dim_chi_equals_1": bool(dim_established),
-    }
+    hypothesis = dim_chi_hypothesis(
+        selmer.dim_chi_upper,
+        congruence_certificate=any(r.depth and r.depth >= 1 for r in internal_records),
+        assumed=assume_nontrivial_extension)
 
     criterion_records = external_records if external_records else internal_records
     if criterion_records:
         crit = nonprincipality_verdict(
             eta_value, criterion_records, e=1, f_res=f_res,
-            dim_chi_upper=1 if dim_established else selmer.dim_chi_upper)
+            dim_chi_upper=1 if hypothesis["dim_chi_equals_1"] else None)
         report["criterion"] = {"hypothesis": hypothesis, **crit.as_dict()}
     else:
         report["criterion"] = {"hypothesis": hypothesis, "verdict": "inconclusive",

@@ -189,10 +189,8 @@ def _pmul_mod(a: list[int], b: list[int], m: int) -> list[int]:
 
 def _psub_mod(a: list[int], b: list[int], m: int) -> list[int]:
     n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim_mod([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                      for i in range(n)], m)
 
 
 def _pdivmod_mod(a: list[int], b: list[int], m: int):
@@ -208,17 +206,6 @@ def _pdivmod_mod(a: list[int], b: list[int], m: int):
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - c * b[j]) % m
     return _trim_mod(q, m), _trim_mod(a[:db], m)
-
-
-def _pgcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim_mod(list(a), p), _trim_mod(list(b), p)
-    while b:
-        _, r = _pdivmod_mod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
 
 
 def _pxgcd_mod(a: list[int], b: list[int], p: int):
@@ -261,7 +248,7 @@ def _equal_degree_split(F: list[int], d: int, p: int) -> list[list[int]]:
     exp = (p**d - 1) // 2
     for r in candidates:
         w = _psub_mod(_ppow_mod(r, exp, F, p), [1], p)
-        g = _pgcd_mod(F, w, p)
+        g = _pxgcd_mod(F, w, p)[0]
         if 0 < len(g) - 1 < len(F) - 1:
             q, rem = _pdivmod_mod(F, g, p)
             if rem:
@@ -284,19 +271,11 @@ def _hensel_lift_factor(full: list[int], g0: list[int], p: int, s: int) -> list[
     target = p**s
     while mod < target:
         newmod = min(mod * p, target)
-        gh = _pmul_mod(g, h, newmod)
-        n = max(len(full), len(gh))
-        e = [((full[i] if i < len(full) else 0) - (gh[i] if i < len(gh) else 0)) % newmod
-             for i in range(n)]
-        e = [(c // mod) % p for c in e]
-        while e and e[-1] == 0:
-            e.pop()
+        e = _psub_mod(full, _pmul_mod(g, h, newmod), newmod)
+        e = _trim_mod([c // mod for c in e], p)
         be = _pmul_mod(b, e, p)
         qq, u = _pdivmod_mod(be, g0, p) if be else ([], [])
-        ae = _pmul_mod(a, e, p)
-        qh = _pmul_mod(qq, h0, p)
-        nw = max(len(ae), len(qh))
-        w = [((ae[i] if i < len(ae) else 0) + (qh[i] if i < len(qh) else 0)) % p for i in range(nw)]
+        w = _psub_mod(_pmul_mod(a, e, p), _pmul_mod(qq, [-c for c in h0], p), p)  # a e + qq h0
         g = [(gi + mod * (u[i] if i < len(u) else 0)) % newmod for i, gi in enumerate(g)]
         h = [(hi + mod * (w[i] if i < len(w) else 0)) % newmod for i, hi in enumerate(h)]
         mod = newmod
@@ -554,15 +533,6 @@ def lift_common(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:
     return a.lift(f), b.lift(f)
 
 
-def cyc_arith(a: CycElem, b: CycElem, op: str) -> CycElem:
-    """Add or multiply two elements sharing a conductor (op in {"add", "mul"})."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ParameterError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # p-adic contexts
 # ---------------------------------------------------------------------------
@@ -585,9 +555,6 @@ class PadicContext:
     residue_degree: int
     all_factors: tuple[tuple[int, ...], ...]
     e: int = 1
-
-    def factor_mod_p(self) -> tuple[int, ...]:
-        return tuple(c % self.p for c in self.prime_poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -621,12 +588,6 @@ def padic_context(p: int, f: int, s: int) -> PadicContext:
     lifted = tuple(tuple(_hensel_lift_factor(phi_int, g0, p, s)) for g0 in factors)
     return PadicContext(p=p, f=f, s=s, prime_poly=lifted[0],
                         residue_degree=d, all_factors=lifted)
-
-
-def _context_with_factor(ctx: PadicContext, index: int) -> PadicContext:
-    """Variant of ctx selecting the index-th lifted factor (testing aid)."""
-    return PadicContext(p=ctx.p, f=ctx.f, s=ctx.s, prime_poly=ctx.all_factors[index],
-                        residue_degree=ctx.residue_degree, all_factors=ctx.all_factors)
 
 
 def valp_cyc(x: CycElem, ctx: PadicContext):

@@ -189,7 +189,6 @@ class EigensystemRecord:
     p: int
     prime_label: str
     eigenvalues: dict[int, int]
-    modulus_exponent: int
     depth: int | None = None
     capped: bool = False
     source: str = "internal"
@@ -217,20 +216,23 @@ def _primes_upto(n: int) -> list[int]:
     return [q for q in range(2, n + 1) if is_prime(q)]
 
 
+def _horner(poly: list[int], x: int, m: int) -> int:
+    """poly(x) mod m, ascending coefficients."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def _hensel_root(f: list[int], r: int, p: int, s: int) -> int:
     """Lift a simple root r of f mod p to a root mod p^s (Newton)."""
-    def ev(poly, x, m):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % m
-        return acc
     deriv = [i * c for i, c in enumerate(f)][1:]
     mod = p
     x = r % p
     while mod < p**s:
         mod = min(mod * mod, p**s)
-        fx = ev(f, x, mod)
-        dx = ev(deriv, x, mod)
+        fx = _horner(f, x, mod)
+        dx = _horner(deriv, x, mod)
         x = (x - fx * pow(dx, -1, mod)) % mod
     x %= p**s
     return x
@@ -294,15 +296,10 @@ def _extract_eigensystems(k: int, p: int, s: int):
     mod = p**s
     fb = [c % p for c in f]
     deriv = [i * c % p for i, c in enumerate(fb)][1:]
-    def ev(poly, x, m):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % m
-        return acc
-    roots = [r for r in range(p) if ev(fb, r, p) == 0]
+    roots = [r for r in range(p) if _horner(fb, r, p) == 0]
     simple = []
     for r in roots:
-        if ev(deriv, r, p) == 0:
+        if _horner(deriv, r, p) == 0:
             skipped.append(SkippedEigensystem(
                 weight=k, p=p,
                 reason=f"repeated root {r} of charpoly(T_2) mod {p}"))
@@ -310,7 +307,7 @@ def _extract_eigensystems(k: int, p: int, s: int):
             simple.append(r)
     rem = fb
     for r in roots:
-        while ev(rem, r, p) == 0 and len(rem) > 1:
+        while _horner(rem, r, p) == 0 and len(rem) > 1:
             rem = _syn_div(rem, r, p)
     if len(rem) - 1 > 0:
         skipped.append(SkippedEigensystem(
@@ -346,16 +343,15 @@ def _extract_eigensystems(k: int, p: int, s: int):
     return found, skipped
 
 
-def eigensystems_mod(k: int, p: int, s: int, qmax: int | None = None):
+def eigensystems_mod(k: int, p: int, s: int):
     """Eigensystem records of S_k(SL2(Z)) mod p^s with eigenvalues recorded
-    for all primes q <= max(Sturm bound, 13) (or qmax when given).
+    for all primes q <= max(Sturm bound, 13).
 
     Returns (records, skipped): eigensystems whose mod-p reduction is a
     repeated root of charpoly(T_2) or falls outside the prime field are
     listed in ``skipped`` with a diagnostic instead.
     """
-    if qmax is None:
-        qmax = max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND)
+    qmax = max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND)
     contexts, skipped = _extract_eigensystems(k, p, s)
     records = []
     for ctxn in contexts:
@@ -363,7 +359,7 @@ def eigensystems_mod(k: int, p: int, s: int, qmax: int | None = None):
         records.append(EigensystemRecord(
             weight=k, level=1, p=p,
             prime_label=f"T2-root-{ctxn.alpha % p}",
-            eigenvalues=evs, modulus_exponent=s, source="internal"))
+            eigenvalues=evs, source="internal"))
     return records, skipped
 
 

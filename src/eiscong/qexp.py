@@ -55,11 +55,6 @@ class QExpansion:
             raise ParameterError(f"coefficient index {n} beyond precision {self.precision}")
         return self.coefficients[n]
 
-    def truncate(self, P: int) -> "QExpansion":
-        if P > self.precision:
-            raise ParameterError("cannot extend precision")
-        return replace(self, coefficients=self.coefficients[: P + 1])
-
     def lift_conductor(self, f: int) -> "QExpansion":
         if f == self.conductor:
             return self
@@ -189,9 +184,9 @@ def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
                       label=f"({f.label})*({g.label})")
 
 
-def hecke_tq(f: QExpansion, q: int, k: int | None = None,
-             psi: DirichletChar | None = None) -> QExpansion:
-    """T_q on q-expansions: a_n -> a_(nq) + psi(q) q^(k-1) a_(n/q).
+def hecke_tq(f: QExpansion, q: int) -> QExpansion:
+    """T_q on q-expansions: a_n -> a_(nq) + psi(q) q^(k-1) a_(n/q), with the
+    weight k and character psi of f.
 
     Only for primes q coprime to the level (no U_q); the output precision
     drops to floor(P/q).
@@ -200,11 +195,7 @@ def hecke_tq(f: QExpansion, q: int, k: int | None = None,
         raise ParameterError(f"{q} is not prime")
     if f.level % q == 0:
         raise ParameterError(f"q = {q} divides the level {f.level}; U_q is unsupported")
-    if k is None:
-        k = f.weight
-    if psi is None:
-        psi = f.character
-    scalar = char_eval(psi, q) * (Fraction(q) ** (k - 1))
+    scalar = char_eval(f.character, q) * (Fraction(q) ** (f.weight - 1))
     F = lcm(f.conductor, scalar.conductor)
     a = f.lift_conductor(F)
     scalar = scalar.lift(F)
@@ -480,15 +471,3 @@ def g_cusp_constant(psi: DirichletChar, k: int, phi: DirichletChar,
     f = lcm(t1.conductor, t2.conductor)
     return t1.lift(f) * t2.lift(f)
 
-
-def cusp_constant_term(form, cusp: CuspClass) -> CycElem:
-    """Dispatch on a form description: ("eisenstein", l, phi) or
-    ("fm", psi, k, ell, m)."""
-    kind = form[0]
-    if kind == "eisenstein":
-        _, l, phi = form
-        return eisenstein_cusp_constant(l, phi, cusp)
-    if kind == "fm":
-        _, psi, k, ell, m = form
-        return fm_cusp_constant(psi, k, ell, m, cusp)
-    raise ParameterError(f"unknown form description {form!r}")

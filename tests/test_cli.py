@@ -152,3 +152,76 @@ def test_pretty_output(tmp_path, capsys):
                            "bernoulli", "--n", "12")
     assert json.loads(compact) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in compact
+
+
+def test_criterion_without_assertion_is_inconclusive(capsys):
+    # dim H^1_Sigma(Q, chi) <= 1 from the Selmer bound allows dimension 0
+    code, out, _ = run_cli(capsys, "--no-cache", "criterion", "--p", "37", "--k", "32",
+                           "--sigma", "31,37", "--records", fixture_path("example37.json"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hypothesis_source"] == "selmer-upper-only"
+    assert payload["verdict"] == "inconclusive"
+    assert payload["conclusion"] == "dim H^1_Sigma(Q, chi) = 1 is not established"
+
+
+def test_records_must_match_the_command_parameters(capsys):
+    records = fixture_path("example37.json")   # p = 37, weight 32
+    for command in (("criterion",), ("report", "--prec", "10")):
+        code, out, err = run_cli(capsys, "--no-cache", *command, "--p", "37", "--k", "12",
+                                 "--sigma", "31,37", "--records", records)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parameter"
+        assert "k = 12" in json.loads(err)["message"]
+
+
+def test_verify_cache_lists_foreign_entries_as_unverifiable(tmp_path, capsys):
+    run_cli(capsys, "--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
+    cache = Cache(str(tmp_path))
+    (_, entry), = list(cache.entries())
+    chars_v1 = {"key": "chars|conductor=|f=12|parity=", "version": 1, "command": "chars",
+                "params": {"f": "12", "parity": "", "conductor": ""}, "payload": {}}
+    foreign = {
+        "a-no-params.json": dict(entry, params={}),
+        "b-chars-v1.json": chars_v1,
+        "c-chars-text-params.json": dict(chars_v1, version=entry["version"]),
+        "d-wrong-type.json": dict(entry, params={"n": "12"}),
+        "e-extra-flag.json": dict(entry, params={"n": 12, "seed": 0}),
+        "f-uncached.json": dict(entry, command="report"),
+        "g-not-json.json": None,
+    }
+    for name, content in foreign.items():
+        with open(os.path.join(cache.root, name), "w") as fh:
+            fh.write("{not json" if content is None else json.dumps(content))
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checked"] == 1 and payload["ok"]
+    assert payload["unverifiable"] == sorted(foreign)
+
+
+def test_every_declared_flag_changes_the_cache_key(monkeypatch, capsys):
+    import eiscong.cli as cli
+    keys = []
+    monkeypatch.setattr(cli, "run_cached", lambda command, params, cache:
+                        keys.append(Cache.key_text(command, params)) or {})
+
+    def other(flag):
+        if flag.choices:
+            return next(c for c in flag.choices if c != flag.default)
+        if flag.type is int:
+            return 6 if flag.default is None else flag.default + 1
+        return "y"
+
+    for name, spec in cli.COMMANDS.items():
+        if not spec.cached:
+            continue
+        base = {f.name: 5 if f.type is int else "x" for f in spec.flags if f.required}
+        variants = [base] + [base | {f.name: other(f)} for f in spec.flags]
+        seen = []
+        for values in variants:
+            argv = [a for n, v in values.items() for a in ("--" + n, str(v))]
+            assert main(["--no-cache", name, *argv]) == 0
+            seen.append(keys[-1])
+        assert len(set(seen)) == len(seen) == len(spec.flags) + 1, name
+    capsys.readouterr()

@@ -1,0 +1,83 @@
+"""Golden stdout of the CLI: the sha256 of what one cheap call of each
+subcommand prints, so that a refactor of the front end is caught by the
+first changed byte.  Also pins the exit code and the stderr JSON of one
+parameter error and one computation error."""
+
+import hashlib
+import json
+
+import pytest
+
+from eiscong.cli import fixture_path, main
+
+RECORDS = fixture_path("example37.json")
+
+GOLDEN = [
+    (("bernoulli", "--n", "12"),
+     "a732fbf20cdcb95ec7624e1c67c4ba2e9fdbe6c490728ceb190eceba6c282d7f"),
+    (("eta", "--p", "37", "--k", "32", "--sigma", "31,37"),
+     "4bdae041fe6f14258c5a5380cf1caca1d4e0b003f8965f862373b2b3f9451853"),
+    (("chars", "--f", "31", "--parity", "-1", "--conductor", "31"),
+     "3d1a235c6f26336ee38226937a93057cf9310224fd08756da4f52d06e2deaada"),
+    (("eisenstein", "--l", "12", "--prec", "6"),
+     "6f21d27646e71225bcec23ae09c9a2cffe7dce6e43c3c364f56eb77ac11c64c7"),
+    (("build-h", "--p", "691", "--k", "12", "--ell", "29", "--sigma", "29,691",
+      "--prec", "10"),
+     "86f34c8972ea902f6e87ca9ae716c9abe6d91cb3a014054d354fee334f61b87d"),
+    (("scan", "--k", "12", "--p", "691", "--sigma", "691"),
+     "68c407b203b791a9080d34a0512216b6619258082d6184f783911e368d44fac5"),
+    (("selmer", "--p", "37", "--k", "32", "--sigma", "31,37"),
+     "b37b1b5472aa60c2eb1f96fc4f8f897b498c6486e7ee26adad2cc6c460551dc5"),
+    (("aux-char", "--p", "37", "--k", "32", "--ell", "31"),
+     "5def9c4b90a925bc532e28275c1cca982c45b5d502e2a262d353e152880b1594"),
+    (("kummer", "--p", "37", "--k", "32"),
+     "04cbcb097dfbc8542f2a46924d29054217196d900bc5c07ac23da77037b4f4ec"),
+    (("criterion", "--p", "37", "--k", "32", "--sigma", "31,37", "--records", RECORDS,
+      "--assume-nontrivial-extension"),
+     "e55f33c29e259e30a4dd291266bfabf49c839d4b0f83cbec97a976b229fbdae5"),
+    (("report", "--p", "691", "--k", "12", "--sigma", "691", "--prec", "10"),
+     "3fddc2675a72f2dc099e019e9610fb84a06251d99acce2a1332f930c1b1fd8a8"),
+    (("example37", "--prec", "10"),
+     "a48fcbc551dc6d85a1a711141d38bc1f9d2673c205e0cfe31a06ef028e30a6eb"),
+    (("--pretty", "selmer", "--p", "691", "--k", "12", "--sigma", "691"),
+     "b02d40087a03ce057ff84df06fd426c34b6755ffb8a6563f7affb169040a47a0"),
+]
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "--no-cache", *argv)
+    assert (code, err) == (0, "")
+    assert sha(out) == digest
+
+
+def test_golden_verify_cache(tmp_path, capsys):
+    for argv, _ in GOLDEN[:3]:
+        run_cli(capsys, "--cache-dir", str(tmp_path), *argv)
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert code == 0
+    assert out == '{"checked":3,"mismatches":[],"unverifiable":[],"ok":true}\n'
+
+
+def test_golden_errors(capsys):
+    code, out, err = run_cli(capsys, "--no-cache", "eta", "--p", "37", "--k", "32",
+                             "--sigma", "31")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "parameter",
+                               "message": "p = 37 must belong to Sigma = [31]"}
+    code, out, err = run_cli(capsys, "--no-cache", "eta", "--p", "37", "--k", "32",
+                             "--sigma", "31,37", "--s", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "computation",
+        "message": "image vanishes mod 37^1; rerun with a larger precision s"}

@@ -285,3 +285,33 @@ def test_full_report_691_inconclusive():
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
         full_report(37, 32, trivial_char(1), [31], s=6)
+
+
+def test_dim_chi_needs_a_nontrivial_extension():
+    from eiscong.criteria import dim_chi_hypothesis
+    assert not dim_chi_hypothesis(1)["dim_chi_equals_1"]
+    assert not dim_chi_hypothesis(2, assumed=True)["dim_chi_equals_1"]
+    asserted = dim_chi_hypothesis(1, assumed=True)
+    assert asserted["nontrivial_extension_certificate"] == "user-assertion"
+    assert asserted["dim_chi_equals_1"]
+    cert = dim_chi_hypothesis(1, congruence_certificate=True, assumed=True)
+    assert cert == {"dim_chi_upper_bound": 1,
+                    "nontrivial_extension_certificate": "level1-congruence",
+                    "dim_chi_equals_1": True}
+
+
+def test_full_report_without_congruence_certificate_is_inconclusive():
+    # nontrivial psi: no level-1 scan, so nothing certifies the extension
+    from eiscong.characters import parse_char
+    rep = full_report(37, 32, parse_char("31:[2]"), [31, 37], prec=10,
+                      records_path=FIXTURE)
+    assert rep["criterion"]["hypothesis"]["dim_chi_equals_1"] is False
+    assert rep["criterion"]["verdict"] == "inconclusive"
+    assert rep["criterion"]["conclusion"] == "dim H^1_Sigma(Q, chi) = 1 is not established"
+
+
+def test_ingest_checks_p_and_weight():
+    assert len(ingest_records(FIXTURE, p=37, weight=32)) == 19
+    for kwargs in ({"p": 41, "weight": 32}, {"p": 37, "weight": 12}):
+        with pytest.raises(ParameterError):
+            ingest_records(FIXTURE, **kwargs)
