@@ -286,7 +286,12 @@ def _verify_cache(cache: Cache) -> dict:
             unknown.append(name)
             continue
         checked += 1
-        if _render(entry.get("payload"), False) != _render(spec.fn(**params), False):
+        try:
+            fresh = _render(spec.fn(**params), False)
+        except EiscongError as exc:
+            mismatches.append({"file": name, "key": entry["key"], "error": str(exc)})
+            continue
+        if _render(entry.get("payload"), False) != fresh:
             mismatches.append({"file": name, "key": entry["key"]})
     return {"checked": checked, "mismatches": mismatches,
             "unverifiable": unknown, "ok": not mismatches}

@@ -17,7 +17,6 @@ weight 12 at level 1), so the floor keeps the scan meaningful.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -40,17 +39,10 @@ def _sigma(n: int, k: int) -> int:
 
 def _ser_mul(a, b, P):
     out = [0] * (P + 1)
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(a[:P + 1]):
         if ai:
-            for j in range(P + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-def _ser_pow(a, e, P):
-    out = [1] + [0] * P
-    for _ in range(e):
-        out = _ser_mul(out, a, P)
+            for j, bj in enumerate(b[:P + 1 - i]):
+                out[i + j] += ai * bj
     return out
 
 
@@ -68,73 +60,84 @@ def dim_cusp(k: int) -> int:
     return dim_modular(k) - 1
 
 
-def miller_basis(k: int, P: int) -> list[QExpansion]:
-    """Echelonized basis of M_k(SL2(Z)): element i has a_j = delta_ij for
-    j < dim.  Elements 1..dim-1 (those with a_0 = 0) span the cusp forms."""
+def _build_miller_rows(k: int, P: int) -> list[list[int]]:
+    """Echelonized Miller basis of M_k to precision P, in integers.
+
+    Row j starts as E4^a E6^b Delta^j with 4a + 6b = k - 12j: b is fixed by
+    k mod 4 and a falls by 3 per row.  Delta = (E4^3 - E6^2)/1728 is integral
+    and row j leads with q^j, so back-substitution stays in Z."""
     if k % 2 or k < 4:
         raise ParameterError("weight must be even and >= 4")
     dim = dim_modular(k)
+    one = [1] + [0] * P
     E4 = [1] + [240 * _sigma(n, 3) for n in range(1, P + 1)]
     E6 = [1] + [-504 * _sigma(n, 5) for n in range(1, P + 1)]
-    delta_num = [a - b for a, b in zip(_ser_pow(E4, 3, P), _ser_mul(E6, E6, P))]
-    delta = [Fraction(c, 1728) for c in delta_num]
-    rows = []
-    for j in range(dim):
-        r = k - 12 * j
-        a = b = None
-        for bb in range(r // 6 + 1):
-            if (r - 6 * bb) % 4 == 0:
-                a, b = (r - 6 * bb) // 4, bb
-                break
-        g = [Fraction(c) for c in _ser_mul(_ser_pow(E4, a, P), _ser_pow(E6, b, P), P)]
-        dj = [Fraction(1)] + [Fraction(0)] * P
-        for _ in range(j):
-            dj = _ser_mul(dj, delta, P)
-        rows.append(_ser_mul(g, dj, P))
+    E4_3 = _ser_mul(_ser_mul(E4, E4, P), E4, P)
+    delta = [(x - y) // 1728 for x, y in zip(E4_3, _ser_mul(E6, E6, P))]
+    b = k // 2 % 2
+    g = E6 if b else one  # E4^a E6^b of the last row, a in {0, 1, 2}
+    for _ in range((k - 6 * b) // 4 - 3 * (dim - 1)):
+        g = _ser_mul(g, E4, P)
+    rows = [g]
+    for _ in range(dim - 1):  # E4^(a + 3) E6^b of the row above
+        rows.insert(0, _ser_mul(rows[0], E4_3, P))
+    dj = one
+    for j in range(1, dim):
+        dj = _ser_mul(dj, delta, P)
+        rows[j] = _ser_mul(rows[j], dj, P)
     for j in range(dim - 1, -1, -1):
         for i in range(j + 1, dim):
             c = rows[j][i]
             if c:
                 rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
-    out = []
-    for i, row in enumerate(rows):
-        coeffs = tuple(CycElem.from_rational(c) for c in row)
-        out.append(QExpansion(coefficients=coeffs, weight=k, level=1,
-                              character=trivial_char(1), label=f"M_{k}[{i}]"))
-    return out
+    return rows
 
 
-@functools.lru_cache(maxsize=64)
-def _miller_rows(k: int, P: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(c.as_rational() for c in f.coefficients) for f in miller_basis(k, P))
+# weight -> integer Miller rows at the largest precision built so far.  A
+# truncated q-series product does not depend on P, so a smaller request is
+# served by the same rows.
+_MILLER_ROWS: dict[int, list[list[int]]] = {}
 
 
-def hecke_matrix(k: int, n: int, P: int | None = None) -> list[list[Fraction]]:
-    """Matrix of T_n on the cuspidal echelon basis of S_k(SL2(Z)), via
-    a_m(T_n f) = sum_{d | gcd(m,n)} d^(k-1) a_(mn/d^2)(f).
+def _miller_rows(k: int, P: int) -> list[list[int]]:
+    """Integer Miller rows of M_k with at least P + 1 coefficients each."""
+    rows = _MILLER_ROWS.get(k)
+    if rows is None or len(rows[0]) <= P:
+        rows = _MILLER_ROWS[k] = _build_miller_rows(k, P)
+    return rows
 
-    Entry [i][j] is the f_(i+1)-coordinate of T_n f_(j+1).  Precision must
-    reach dim * n (defaulted when omitted).
-    """
+
+def miller_basis(k: int, P: int) -> list[QExpansion]:
+    """Echelonized basis of M_k(SL2(Z)): element i has a_j = delta_ij for
+    j < dim.  Elements 1..dim-1 (those with a_0 = 0) span the cusp forms."""
+    return [QExpansion(coefficients=tuple(CycElem.from_rational(c) for c in row[:P + 1]),
+                       weight=k, level=1, character=trivial_char(1), label=f"M_{k}[{i}]")
+            for i, row in enumerate(_miller_rows(k, P))]
+
+
+def _hecke_int(k: int, n: int, P: int | None = None) -> list[list[int]]:
     ds = dim_cusp(k)
     need = ds * n + 1
     if P is None:
         P = need
     if P < need:
         raise ParameterError(f"precision {P} is below the required {need}")
-    rows = _miller_rows(k, P)
-    cusp = rows[1:]
-    out = []
-    for m in range(1, ds + 1):
-        row = []
-        for f in cusp:
-            acc = Fraction(0)
-            for d in range(1, gcd(m, n) + 1):
-                if m % d == 0 and n % d == 0:
-                    acc += Fraction(d) ** (k - 1) * f[m * n // (d * d)]
-            row.append(acc)
-        out.append(row)
-    return out
+    cusp = _miller_rows(k, P)[1:]
+    return [[sum(d ** (k - 1) * f[m * n // (d * d)]
+                 for d in range(1, gcd(m, n) + 1) if m % d == 0 and n % d == 0)
+             for f in cusp] for m in range(1, ds + 1)]
+
+
+def hecke_matrix(k: int, n: int, P: int | None = None) -> list[list[Fraction]]:
+    """Matrix of T_n on the cuspidal echelon basis of S_k(SL2(Z)), via
+    a_m(T_n f) = sum_{d | gcd(m,n)} d^(k-1) a_(mn/d^2)(f).
+
+    Entry [i][j] is the f_(i+1)-coordinate of T_n f_(j+1).  Precision P must
+    reach dim * n (defaulted when omitted).  The entries are integers,
+    computed on the integer Miller basis (built once per weight and process)
+    and returned as Fractions.
+    """
+    return [[Fraction(c) for c in row] for row in _hecke_int(k, n, P)]
 
 
 def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
@@ -161,18 +164,6 @@ def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
 def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _mat_int(a):
-    out = []
-    for row in a:
-        r = []
-        for c in row:
-            if c.denominator != 1:
-                raise AssertionError("Hecke matrix entry is not an integer")
-            r.append(int(c))
-        out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +258,7 @@ class _EigenContext:
     def eigenvalue(self, n: int) -> int:
         mod = self.p**self.s
         if n not in self._mats:
-            self._mats[n] = _mat_int(hecke_matrix(self.k, n))
+            self._mats[n] = _hecke_int(self.k, n)
         M = self._mats[n]
         dim = len(M)
         w = [sum(M[i][j] * self.vector[j] for j in range(dim)) % mod for i in range(dim)]
@@ -290,9 +281,9 @@ def _extract_eigensystems(k: int, p: int, s: int):
     if dim == 0:
         return found, skipped
     mats: dict[int, list[list[int]]] = {}
-    T2 = _mat_int(hecke_matrix(k, 2))
+    T2 = _hecke_int(k, 2)
     mats[2] = T2
-    f = [int(c) for c in charpoly([[Fraction(c) for c in row] for row in T2])]
+    f = [int(c) for c in charpoly(T2)]
     mod = p**s
     fb = [c % p for c in f]
     deriv = [i * c % p for i, c in enumerate(fb)][1:]
@@ -351,11 +342,13 @@ def eigensystems_mod(k: int, p: int, s: int):
     repeated root of charpoly(T_2) or falls outside the prime field are
     listed in ``skipped`` with a diagnostic instead.
     """
-    qmax = max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND)
+    primes = _primes_upto(max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND))
+    if dim_cusp(k) > 0:  # one basis build, at the precision T_(max prime) needs
+        _miller_rows(k, dim_cusp(k) * primes[-1] + 1)
     contexts, skipped = _extract_eigensystems(k, p, s)
     records = []
     for ctxn in contexts:
-        evs = {q: ctxn.eigenvalue(q) for q in _primes_upto(qmax)}
+        evs = {q: ctxn.eigenvalue(q) for q in primes}
         records.append(EigensystemRecord(
             weight=k, level=1, p=p,
             prime_label=f"T2-root-{ctxn.alpha % p}",

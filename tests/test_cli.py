@@ -200,6 +200,22 @@ def test_verify_cache_lists_foreign_entries_as_unverifiable(tmp_path, capsys):
     assert payload["unverifiable"] == sorted(foreign)
 
 
+def test_verify_cache_reports_an_entry_whose_recompute_raises(tmp_path, capsys):
+    run_cli(capsys, "--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
+    cache = Cache(str(tmp_path))
+    (name, entry), = list(cache.entries())
+    params = {"n": -1}
+    bad = dict(entry, params=params, key=Cache.key_text("bernoulli", params))
+    with open(os.path.join(cache.root, "0-negative-index.json"), "w") as fh:
+        json.dump(bad, fh)
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checked"] == 2 and not payload["ok"] and payload["unverifiable"] == []
+    assert payload["mismatches"] == [{"file": "0-negative-index.json", "key": bad["key"],
+                                      "error": "Bernoulli index must be non-negative"}]
+
+
 def test_every_declared_flag_changes_the_cache_key(monkeypatch, capsys):
     import eiscong.cli as cli
     keys = []

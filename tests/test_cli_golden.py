@@ -43,6 +43,15 @@ GOLDEN = [
      "b02d40087a03ce057ff84df06fd426c34b6755ffb8a6563f7affb169040a47a0"),
 ]
 
+# Scans at high weight, where the Miller basis has 8 and 9 elements; the
+# digests are those of the same commands in perfbench/digests.json.
+GOLDEN_HIGH_WEIGHT_SCANS = [
+    (("scan", "--k", "84", "--p", "233", "--sigma", "233"),
+     "3f49237fe42ec5f08495c39098f358e84e75ed35c611fda1d0f54329e3bc5dcf"),
+    (("scan", "--k", "110", "--p", "157", "--sigma", "157"),
+     "8efe3bbf65971abbb0a9811cdeaabbf1978bea1307d01609c9044c5eaaa83ceb"),
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -54,7 +63,9 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv,digest", GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS,
+                         ids=[" ".join(a[:2]) for a, _ in GOLDEN]
+                         + [" ".join(a[:3]) for a, _ in GOLDEN_HIGH_WEIGHT_SCANS])
 def test_golden_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, "--no-cache", *argv)
     assert (code, err) == (0, "")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong import hecke1
 from eiscong.errors import ParameterError
 from eiscong.hecke1 import (
     _extract_eigensystems,
@@ -47,6 +48,11 @@ def test_miller_dims_and_delta():
     assert dim_cusp(4) == 0
     with pytest.raises(ParameterError):
         miller_basis(5, 10)
+
+
+def test_delta_to_precision_200_matches_the_eta_product():
+    oracle = delta_eta_product(200)
+    assert [c.as_rational() for c in miller_basis(12, 200)[1].coefficients] == oracle
 
 
 def test_miller_echelon_property():
@@ -207,3 +213,50 @@ def test_record_serialization():
     assert d["source"] == "internal"
     assert d["eigenvalues"]["2"] == str((-24) % 691 ** 2)
     assert d["depth"] == 1
+
+
+def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
+    builds = []
+
+    def counting(k, P):
+        builds.append((k, P))
+        return build(k, P)
+
+    build = hecke1._build_miller_rows
+    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
+    monkeypatch.setattr(hecke1, "_build_miller_rows", counting)
+    recs, skipped = depth_scan(110, 157, {157}, 3)
+    assert builds == [(110, dim_cusp(110) * 13 + 1)]  # T_13 is the largest operator
+    assert [r.depth for r in recs] == [0, 1, 0]
+    assert len(skipped) == 1
+
+
+@pytest.mark.parametrize("k", [12, 36, 50])
+def test_basis_and_hecke_do_not_depend_on_build_order(monkeypatch, k):
+    def results():
+        return (miller_basis(k, 20), hecke_matrix(k, 3, 3 * dim_cusp(k) + 1),
+                hecke_matrix(k, 5, 80), miller_basis(k, 80))
+
+    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
+    small_first = results()
+    hecke1._MILLER_ROWS.clear()
+    miller_basis(k, 80)
+    large_first = results()
+    assert large_first == small_first
+    assert [f.precision for f in large_first[0]] == [20] * dim_modular(k)
+
+
+def test_precision_guard_after_a_larger_build():
+    miller_basis(12, 100)
+    with pytest.raises(ParameterError):
+        hecke_matrix(12, 5, P=3)
+
+
+@pytest.mark.parametrize("k", [24, 48, 84, 110])
+def test_charpoly_t2_matches_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    T2 = hecke_matrix(k, 2)
+    x = sympy.Symbol("x")
+    expected = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                             for row in T2]).charpoly(x).all_coeffs()
+    assert charpoly(T2) == [Fraction(int(c)) for c in reversed(expected)]
