@@ -18,9 +18,11 @@ Library layout:
 
 from .characters import DirichletChar, enumerate_chars, parse_char, trivial_char
 from .exact import CycElem, PadicContext, padic_context, teichmuller, valp_cyc, valp_rational
-from .hecke1 import EigensystemRecord, depth_scan, eigensystems_mod, miller_basis, sturm_bound
+from .hecke1 import EigensystemRecord, depth_scan, eigensystems_mod, miller_basis
 from .lfunc import EtaValue, bernoulli, eta, gen_bernoulli, kummer_check, l_nonpositive
-from .qexp import QExpansion, build_fm, build_g, build_h, eisenstein_qexp, hecke_tq, multiply, v_operator
+from .qexp import (
+    QExpansion, build_fm, build_g, build_h, eisenstein_qexp, hecke_tq, multiply, sturm_bound, v_operator,
+)
 from .criteria import (
     aux_char_search,
     full_report,

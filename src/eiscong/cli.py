@@ -34,9 +34,9 @@ from .criteria import (
 )
 from .errors import ComputationError, EiscongError, ParameterError
 from .exact import padic_context
-from .hecke1 import depth_scan, sturm_bound
+from .hecke1 import depth_scan
 from .lfunc import bernoulli, eta, kummer_check
-from .qexp import build_h, eisenstein_qexp
+from .qexp import build_h, eisenstein_qexp, sturm_bound
 
 # Version 2 stores params typed (ints, None, booleans) rather than as text.
 CACHE_SCHEMA_VERSION = 2

@@ -19,15 +19,17 @@ from math import lcm
 from .characters import (
     DirichletChar,
     char_eval,
+    char_inverse,
+    char_product,
     enumerate_chars,
     primitive_char,
     trivial_char,
 )
 from .errors import ComputationError, ParameterError, SchemaError
 from .exact import INF, CycElem, PadicContext, factorize, is_prime, padic_context, valp_cyc, valp_rational
-from .hecke1 import EigensystemRecord, depth_scan, sturm_bound
+from .hecke1 import EigensystemRecord, depth_scan
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
-from .qexp import build_h
+from .qexp import build_h, sturm_bound
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,6 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     if k < 2:
         raise ParameterError("weight must be >= 2")
     psi = primitive_char(psi)
-    from .characters import char_inverse, char_product
     parity = (-1) ** (k - 1)
     ctx_m = None
     for m in range(1, m_max + 1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, zip_longest
 from math import gcd, lcm
 
 from .errors import (
@@ -137,20 +138,40 @@ def teichmuller(a: int, p: int, s: int) -> int:
 # polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of Fraction polynomials, den monic."""
+def _pmul(a: list, b: list, n: int | None = None) -> list:
+    """Product of two coefficient lists, truncated to n terms when n is given.
+
+    The one dense multiply loop: zero coefficients of both operands are
+    skipped, which sparse q-series and padded layouts rely on."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
+
+
+def _poly_divmod_q(num: list, den) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over Q, den monic.
+
+    Zero coefficients of den are skipped: cyclotomic divisors are sparse."""
     num = list(num)
     dd = len(den) - 1
-    q = [Fraction(0)] * max(len(num) - dd, 0)
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    q = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
             q[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+            for j, dj in terms:
+                num[i - dd + j] -= c * dj
+    rem = num[:dd]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,13 +181,13 @@ def cyclotomic_poly(f: int) -> tuple[int, ...]:
         raise ParameterError("conductor must be positive")
     if f > MAX_CONDUCTOR:
         raise ConductorTooLargeError(f"conductor {f} exceeds guard {MAX_CONDUCTOR}")
-    num = [Fraction(-1)] + [Fraction(0)] * (f - 1) + [Fraction(1)]
+    num = [-1] + [0] * (f - 1) + [1]
     for d in range(1, f):
         if f % d == 0:
-            num, rem = _poly_divmod_q(num, [Fraction(c) for c in cyclotomic_poly(d)])
+            num, rem = _poly_divmod_q(num, cyclotomic_poly(d))
             if rem:
                 raise AssertionError("cyclotomic division left a remainder")
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 def _trim_mod(a: list[int], m: int) -> list[int]:
@@ -177,20 +198,11 @@ def _trim_mod(a: list[int], m: int) -> list[int]:
 
 
 def _pmul_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _trim_mod(out, m)
+    return _trim_mod(_pmul(a, b), m)
 
 
 def _psub_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _trim_mod([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                      for i in range(n)], m)
+    return _trim_mod([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
 
 
 def _pdivmod_mod(a: list[int], b: list[int], m: int):
@@ -236,16 +248,17 @@ def _ppow_mod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int]:
 def _equal_degree_split(F: list[int], d: int, p: int) -> list[list[int]]:
     """Split a squarefree product of degree-d irreducibles over F_p.
 
-    Cantor-Zassenhaus with a deterministic candidate sequence (x + c, then
-    x^2 + c, ...) so repeated runs factor identically.
+    Cantor-Zassenhaus over the monic candidates of degree 1, 2, ... < deg F
+    in a fixed order, so repeated runs factor identically.  Some candidate
+    always splits: by CRT one is a square modulo one factor and not modulo
+    another.
     """
     if len(F) - 1 == d:
         return [F]
     if p == 2:
         raise ParameterError("p = 2 splitting not supported")
-    candidates = ([[c, 1] for c in range(p)] + [[c, 0, 1] for c in range(p)]
-                  + [[c, 1, 0, 1] for c in range(p)])
     exp = (p**d - 1) // 2
+    candidates = ([*low, 1] for n in range(1, len(F) - 1) for low in product(range(p), repeat=n))
     for r in candidates:
         w = _psub_mod(_ppow_mod(r, exp, F, p), [1], p)
         g = _pxgcd_mod(F, w, p)[0]
@@ -286,38 +299,20 @@ def _hensel_lift_factor(full: list[int], g0: list[int], p: int, s: int) -> list[
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _reduction_rows(f: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Representatives of x^j mod Phi_f for j = phi(f) .. 2*phi(f) - 2 + f."""
-    deg = euler_phi(f)
-    phi = [Fraction(c) for c in cyclotomic_poly(f)]
-    rows = []
-    cur = [-c for c in phi[:deg]]  # x^deg mod Phi_f (Phi_f monic)
-    rows.append(tuple(cur))
-    for _ in range(deg - 2 + f):
-        shifted = [Fraction(0)] + list(cur)
-        top = shifted.pop()
-        if top:
-            base = rows[0]
-            cur = [shifted[i] + top * base[i] for i in range(deg)]
-        else:
-            cur = shifted
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
 def _reduce_coeffs(coeffs, f: int) -> tuple[Fraction, ...]:
-    deg = euler_phi(f)
-    out = [Fraction(c) for c in coeffs[:deg]] + [Fraction(0)] * max(0, deg - len(coeffs))
-    if len(coeffs) > deg:
-        rows = _reduction_rows(f)
-        for j in range(deg, len(coeffs)):
-            c = coeffs[j]
-            if c:
-                row = rows[j - deg]
-                for i in range(deg):
-                    out[i] += c * row[i]
-    return tuple(out)
+    """Coordinates in Q(zeta_f) of the polynomial ``coeffs`` in zeta_f: its
+    remainder mod Phi_f, padded to phi(f) Fractions."""
+    rem = _poly_divmod_q(coeffs, cyclotomic_poly(f))[1]
+    return tuple(Fraction(c) for c in rem) + (Fraction(0),) * (euler_phi(f) - len(rem))
+
+
+def _substitute(coeffs, e: int, f: int) -> tuple[Fraction, ...]:
+    """Coordinates in Q(zeta_f) of sum_j coeffs[j] zeta_f^(j*e)."""
+    out = [0] * f
+    for j, c in enumerate(coeffs):
+        if c:
+            out[j * e % f] += c
+    return _reduce_coeffs(out, f)
 
 
 @dataclass(frozen=True)
@@ -350,8 +345,7 @@ class CycElem:
     @staticmethod
     def zeta(f: int, power: int = 1) -> "CycElem":
         """zeta_f^power as an element of Q(zeta_f)."""
-        power %= f
-        return CycElem(f, _reduce_coeffs([Fraction(0)] * power + [Fraction(1)], f))
+        return CycElem(f, _substitute((0, 1), power, f))
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycElem":
@@ -381,29 +375,14 @@ class CycElem:
             return self
         if F % f != 0:
             raise ParameterError(f"no canonical embedding of Q(zeta_{f}) into Q(zeta_{F})")
-        e = F // f
-        deg = euler_phi(F)
-        acc = [Fraction(0)] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                z = CycElem.zeta(F, j * e)
-                for i in range(deg):
-                    acc[i] += c * z.coeffs[i]
-        return CycElem(F, tuple(acc))
+        return CycElem(F, _substitute(self.coeffs, F // f, F))
 
     def galois_conjugate(self, a: int) -> "CycElem":
         """Image under zeta_f -> zeta_f^a, for a coprime to the conductor."""
         f = self.conductor
         if gcd(a, f) != 1:
             raise ParameterError(f"{a} is not a unit mod {f}")
-        deg = euler_phi(f)
-        acc = [Fraction(0)] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                z = CycElem.zeta(f, j * a)
-                for i in range(deg):
-                    acc[i] += c * z.coeffs[i]
-        return CycElem(f, tuple(acc))
+        return CycElem(f, _substitute(self.coeffs, a, f))
 
     def norm(self) -> Fraction:
         """Field norm to Q: product over all Galois conjugates."""
@@ -450,14 +429,8 @@ class CycElem:
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_same(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycElem(self.conductor, _reduce_coeffs(out, self.conductor))
+        return CycElem(self.conductor,
+                       _reduce_coeffs(_pmul(self.coeffs, other.coeffs), self.conductor))
 
     __rmul__ = __mul__
 
@@ -468,31 +441,18 @@ class CycElem:
         if self.is_rational():
             return CycElem.from_rational(1 / self.coeffs[0], self.conductor)
         f = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_poly(f)]
-        r0, r1 = phi, list(self.coeffs)
-        while r1 and r1[-1] == 0:
+        r0, r1 = list(cyclotomic_poly(f)), list(self.coeffs)
+        while r1[-1] == 0:
             r1.pop()
         t0, t1 = [], [Fraction(1)]
-        while r1:
+        while r1:  # r0 = t0 * self and r1 = t1 * self mod Phi_f
             lead = r1[-1]
-            r1m = [c / lead for c in r1]
-            q, r = _poly_divmod_q(r0, r1m)
-            q = [c / lead for c in q]
-            r0, r1 = [c for c in r1], r
-            # t_next = t0 - q*t1
-            qt = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        qt[i + j] += qi * tj
-            n = max(len(t0), len(qt))
-            t0, t1 = t1, [
-                (t0[i] if i < len(t0) else Fraction(0)) - (qt[i] if i < len(qt) else Fraction(0))
-                for i in range(n)]
+            q, r = _poly_divmod_q(r0, [c / lead for c in r1])
+            qt = _pmul([c / lead for c in q], t1)
+            r0, r1 = r1, r
+            t0, t1 = t1, [a - b for a, b in zip_longest(t0, qt, fillvalue=0)]
         # r0 is a nonzero constant gcd
-        c = r0[0]
-        inv_coeffs = [t / c for t in t0]
-        return CycElem(f, _reduce_coeffs(inv_coeffs, f))
+        return CycElem(f, _reduce_coeffs([t / r0[0] for t in t0], f))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -23,7 +23,7 @@ from math import gcd
 
 from .characters import trivial_char
 from .errors import ComputationError, ParameterError
-from .exact import CycElem, is_prime, valp_int
+from .exact import CycElem, _pdivmod_mod, _pmul, is_prime, valp_int
 from .qexp import QExpansion, sturm_bound
 
 MIN_SCAN_PRIME_BOUND = 13
@@ -36,14 +36,6 @@ ROOT_SCAN_GUARD = 10**6
 
 def _sigma(n: int, k: int) -> int:
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
-
-def _ser_mul(a, b, P):
-    out = [0] * (P + 1)
-    for i, ai in enumerate(a[:P + 1]):
-        if ai:
-            for j, bj in enumerate(b[:P + 1 - i]):
-                out[i + j] += ai * bj
-    return out
 
 
 def dim_modular(k: int) -> int:
@@ -72,19 +64,19 @@ def _build_miller_rows(k: int, P: int) -> list[list[int]]:
     one = [1] + [0] * P
     E4 = [1] + [240 * _sigma(n, 3) for n in range(1, P + 1)]
     E6 = [1] + [-504 * _sigma(n, 5) for n in range(1, P + 1)]
-    E4_3 = _ser_mul(_ser_mul(E4, E4, P), E4, P)
-    delta = [(x - y) // 1728 for x, y in zip(E4_3, _ser_mul(E6, E6, P))]
+    E4_3 = _pmul(_pmul(E4, E4, P + 1), E4, P + 1)
+    delta = [(x - y) // 1728 for x, y in zip(E4_3, _pmul(E6, E6, P + 1))]
     b = k // 2 % 2
     g = E6 if b else one  # E4^a E6^b of the last row, a in {0, 1, 2}
     for _ in range((k - 6 * b) // 4 - 3 * (dim - 1)):
-        g = _ser_mul(g, E4, P)
+        g = _pmul(g, E4, P + 1)
     rows = [g]
     for _ in range(dim - 1):  # E4^(a + 3) E6^b of the row above
-        rows.insert(0, _ser_mul(rows[0], E4_3, P))
+        rows.insert(0, _pmul(rows[0], E4_3, P + 1))
     dj = one
     for j in range(1, dim):
-        dj = _ser_mul(dj, delta, P)
-        rows[j] = _ser_mul(rows[j], dj, P)
+        dj = _pmul(dj, delta, P + 1)
+        rows[j] = _pmul(rows[j], dj, P + 1)
     for j in range(dim - 1, -1, -1):
         for i in range(j + 1, dim):
             c = rows[j][i]
@@ -146,9 +138,8 @@ def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
     n = len(matrix)
     if n == 0:
         return [Fraction(1)]
-    powers = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    cur = [[int(i == j) for j in range(n)] for i in range(n)]  # an int matrix stays in ints
     traces = []
-    cur = powers
     for _ in range(n):
         cur = _mat_mul(cur, matrix)
         traces.append(sum(cur[i][i] for i in range(n)))
@@ -231,13 +222,8 @@ def _hensel_root(f: list[int], r: int, p: int, s: int) -> int:
 
 def _syn_div(f: list[int], root: int, mod: int) -> list[int]:
     """Divide f by (x - root) over Z/mod; the remainder must vanish."""
-    n = len(f) - 1
-    out = [0] * n
-    acc = f[n] % mod
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = (f[i] + acc * root) % mod
-    if acc % mod != 0:
+    out, rem = _pdivmod_mod(f, [-root, 1], mod)
+    if rem:
         raise AssertionError("synthetic division left a remainder")
     return out
 
@@ -314,8 +300,7 @@ def _extract_eigensystems(k: int, p: int, s: int):
         for i in range(dimn):
             hmat[i][i] = h[-1] % mod
         for c in reversed(h[:-1]):
-            hmat = [[sum(hmat[i][t] * T2[t][j] for t in range(dimn)) % mod
-                     for j in range(dimn)] for i in range(dimn)]
+            hmat = [[x % mod for x in row] for row in _mat_mul(hmat, T2)]
             for i in range(dimn):
                 hmat[i][i] = (hmat[i][i] + c) % mod
         col = None

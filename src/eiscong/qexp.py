@@ -24,7 +24,7 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import INF, CycElem, PadicContext, factorize, is_prime, valp_cyc
+from .exact import INF, CycElem, PadicContext, _pmul, _reduce_coeffs, euler_phi, factorize, is_prime, valp_cyc
 from .lfunc import EtaValue, eta, l_nonpositive
 
 
@@ -165,19 +165,19 @@ def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
     Weights add, levels take lcm, characters multiply (stored primitively).
     """
     F = lcm(f.conductor, g.conductor)
-    a = f.lift_conductor(F)
-    b = g.lift_conductor(F)
-    P = min(a.precision, b.precision)
-    zero = CycElem.zero(F)
-    out = [zero] * (P + 1)
-    for i in range(P + 1):
-        ai = a.coefficients[i]
-        if ai.is_zero():
-            continue
-        for j in range(P + 1 - i):
-            bj = b.coefficients[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+    P = min(f.precision, g.precision)
+    # Lay each series out flat at stride w: a product of two coordinate
+    # vectors has 2*phi(F) - 1 terms, so the terms of a_i*b_j land in the
+    # block of q^(i+j) and one product gives every coefficient unreduced.
+    deg = euler_phi(F)
+    w = 2 * deg - 1
+    pad = (0,) * (deg - 1)
+
+    def flat(h: QExpansion) -> list:
+        return [x for c in h.lift_conductor(F).coefficients[:P + 1] for x in c.coeffs + pad]
+
+    prod = _pmul(flat(f), flat(g), (P + 1) * w)
+    out = [CycElem(F, _reduce_coeffs(prod[n * w:(n + 1) * w], F)) for n in range(P + 1)]
     char = primitive_char(char_product(f.character, g.character))
     return QExpansion(coefficients=tuple(out), weight=f.weight + g.weight,
                       level=lcm(f.level, g.level), character=char,

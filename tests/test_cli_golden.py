@@ -52,6 +52,17 @@ GOLDEN_HIGH_WEIGHT_SCANS = [
      "8efe3bbf65971abbb0a9811cdeaabbf1978bea1307d01609c9044c5eaaa83ceb"),
 ]
 
+# Constructions of H at the Sturm bound, over Q(zeta_18) and Q(zeta_10);
+# the digests are those of the same commands in perfbench/digests.json.
+GOLDEN_STURM_CONSTRUCTIONS = [
+    (("build-h", "--p", "37", "--k", "32", "--ell", "19", "--sigma", "19,37",
+      "--prec", "54"),
+     "da55ac0876a34f9681a22e506d53e85da136783e74c2404cd9eedfecc3f6282d"),
+    (("build-h", "--p", "101", "--k", "68", "--ell", "11", "--sigma", "11,101",
+      "--prec", "68"),
+     "ccf7ccc29cf6f5046a69304421391b62e482c49906492dfaf81ef91cf1a6016e"),
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -63,9 +74,11 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS,
+@pytest.mark.parametrize("argv,digest",
+                         GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS + GOLDEN_STURM_CONSTRUCTIONS,
                          ids=[" ".join(a[:2]) for a, _ in GOLDEN]
-                         + [" ".join(a[:3]) for a, _ in GOLDEN_HIGH_WEIGHT_SCANS])
+                         + [" ".join(a[:3]) for a, _ in GOLDEN_HIGH_WEIGHT_SCANS]
+                         + [" ".join(a[:3]) for a, _ in GOLDEN_STURM_CONSTRUCTIONS])
 def test_golden_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, "--no-cache", *argv)
     assert (code, err) == (0, "")

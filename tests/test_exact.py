@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -218,3 +219,16 @@ def test_galois_conjugate_and_norm():
     for a in (1, 2, 3, 4):
         conj_prod = conj_prod * x.galois_conjugate(a)
     assert conj_prod.as_rational() == 1
+
+
+def test_galois_conjugation_composes_and_commutes_with_lifting():
+    rng = random.Random(13)
+    for f, F in ((4, 12), (5, 10), (7, 21), (9, 36), (12, 60)):
+        units_f = [a for a in range(1, f) if gcd(a, f) == 1]
+        units_F = [a for a in range(1, F) if gcd(a, F) == 1]
+        assert CycElem.zeta(f, -1) * CycElem.zeta(f) == CycElem.one(f)
+        for _ in range(5):
+            x = _random_elem(rng, f)
+            a, b, c = rng.choice(units_f), rng.choice(units_f), rng.choice(units_F)
+            assert x.galois_conjugate(a).galois_conjugate(b) == x.galois_conjugate(a * b % f)
+            assert x.lift(F).galois_conjugate(c) == x.galois_conjugate(c % f).lift(F)

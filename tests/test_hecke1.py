@@ -125,6 +125,14 @@ def test_charpoly_t2_weight32():
     assert (1 + 2 ** 31) % 37 == 23
 
 
+def test_charpoly_of_an_int_matrix_matches_fractions():
+    assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
+    for matrix in ([[1, 2], [3, 4]], hecke1._hecke_int(84, 2), hecke1._hecke_int(110, 2)):
+        cp = charpoly(matrix)
+        assert cp == charpoly([[Fraction(c) for c in row] for row in matrix])
+        assert all(type(c) is Fraction for c in cp)
+
+
 def test_hecke_action_on_cusp_expansion():
     # T_2 on the weight-12 cusp element through the q-expansion route
     from eiscong.qexp import hecke_tq

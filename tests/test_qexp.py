@@ -3,7 +3,7 @@ combination with its cusp-by-cusp verification."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -111,6 +111,48 @@ def test_multiply_commutative_associative_random():
         assert multiply(f, g).coefficients == multiply(g, f).coefficients
         assert (multiply(multiply(f, g), h).coefficients
                 == multiply(f, multiply(g, h)).coefficients)
+
+
+def _cauchy_reference(f, g):
+    """The coefficient-by-coefficient CycElem product, kept as the reference
+    for the flat product in ``multiply``."""
+    F = lcm(f.conductor, g.conductor)
+    a = f.lift_conductor(F)
+    b = g.lift_conductor(F)
+    P = min(a.precision, b.precision)
+    out = [CycElem.zero(F)] * (P + 1)
+    for i in range(P + 1):
+        ai = a.coefficients[i]
+        if ai.is_zero():
+            continue
+        for j in range(P + 1 - i):
+            bj = b.coefficients[j]
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return tuple(out)
+
+
+def _sparse_qexp(rng, P, conductor):
+    """Random series with Fraction coordinates, a third of its coefficients zero."""
+    coeffs = tuple(CycElem.zero(conductor) if rng.random() < 1 / 3 else
+                   CycElem(conductor, tuple(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                                            for _ in range(euler_phi(conductor))))
+                   for _ in range(P + 1))
+    return QExpansion(coefficients=coeffs, weight=rng.choice([4, 6, 8]),
+                      level=1, character=trivial_char(1), label="rand")
+
+
+@pytest.mark.parametrize("fa,fb", [(3, 4), (5, 10), (1, 7)])
+def test_multiply_matches_cauchy_reference_across_conductors(fa, fb):
+    rng = random.Random(100 * fa + fb)
+    for _ in range(4):
+        f = _sparse_qexp(rng, rng.randrange(4, 16), fa)
+        g = _sparse_qexp(rng, rng.randrange(4, 16), fb)
+        for a, b in ((f, g), (g, f), (v_operator(f, 2), v_operator(g, 3)), (f, v_operator(g, 5))):
+            prod = multiply(a, b)
+            assert prod.conductor == lcm(fa, fb)
+            assert prod.precision == min(a.precision, b.precision)
+            assert prod.coefficients == _cauchy_reference(a, b)
 
 
 def test_hecke_eigenproperty_sampled():
