@@ -439,9 +439,11 @@ class CycElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycElem.from_rational(1 / self.coeffs[0], self.conductor)
+            return CycElem.from_rational(Fraction(1) / self.coeffs[0], self.conductor)
         f = self.conductor
-        r0, r1 = list(cyclotomic_poly(f)), list(self.coeffs)
+        # Fractions throughout: an int leading coefficient would divide to a float
+        r0 = [Fraction(c) for c in cyclotomic_poly(f)]
+        r1 = [Fraction(c) for c in self.coeffs]
         while r1[-1] == 0:
             r1.pop()
         t0, t1 = [], [Fraction(1)]

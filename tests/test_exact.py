@@ -100,6 +100,17 @@ def test_inverse_and_division():
             assert (x / x).as_rational() == 1
 
 
+def test_inverse_of_sparse_elements_stays_exact():
+    # sparse elements leave int coefficients of Phi_f in the Euclidean remainders
+    z7 = CycElem.zeta(7)
+    for x in (Fraction(1, 3) + z7**5, 1 + z7**2, CycElem(7, (Fraction(1, 3), 0, 0, 0, 0, 1)),
+              CycElem(12, (0, 1, 0, 0)), CycElem.from_rational(3, 5)):
+        inv = x.inverse()
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert x * inv == CycElem.one(x.conductor)
+        assert (x / x).as_rational() == 1
+
+
 def test_teichmuller_examples():
     assert teichmuller(2, 5, 2) == 7
     assert pow(7, 4, 25) == 1
