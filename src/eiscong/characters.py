@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, lcm
 
 from .errors import ParameterError
@@ -74,24 +75,9 @@ def unit_group_generators(f: int) -> tuple[tuple[int, int], ...]:
 @functools.lru_cache(maxsize=None)
 def _dlog_table(f: int) -> dict[int, tuple[int, ...]]:
     """Discrete logarithms of every unit mod f on the fixed generator list."""
-    gens = unit_group_generators(f)
-    table = {1 % f: (0,) * len(gens)}
-    if f == 1:
-        return {0: ()}
-    # iterate mixed-radix exponent vectors
-    exps = [0] * len(gens)
-    def rec(i, acc):
-        if i == len(gens):
-            table[acc] = tuple(exps)
-            return
-        g, n = gens[i]
-        cur = acc
-        for e in range(n):
-            exps[i] = e
-            rec(i + 1, cur)
-            cur = cur * g % f
-        exps[i] = 0
-    rec(0, 1)
+    table = {1 % f: ()}
+    for g, n in unit_group_generators(f):
+        table = {a * pow(g, e, f) % f: exps + (e,) for a, exps in table.items() for e in range(n)}
     if len(table) != euler_phi(f):
         raise AssertionError("unit group enumeration is incomplete")
     return table
@@ -210,21 +196,11 @@ def char_eval(chi: DirichletChar, a: int) -> CycElem:
 def enumerate_chars(f: int, parity: int | None = None,
                     exact_conductor: int | None = None) -> list[DirichletChar]:
     """All characters mod f matching the filters, in lexicographic exponent order."""
-    gens = unit_group_generators(f)
-    out = []
-    def rec(i, acc):
-        if i == len(gens):
-            chi = DirichletChar(f, tuple(acc))
-            if parity is not None and chi.parity != parity:
-                return
-            if exact_conductor is not None and conductor(chi) != exact_conductor:
-                return
-            out.append(chi)
-            return
-        for e in range(gens[i][1]):
-            rec(i + 1, acc + [e])
-    rec(0, [])
-    return out
+    orders = (range(n) for _, n in unit_group_generators(f))
+    chars = (DirichletChar(f, exps) for exps in product(*orders))
+    return [chi for chi in chars
+            if (parity is None or chi.parity == parity)
+            and (exact_conductor is None or conductor(chi) == exact_conductor)]
 
 
 def conductor(chi: DirichletChar) -> int:

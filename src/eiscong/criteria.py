@@ -76,9 +76,7 @@ def local_factor(ell: int, n: int, p: int, psi: DirichletChar, mode: str,
             raise ParameterError("lemma11 mode requires trivial psi")
         if ell % p == 1:
             raise ParameterError(f"lemma11 requires ell != 1 mod p (got ell = {ell})")
-        x = Fraction(ell) ** (n + 1) - 1
-        v = valp_rational(x, p)
-        return 1 if v == INF else min(int(v), 1)
+        return _min_val1(Fraction(ell) ** (n + 1) - 1, p)
     if mode == "lemma21":
         if psi.is_trivial():
             x = Fraction(ell) ** (n + 1) - 1
@@ -87,8 +85,6 @@ def local_factor(ell: int, n: int, p: int, psi: DirichletChar, mode: str,
         if ctx is None:
             raise ParameterError("lemma21 with nontrivial psi needs a PadicContext")
         val = char_eval(psi, ell).lift(ctx.f) * (Fraction(ell) ** (n + 1)) - CycElem.one(ctx.f)
-        if val.is_zero():
-            return INF
         return valp_cyc(val, ctx)
     raise ParameterError(f"unknown mode {mode!r}")
 

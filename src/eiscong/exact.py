@@ -37,6 +37,11 @@ INF = float("inf")
 MAX_CONDUCTOR = 512
 
 
+def _val_json(v):
+    """A valuation as it appears in JSON output: an int, or "inf"."""
+    return "inf" if v == INF else int(v)
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory
 # ---------------------------------------------------------------------------
@@ -270,9 +275,11 @@ def _equal_degree_split(F: list[int], d: int, p: int) -> list[list[int]]:
     raise AssertionError("equal-degree splitting exhausted its candidates")
 
 
-def _hensel_lift_factor(full: list[int], g0: list[int], p: int, s: int) -> list[int]:
+def _hensel_lift_factor(full: list[int], g0: list[int], p: int,
+                        s: int) -> tuple[list[int], list[int]]:
     """Lift a factor g0 of ``full`` mod p to a factor mod p^s (g0 monic,
-    coprime to its cofactor mod p). Returns the lifted factor."""
+    coprime to its cofactor mod p).  Returns (g, h): the lifted factor and
+    its lifted cofactor, with full = g*h mod p^s for monic ``full``."""
     h0, rem = _pdivmod_mod([c % p for c in full], g0, p)
     if rem:
         raise AssertionError("g0 does not divide mod p")
@@ -292,7 +299,7 @@ def _hensel_lift_factor(full: list[int], g0: list[int], p: int, s: int) -> list[
         g = [(gi + mod * (u[i] if i < len(u) else 0)) % newmod for i, gi in enumerate(g)]
         h = [(hi + mod * (w[i] if i < len(w) else 0)) % newmod for i, hi in enumerate(h)]
         mod = newmod
-    return g
+    return g, h
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +554,7 @@ def padic_context(p: int, f: int, s: int) -> PadicContext:
     if p == 2 and len(F) - 1 != d:
         raise ParameterError("p = 2 with a split cyclotomic polynomial is unsupported")
     factors.sort(key=tuple)
-    lifted = tuple(tuple(_hensel_lift_factor(phi_int, g0, p, s)) for g0 in factors)
+    lifted = tuple(tuple(_hensel_lift_factor(phi_int, g0, p, s)[0]) for g0 in factors)
     return PadicContext(p=p, f=f, s=s, prime_poly=lifted[0],
                         residue_degree=d, all_factors=lifted)
 

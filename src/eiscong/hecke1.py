@@ -3,12 +3,14 @@ M_k(SL2(Z)), Hecke matrices on the cuspidal subspace, eigensystem extraction
 mod p^s, and congruence-depth scans.
 
 Eigensystem extraction is restricted to simple roots of charpoly(T_2) mod p
-that lie in the prime field: each such root is Hensel-lifted to mod p^s, the
-matching eigenvector is obtained by evaluating the complementary factor of
-the characteristic polynomial at T_2, and every other eigenvalue a_q is read
-off from a unit coordinate.  Roots of larger residue degree or with repeated
-reduction are reported as skipped; such eigensystems enter through the
-external-record ingestion path instead.
+that lie in the prime field.  They are the linear factors of the gcd of
+charpoly(T_2) with x^p - x over F_p, split by equal-degree factorization;
+repeated division gives each root's multiplicity and the degree left over
+outside the prime field.  Each simple root is Hensel-lifted to mod p^s
+together with its cofactor h, the columns of h(T_2) span the eigenline, and
+every other eigenvalue a_q is read off from a unit coordinate.  Roots of
+larger residue degree or with repeated reduction are reported as skipped;
+such eigensystems enter through the external-record ingestion path instead.
 
 Depths are certified over the primes q up to max(Sturm bound, 13); the
 Sturm bound alone can name no prime at all in low weight (it is 1 for
@@ -23,11 +25,11 @@ from math import gcd
 
 from .characters import trivial_char
 from .errors import ComputationError, ParameterError
-from .exact import CycElem, _pdivmod_mod, _pmul, is_prime, valp_int
+from .exact import (CycElem, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
+                    _ppow_mod, _psub_mod, _pxgcd_mod, _trim_mod, is_prime, valp_int)
 from .qexp import QExpansion, sturm_bound
 
 MIN_SCAN_PRIME_BOUND = 13
-ROOT_SCAN_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +200,6 @@ def _primes_upto(n: int) -> list[int]:
     return [q for q in range(2, n + 1) if is_prime(q)]
 
 
-def _horner(poly: list[int], x: int, m: int) -> int:
-    """poly(x) mod m, ascending coefficients."""
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _hensel_root(f: list[int], r: int, p: int, s: int) -> int:
-    """Lift a simple root r of f mod p to a root mod p^s (Newton)."""
-    deriv = [i * c for i, c in enumerate(f)][1:]
-    mod = p
-    x = r % p
-    while mod < p**s:
-        mod = min(mod * mod, p**s)
-        fx = _horner(f, x, mod)
-        dx = _horner(deriv, x, mod)
-        x = (x - fx * pow(dx, -1, mod)) % mod
-    x %= p**s
-    return x
-
-
-def _syn_div(f: list[int], root: int, mod: int) -> list[int]:
-    """Divide f by (x - root) over Z/mod; the remainder must vanish."""
-    out, rem = _pdivmod_mod(f, [-root, 1], mod)
-    if rem:
-        raise AssertionError("synthetic division left a remainder")
-    return out
-
-
 class _EigenContext:
     """Internal handle for one extracted eigensystem: holds the eigenvector
     mod p^s so that the eigenvalue of any T_n can be read off."""
@@ -260,8 +232,6 @@ def _extract_eigensystems(k: int, p: int, s: int):
     prime-field roots of charpoly(T_2), plus skip diagnostics."""
     if not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
-    if p > ROOT_SCAN_GUARD:
-        raise ParameterError(f"root scan guard: p > {ROOT_SCAN_GUARD}")
     dim = dim_cusp(k)
     found, skipped = [], []
     if dim == 0:
@@ -271,51 +241,39 @@ def _extract_eigensystems(k: int, p: int, s: int):
     mats[2] = T2
     f = [int(c) for c in charpoly(T2)]
     mod = p**s
-    fb = [c % p for c in f]
-    deriv = [i * c % p for i, c in enumerate(fb)][1:]
-    roots = [r for r in range(p) if _horner(fb, r, p) == 0]
-    simple = []
+    fb = _trim_mod(f, p)
+    # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
+    lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]
+    roots = sorted(-g[0] % p for g in _equal_degree_split(lin, 1, p)) if len(lin) > 1 else []
+    rest, simple = fb, []
     for r in roots:
-        if _horner(deriv, r, p) == 0:
+        mult = 0
+        while not (qr := _pdivmod_mod(rest, [-r % p, 1], p))[1]:
+            rest, mult = qr[0], mult + 1
+        if mult > 1:
             skipped.append(SkippedEigensystem(
                 weight=k, p=p,
                 reason=f"repeated root {r} of charpoly(T_2) mod {p}"))
         else:
             simple.append(r)
-    rem = fb
-    for r in roots:
-        while _horner(rem, r, p) == 0 and len(rem) > 1:
-            rem = _syn_div(rem, r, p)
-    if len(rem) - 1 > 0:
+    if len(rest) - 1 > 0:
         skipped.append(SkippedEigensystem(
             weight=k, p=p,
-            reason=f"charpoly(T_2) has an irreducible factor of degree {len(rem)-1} "
+            reason=f"charpoly(T_2) has an irreducible factor of degree {len(rest)-1} "
                    f"mod {p}; eigenvalues outside the prime field are not extracted"))
     for r in simple:
-        alpha = _hensel_root(f, r, p, s)
-        h = _syn_div([c % mod for c in f], alpha, mod)
-        # v = (column of h(T_2)) spans the alpha-eigenline mod p^s
-        dimn = len(T2)
-        hmat = [[0] * dimn for _ in range(dimn)]
-        for i in range(dimn):
-            hmat[i][i] = h[-1] % mod
+        g, h = _hensel_lift_factor(f, [-r % p, 1], p, s)
+        alpha = -g[0] % mod
+        # the columns of h(T_2) span the alpha-eigenline mod p^s (Horner in T_2)
+        hmat = [[int(i == j) for j in range(dim)] for i in range(dim)]
         for c in reversed(h[:-1]):
-            hmat = [[x % mod for x in row] for row in _mat_mul(hmat, T2)]
-            for i in range(dimn):
-                hmat[i][i] = (hmat[i][i] + c) % mod
-        col = None
-        unit_index = None
-        for j in range(dimn):
-            column = [hmat[i][j] % mod for i in range(dimn)]
-            for i in range(dimn):
-                if column[i] % p != 0:
-                    col, unit_index = column, i
-                    break
-            if col is not None:
-                break
+            hmat = [[(x + c * (i == j)) % mod for j, x in enumerate(row)]
+                    for i, row in enumerate(_mat_mul(hmat, T2))]
+        col = next((col for col in zip(*hmat) if any(x % p for x in col)), None)
         if col is None:
             raise AssertionError("projector has no primitive column")
-        found.append(_EigenContext(k, p, s, alpha, col, unit_index, mats))
+        unit_index = next(i for i, x in enumerate(col) if x % p)
+        found.append(_EigenContext(k, p, s, alpha, list(col), unit_index, mats))
     return found, skipped
 
 

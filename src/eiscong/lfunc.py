@@ -16,7 +16,6 @@ over the primes l of Sigma other than p, evaluating psi at its conductor
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,34 +23,37 @@ from math import comb
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
-from .exact import INF, CycElem, PadicContext, is_prime, teichmuller, valp_cyc
+from .exact import INF, CycElem, PadicContext, _val_json, is_prime, teichmuller, valp_cyc
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+# The Akiyama-Tanigawa triangle, shared by every index: after step m the
+# row holds m + 1 entries and row[0] is B_m (in the B_1 = +1/2 convention).
+_AT_ROW: list[Fraction] = []
+_BERNOULLI: list[Fraction] = []  # row[0] after each step so far
+
+
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, B_1 = -1/2.
 
-    Computed by the Akiyama-Tanigawa triangle (which natively produces the
-    B_1 = +1/2 variant; the two conventions only differ at n = 1).
+    Read off the Akiyama-Tanigawa triangle, extended on demand (it natively
+    produces the B_1 = +1/2 variant; the two conventions only differ at
+    n = 1).
     """
     if n < 0:
         raise ParameterError("Bernoulli index must be non-negative")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    row = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    while len(_BERNOULLI) <= n:
+        m = len(_AT_ROW)
+        _AT_ROW.append(Fraction(1, m + 1))
         for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+            _AT_ROW[j - 1] = j * (_AT_ROW[j - 1] - _AT_ROW[j])
+        _BERNOULLI.append(_AT_ROW[0])
+    return _BERNOULLI[n]
 
 
 def bernoulli_mod(n: int, p: int) -> int:
@@ -132,10 +134,6 @@ class EtaValue:
             "factors": [{"factor": name, "valuation": _val_json(v)}
                         for name, v in self.factor_breakdown],
         }
-
-
-def _val_json(v):
-    return "inf" if v == INF else int(v)
 
 
 def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:

@@ -24,7 +24,7 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import INF, CycElem, PadicContext, _pmul, _reduce_coeffs, euler_phi, factorize, is_prime, valp_cyc
+from .exact import CycElem, PadicContext, _pmul, _reduce_coeffs, _val_json, euler_phi, factorize, is_prime, valp_cyc
 from .lfunc import EtaValue, eta, l_nonpositive
 
 
@@ -130,7 +130,7 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpans
         P = default_precision(l, M)
     val_f = phi.order
     a0 = l_nonpositive(phi, 1 - l) * Fraction(1, 2)
-    coeffs = [a0.lift(val_f) if a0.conductor != val_f else a0]
+    coeffs = [a0.lift(val_f)]
     for n in range(1, P + 1):
         acc = CycElem.zero(val_f)
         for d in range(1, n + 1):
@@ -289,22 +289,18 @@ class HConstructionReport:
             "m": self.m,
             "precision": self.precision,
             "eta": self.eta.as_dict(),
-            "scale_valuation": _fmt_val(self.scale_valuation),
+            "scale_valuation": _val_json(self.scale_valuation),
             "a0_is_zero": self.a0_is_zero,
             "p_integral": self.p_integral,
             "first_nonintegral_index": self.first_nonintegral_index,
             "unit_index": self.unit_index,
-            "unit_coeff_valuation": _fmt_val(self.unit_coeff_valuation),
-            "congruence_depth": _fmt_val(self.congruence_depth),
+            "unit_coeff_valuation": _val_json(self.unit_coeff_valuation),
+            "congruence_depth": _val_json(self.congruence_depth),
             "congruent_to_fm_mod_eta": self.congruent_to_fm_mod_eta,
             "cusps_vanish": self.cusps_vanish,
             "cusp_count": self.cusp_count,
             "passed": self.passed,
         }
-
-
-def _fmt_val(v):
-    return "inf" if v == INF else v
 
 
 def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
@@ -352,24 +348,12 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
 
     unit_index = ell ** (m - 1)
     a0_is_zero = H.coeff(0).is_zero()
-    min_val = INF
-    first_bad = None
-    for n in range(1, H.precision + 1):
-        c = H.coeff(n)
-        if c.is_zero():
-            continue
-        v = valp_cyc(c, ctx)
-        min_val = min(min_val, v)
-        if v < 0 and first_bad is None:
-            first_bad = n
+    vals = [valp_cyc(H.coeff(n), ctx) for n in range(1, H.precision + 1)]
+    first_bad = next((n for n, v in enumerate(vals, 1) if v < 0), None)
     p_integral = first_bad is None
-    unit_val = valp_cyc(H.coeff(unit_index), ctx) if not H.coeff(unit_index).is_zero() else INF
+    unit_val = valp_cyc(H.coeff(unit_index), ctx)
 
-    diff_depth = INF
-    for n in range(H.precision + 1):
-        d = H.coeff(n) - F.coeff(n)
-        if not d.is_zero():
-            diff_depth = min(diff_depth, valp_cyc(d, ctx))
+    diff_depth = min(valp_cyc(H.coeff(n) - F.coeff(n), ctx) for n in range(H.precision + 1))
     congruent = diff_depth >= eta_val.valuation_vpi
 
     cusps = cusps_gamma0(F.level)
@@ -384,7 +368,7 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
 
     report = HConstructionReport(
         weight=k, ell=ell, m=m, precision=P, eta=eta_val,
-        scale_valuation=valp_cyc(scale, ctx) if not scale.is_zero() else INF,
+        scale_valuation=valp_cyc(scale, ctx),
         a0_is_zero=a0_is_zero,
         p_integral=p_integral, first_nonintegral_index=first_bad,
         unit_index=unit_index, unit_coeff_valuation=unit_val,

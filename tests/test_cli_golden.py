@@ -52,6 +52,18 @@ GOLDEN_HIGH_WEIGHT_SCANS = [
      "8efe3bbf65971abbb0a9811cdeaabbf1978bea1307d01609c9044c5eaaa83ceb"),
 ]
 
+# Scans whose charpoly(T_2) mod p does not split into simple linear factors:
+# a repeated root and no records, a record beside a repeated root, and an
+# irreducible factor of degree 2.
+GOLDEN_SKIPPING_SCANS = [
+    (("scan", "--k", "28", "--p", "131", "--sigma", "131"),
+     "a0abe41f7ee7df384206f28c46fcb6ba7ee98db0ad64645ad2f40ff2e0324f9a"),
+    (("scan", "--k", "36", "--p", "7", "--sigma", "7"),
+     "39f67c4198c40144eae990518fef2d57ec80f95d904dcb870c08c44d6c0d84f5"),
+    (("scan", "--k", "24", "--p", "37", "--sigma", "37"),
+     "b2f9b16aa0db30f2f1988cb0969b732fe1c9ea0adf12d573620ee50d21bbe972"),
+]
+
 # Constructions of H at the Sturm bound, over Q(zeta_18) and Q(zeta_10);
 # the digests are those of the same commands in perfbench/digests.json.
 GOLDEN_STURM_CONSTRUCTIONS = [
@@ -75,10 +87,12 @@ def sha(text: str) -> str:
 
 
 @pytest.mark.parametrize("argv,digest",
-                         GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS + GOLDEN_STURM_CONSTRUCTIONS,
+                         GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS + GOLDEN_STURM_CONSTRUCTIONS
+                         + GOLDEN_SKIPPING_SCANS,
                          ids=[" ".join(a[:2]) for a, _ in GOLDEN]
                          + [" ".join(a[:3]) for a, _ in GOLDEN_HIGH_WEIGHT_SCANS]
-                         + [" ".join(a[:3]) for a, _ in GOLDEN_STURM_CONSTRUCTIONS])
+                         + [" ".join(a[:3]) for a, _ in GOLDEN_STURM_CONSTRUCTIONS]
+                         + [" ".join(a[:5]) for a, _ in GOLDEN_SKIPPING_SCANS])
 def test_golden_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, "--no-cache", *argv)
     assert (code, err) == (0, "")

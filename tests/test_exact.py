@@ -17,6 +17,7 @@ from eiscong.exact import (
     INF,
     CycElem,
     PadicContext,
+    _hensel_lift_factor,
     _pmul_mod,
     cyclotomic_poly,
     euler_phi,
@@ -158,6 +159,18 @@ def test_padic_context_factor_product():
         assert prod == phi
         assert len(ctx.all_factors) == euler_phi(f) // ctx.residue_degree
         assert ctx.e == 1
+
+
+def test_hensel_lift_returns_the_lifted_cofactor():
+    for (p, f, s) in ((37, 30, 4), (5, 12, 3), (7, 9, 2), (3, 20, 5)):
+        mod = p**s
+        phi = [c % mod for c in cyclotomic_poly(f)]
+        for g0 in padic_context(p, f, 1).all_factors:
+            g, h = _hensel_lift_factor(list(cyclotomic_poly(f)), list(g0), p, s)
+            assert tuple(g) == padic_context(p, f, s).all_factors[
+                padic_context(p, f, 1).all_factors.index(g0)]
+            assert g[-1] == h[-1] == 1
+            assert _pmul_mod(g, h, mod) == phi
 
 
 def test_padic_context_errors():

@@ -9,6 +9,7 @@ from eiscong import hecke1
 from eiscong.errors import ParameterError
 from eiscong.hecke1 import (
     _extract_eigensystems,
+    _hecke_int,
     charpoly,
     depth_scan,
     dim_cusp,
@@ -268,3 +269,82 @@ def test_charpoly_t2_matches_sympy(k):
     expected = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
                              for row in T2]).charpoly(x).all_coeffs()
     assert charpoly(T2) == [Fraction(int(c)) for c in reversed(expected)]
+
+
+def _horner(poly, x, m):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _newton_root(f, r, p, s):
+    """Lift a simple root r of f mod p to the root mod p^s above it."""
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    mod, x = p, r % p
+    while mod < p**s:
+        mod = min(mod * mod, p**s)
+        x = (x - _horner(f, x, mod) * pow(_horner(deriv, x, mod), -1, mod)) % mod
+    return x
+
+
+def _syn_div(f, root, mod):
+    """Quotient of f by x - root over Z/mod; the remainder must vanish."""
+    out, acc = [], 0
+    for c in reversed(f):
+        acc = (acc * root + c) % mod
+        out.append(acc)
+    assert out.pop() == 0
+    return out[::-1]
+
+
+def scan_eigensystems(k, p, s):
+    """Reference extraction: every residue mod p tried as a root of
+    charpoly(T_2), simple roots Newton-lifted, the eigenline read off a
+    column of h(T_2) with h = charpoly / (x - alpha) by synthetic division.
+    Returns ([(alpha, vector, unit_index)], skip reasons)."""
+    T2 = _hecke_int(k, 2)
+    f = [int(c) for c in charpoly(T2)]
+    mod = p**s
+    fb = [c % p for c in f]
+    deriv = [i * c % p for i, c in enumerate(fb)][1:]
+    roots = [r for r in range(p) if _horner(fb, r, p) == 0]
+    simple = [r for r in roots if _horner(deriv, r, p)]
+    reasons = [f"repeated root {r} of charpoly(T_2) mod {p}"
+               for r in roots if r not in simple]
+    rest = fb
+    for r in roots:
+        while len(rest) > 1 and _horner(rest, r, p) == 0:
+            rest = _syn_div(rest, r, p)
+    if len(rest) > 1:
+        reasons.append(f"charpoly(T_2) has an irreducible factor of degree {len(rest) - 1} "
+                       f"mod {p}; eigenvalues outside the prime field are not extracted")
+    systems = []
+    for r in simple:
+        alpha = _newton_root(f, r, p, s)
+        h = _syn_div([c % mod for c in f], alpha, mod)
+        hmat = [[0] * len(T2) for _ in T2]
+        for c in reversed(h):
+            hmat = [[(sum(a * b for a, b in zip(row, col)) + c * (i == j)) % mod
+                     for j, col in enumerate(zip(*T2))] for i, row in enumerate(hmat)]
+        vector, unit_index = next(([row[j] for row in hmat], i)
+                                  for j in range(len(T2)) for i in range(len(T2))
+                                  if hmat[i][j] % p)
+        systems.append((alpha, vector, unit_index))
+    return systems, reasons
+
+
+@pytest.mark.parametrize("k", [12, 16, 24, 28, 32, 36, 48, 84, 110])
+def test_extraction_matches_the_root_scan_reference(k):
+    for p in (3, 5, 7, 11, 13, 37, 131, 157, 233, 691, 3617):
+        contexts, skipped = _extract_eigensystems(k, p, 3)
+        systems, reasons = scan_eigensystems(k, p, 3)
+        assert [(c.alpha, c.vector, c.unit_index) for c in contexts] == systems, p
+        assert [s.reason for s in skipped] == reasons, p
+
+
+def test_depth_scan_beyond_a_million():
+    # no O(p) root scan: the roots come from gcd(f, x^p - x)
+    recs, skipped = depth_scan(12, 1000003, {1000003}, 2)
+    assert len(recs) == 1 and not skipped
+    assert recs[0].eigenvalues[2] == -24 % 1000003 ** 2

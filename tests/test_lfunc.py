@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from eiscong import lfunc
 from eiscong.characters import enumerate_chars, primitive_char, trivial_char
 from eiscong.errors import ParameterError
 from eiscong.exact import padic_context, valp_cyc
@@ -48,6 +49,18 @@ def test_bernoulli_frozen_and_oracles():
         assert bernoulli(n) == oracle[n], n
     for n in (6, 12, 20, 32):
         assert bernoulli(n) == bernoulli_worpitzky_oracle(n)
+
+
+def test_bernoulli_does_not_depend_on_call_order(monkeypatch):
+    oracle = bernoulli_recurrence_oracle(40)
+    for order in (range(40, -1, -1), (12, 40, 0, 2, 30, 1, 39)):
+        monkeypatch.setattr(lfunc, "_AT_ROW", [])
+        monkeypatch.setattr(lfunc, "_BERNOULLI", [])
+        for n in order:
+            assert bernoulli(n) == (Fraction(-1, 2) if n == 1 else oracle[n]), n
+        assert len(lfunc._BERNOULLI) == 41
+    with pytest.raises(ParameterError):
+        bernoulli(-2)
 
 
 def test_bernoulli_odd_vanishing_and_von_staudt():
