@@ -19,7 +19,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
@@ -32,7 +33,9 @@ from .exact import INF, CycElem, PadicContext, _val_json, is_prime, teichmuller,
 
 # The Akiyama-Tanigawa triangle, shared by every index: after step m the
 # row holds m + 1 entries and row[0] is B_m (in the B_1 = +1/2 convention).
-_AT_ROW: list[Fraction] = []
+# The entries are kept as integer numerators over lcm(1, ..., m + 1), so a
+# step is integer work; the row is rescaled when that denominator grows.
+_AT_ROW: list[int] = []
 _BERNOULLI: list[Fraction] = []  # row[0] after each step so far
 
 
@@ -47,12 +50,20 @@ def bernoulli(n: int) -> Fraction:
         raise ParameterError("Bernoulli index must be non-negative")
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
+    if n < len(_BERNOULLI):
+        return _BERNOULLI[n]
+    row = _AT_ROW
+    den = lcm(*range(1, len(row) + 1))
     while len(_BERNOULLI) <= n:
-        m = len(_AT_ROW)
-        _AT_ROW.append(Fraction(1, m + 1))
+        m = len(row)
+        grown = lcm(den, m + 1)
+        if grown != den:
+            row[:] = [x * (grown // den) for x in row]
+            den = grown
+        row.append(den // (m + 1))
         for j in range(m, 0, -1):
-            _AT_ROW[j - 1] = j * (_AT_ROW[j - 1] - _AT_ROW[j])
-        _BERNOULLI.append(_AT_ROW[0])
+            row[j - 1] = j * (row[j - 1] - row[j])
+        _BERNOULLI.append(Fraction(row[0], den))
     return _BERNOULLI[n]
 
 
@@ -88,8 +99,12 @@ def bernoulli_poly_at(n: int, x: Fraction) -> Fraction:
 # generalized Bernoulli numbers and L-values
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def gen_bernoulli(n: int, chi: DirichletChar) -> CycElem:
-    """B_{n,chi} for a primitive character chi (given at its conductor)."""
+    """B_{n,chi} for a primitive character chi (given at its conductor).
+
+    Memoised: every cusp constant of a construction asks again for the same
+    few values, and characters and CycElems are immutable."""
     if n < 1:
         raise ParameterError("index must be positive")
     f = chi.modulus

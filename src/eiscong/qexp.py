@@ -24,7 +24,8 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import CycElem, PadicContext, _pmul, _reduce_coeffs, _val_json, euler_phi, factorize, is_prime, valp_cyc
+from .exact import (CycElem, PadicContext, _over_common, _pmul, _reduce_coeffs, _val_json, euler_phi,
+                    factorize, is_prime, valp_cyc)
 from .lfunc import EtaValue, eta, l_nonpositive
 
 
@@ -64,9 +65,8 @@ class QExpansion:
         """Multiply every coefficient by a scalar (Fraction or CycElem)."""
         if isinstance(c, CycElem):
             f = lcm(self.conductor, c.conductor)
-            cc = c.lift(f)
-            lifted = self.lift_conductor(f)
-            return replace(lifted, coefficients=tuple(x * cc for x in lifted.coefficients))
+            coeffs = self.lift_conductor(f).coefficients
+            return replace(self, coefficients=_flat_product(coeffs, (c.lift(f),), f, len(coeffs)))
         return replace(self, coefficients=tuple(x * c for x in self.coefficients))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
@@ -130,15 +130,15 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpans
         P = default_precision(l, M)
     val_f = phi.order
     a0 = l_nonpositive(phi, 1 - l) * Fraction(1, 2)
-    coeffs = [a0.lift(val_f)]
-    for n in range(1, P + 1):
-        acc = CycElem.zero(val_f)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                v = char_eval(phi, d)
-                if not v.is_zero():
-                    acc = acc + v * (Fraction(d) ** (l - 1))
-        coeffs.append(acc)
+    # sums[n][t] = sum of d^(l-1) over the divisors d of n with phi(d) = zeta^t
+    sums = [[0] * val_f for _ in range(P + 1)]
+    for d in range(1, P + 1):
+        t = phi.value_exponent(d)
+        if t is not None:
+            power = d ** (l - 1)
+            for n in range(d, P + 1, d):
+                sums[n][t] += power
+    coeffs = [a0.lift(val_f)] + [CycElem(val_f, _reduce_coeffs(s, val_f)) for s in sums[1:]]
     return QExpansion(coefficients=tuple(coeffs), weight=l, level=M,
                       character=phi, label=f"E_{l}({phi.canonical_text()})")
 
@@ -159,6 +159,24 @@ def v_operator(f: QExpansion, M: int) -> QExpansion:
                       character=f.character, label=f"V_{M}({f.label})")
 
 
+def _flat_product(xs, ys, F: int, count: int) -> tuple[CycElem, ...]:
+    """The first ``count`` coefficients of (sum_i xs[i] q^i)(sum_j ys[j] q^j)
+    for CycElems of conductor F.
+
+    Each series is laid out flat at stride w over one common denominator: a
+    product of two coordinate vectors has w = 2*phi(F) - 1 terms, so the
+    terms of xs[i]*ys[j] land in the block of q^(i+j), and one integer
+    product gives every coefficient unreduced."""
+    deg = euler_phi(F)
+    w = 2 * deg - 1
+    pad = (0,) * (deg - 1)
+    a, da = _over_common([x for c in xs for x in c.coeffs + pad])
+    b, db = _over_common([x for c in ys for x in c.coeffs + pad])
+    prod = _pmul(a, b, count * w)
+    return tuple(CycElem(F, _reduce_coeffs(prod[n * w:(n + 1) * w], F, da * db))
+                 for n in range(count))
+
+
 def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
     """Cauchy product truncated at the smaller precision.
 
@@ -166,20 +184,10 @@ def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
     """
     F = lcm(f.conductor, g.conductor)
     P = min(f.precision, g.precision)
-    # Lay each series out flat at stride w: a product of two coordinate
-    # vectors has 2*phi(F) - 1 terms, so the terms of a_i*b_j land in the
-    # block of q^(i+j) and one product gives every coefficient unreduced.
-    deg = euler_phi(F)
-    w = 2 * deg - 1
-    pad = (0,) * (deg - 1)
-
-    def flat(h: QExpansion) -> list:
-        return [x for c in h.lift_conductor(F).coefficients[:P + 1] for x in c.coeffs + pad]
-
-    prod = _pmul(flat(f), flat(g), (P + 1) * w)
-    out = [CycElem(F, _reduce_coeffs(prod[n * w:(n + 1) * w], F)) for n in range(P + 1)]
+    out = _flat_product(f.lift_conductor(F).coefficients[:P + 1],
+                        g.lift_conductor(F).coefficients[:P + 1], F, P + 1)
     char = primitive_char(char_product(f.character, g.character))
-    return QExpansion(coefficients=tuple(out), weight=f.weight + g.weight,
+    return QExpansion(coefficients=out, weight=f.weight + g.weight,
                       level=lcm(f.level, g.level), character=char,
                       label=f"({f.label})*({g.label})")
 

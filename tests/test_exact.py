@@ -15,9 +15,14 @@ from eiscong.errors import (
 )
 from eiscong.exact import (
     INF,
+    KRONECKER_MIN_LEN,
+    KRONECKER_SMALL_BITS,
     CycElem,
     PadicContext,
     _hensel_lift_factor,
+    _kronecker,
+    _over_common,
+    _pmul,
     _pmul_mod,
     cyclotomic_poly,
     euler_phi,
@@ -110,6 +115,78 @@ def test_inverse_of_sparse_elements_stays_exact():
         assert all(type(c) is Fraction for c in inv.coeffs)
         assert x * inv == CycElem.one(x.conductor)
         assert (x / x).as_rational() == 1
+
+
+def _schoolbook(a, b, n=None):
+    """The plain double loop, kept as the reference for ``_pmul``."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def _signed(rng, length, bits, zeros=0.0):
+    return [0 if rng.random() < zeros else rng.randrange(-2**bits, 2**bits + 1)
+            for _ in range(length)]
+
+
+def test_pmul_matches_schoolbook():
+    rng = random.Random(6)
+    short, long_ = KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN + 1
+    shapes = [  # (len a, bits a, len b, bits b)
+        (0, 8, 5, 8), (5, 8, 0, 8), (0, 8, 0, 8), (1, 8, 1, 8), (1, 3000, 40, 5),
+        (3, 60, 200, 60), (200, 60, 3, 60), (short, 30, short, 30), (long_, 30, long_, 30),
+        (long_, 30, 300, 30), (60, 3000, 60, 3000), (60, 3100, 60, 40), (40, 8, 60, 3000),
+        (70, KRONECKER_SMALL_BITS, 70, 1), (70, 4 * KRONECKER_SMALL_BITS, 70, 1),
+    ]
+    for la, ba, lb, bb in shapes:
+        for zeros in (0.0, 0.5, 1.0):
+            a, b = _signed(rng, la, ba, zeros), _signed(rng, lb, bb, zeros)
+            full = la + lb - 1 if la and lb else 0
+            for n in {None, 0, 1, full // 2, full, full + 3}:
+                assert _pmul(a, b, n) == _schoolbook(a, b, n), (la, ba, lb, bb, zeros, n)
+
+
+def test_kronecker_recovers_signed_coefficients():
+    rng = random.Random(8)
+    for la, lb, bits in ((1, 1, 1), (2, 7, 5), (KRONECKER_MIN_LEN, 90, 64), (50, 50, 3000)):
+        for a, b in ((_signed(rng, la, bits), _signed(rng, lb, bits)),
+                     ([-(2**bits)] * la, [2**bits] * lb), ([-1] * la, [-1] * lb)):
+            bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
+            full = la + lb - 1
+            for n in (1, full // 2 + 1, full, full + 2):
+                assert _kronecker(a[:n], b[:n], n, bound) == _schoolbook(a, b, n)
+
+
+def test_over_common():
+    xs = [Fraction(1, 6), Fraction(-3, 4), 5, Fraction(0)]
+    nums, den = _over_common(xs)
+    assert den == 12 and nums == [2, -9, 60, 0]
+    assert _over_common([]) == ([], 1)
+
+
+def test_products_with_and_without_shared_denominators_stay_exact():
+    rng = random.Random(9)
+    for f in (7, 12, 15, 16, 20, 35):
+        deg = euler_phi(f)
+        for dens in ((3, 3), (4, 6), (5, 7), (9, 8)):  # shared and coprime factors
+            x = CycElem(f, tuple(Fraction(rng.randrange(-9, 10), dens[0]) for _ in range(deg)))
+            y = CycElem(f, tuple(Fraction(rng.randrange(-9, 10), dens[1] * rng.randrange(1, 4))
+                                 for _ in range(deg)))
+            prod = x * y
+            assert all(type(c) is Fraction for c in prod.coeffs)
+            # against the product of the same polynomials over Q, reduced mod Phi_f
+            phi = cyclotomic_poly(f)
+            raw = _schoolbook(list(x.coeffs), list(y.coeffs))
+            for i in range(len(raw) - 1, deg - 1, -1):
+                c, raw[i] = raw[i], 0
+                for j in range(deg):
+                    raw[i - deg + j] -= c * phi[j]
+            assert list(prod.coeffs) == raw[:deg]
 
 
 def test_teichmuller_examples():

@@ -90,6 +90,16 @@ def test_gen_bernoulli_examples():
     assert gen_bernoulli(1, trivial_char(1)).as_rational() == Fraction(1, 2)
 
 
+def test_gen_bernoulli_is_memoised():
+    chi = primitive_char(enumerate_chars(31, parity=-1, exact_conductor=31)[0])
+    for n, c in ((32, trivial_char(1)), (1, chi), (31, chi)):
+        first = gen_bernoulli(n, c)
+        again = gen_bernoulli(n, c)
+        assert again is first
+        assert gen_bernoulli.__wrapped__(n, c) == first
+        assert str(gen_bernoulli.__wrapped__(n, c)) == str(first)
+
+
 def test_gen_bernoulli_weight_one_summation_oracle():
     # B_{1,chi} = (1/f) sum_a chi(a) a for nontrivial chi
     for f in (3, 4, 5, 7, 8, 11, 12):

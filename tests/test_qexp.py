@@ -61,6 +61,23 @@ def test_eisenstein_general_coefficients():
             assert E.coeff(q) == expected
 
 
+def test_eisenstein_matches_divisor_sum_reference():
+    # the old per-divisor CycElem sum, kept as the reference for the integer sieve
+    for modulus in (1, 5, 7, 12, 31):
+        for chi in {primitive_char(c) for c in enumerate_chars(modulus)}:
+            for l in (1, 2, 3, 4):
+                if chi.parity != (-1) ** l or (l == 2 and chi.is_trivial()):
+                    continue
+                E = eisenstein_qexp(l, chi, 30)
+                for n in range(1, 31):
+                    acc = CycElem.zero(chi.order)
+                    for d in range(1, n + 1):
+                        if n % d == 0:
+                            acc = acc + char_eval(chi, d) * Fraction(d) ** (l - 1)
+                    assert E.coeff(n) == acc
+                    assert str(E.coeff(n)) == str(acc)
+
+
 def test_eisenstein_parity_errors():
     odd4 = [c for c in enumerate_chars(4) if not c.is_trivial()][0]
     with pytest.raises(ParameterError):
@@ -102,6 +119,20 @@ def _random_qexp(rng, P, conductor=1):
                    for _ in range(P + 1))
     return QExpansion(coefficients=coeffs, weight=rng.choice([4, 6, 8]),
                       level=1, character=trivial_char(1), label="rand")
+
+
+def test_scale_matches_coefficientwise_products():
+    rng = random.Random(41)
+    for fs, fc in ((1, 1), (3, 4), (5, 10), (12, 12), (1, 31)):
+        f = _sparse_qexp(rng, rng.randrange(2, 20), fs)
+        for c in (CycElem.zeta(fc, 1), _sparse_qexp(rng, 0, fc).coeff(0),
+                  CycElem.from_rational(Fraction(-7, 15), fc), CycElem.zero(fc)):
+            F = lcm(fs, fc)
+            scaled = f.scale(c)
+            assert scaled.conductor == F
+            assert scaled.coefficients == tuple(x * c.lift(F) for x in f.lift_conductor(F).coefficients)
+            assert all(type(x) is Fraction for y in scaled.coefficients for x in y.coeffs)
+            assert (scaled.weight, scaled.level, scaled.label) == (f.weight, f.level, f.label)
 
 
 def test_multiply_commutative_associative_random():
