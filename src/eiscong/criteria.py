@@ -27,9 +27,9 @@ from .characters import (
 )
 from .errors import ComputationError, ParameterError, SchemaError
 from .exact import INF, CycElem, PadicContext, factorize, is_prime, padic_context, valp_cyc, valp_rational
-from .hecke1 import EigensystemRecord, depth_scan
+from .hecke1 import EigensystemRecord, depth_scan, scan_prime_bound
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
-from .qexp import build_h, sturm_bound
+from .qexp import build_h
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     if psi.is_trivial():
         internal_records, skipped = depth_scan(k, p, sigma, s_max)
         depths_section["level1_scan"] = {
-            "prime_bound": max(sturm_bound(k, 1), 13),
+            "prime_bound": scan_prime_bound(k),
             "note": "depths verified over recorded primes up to the scan bound",
             "records": [r.as_dict() for r in internal_records],
             "skipped": [{"weight": sk.weight, "p": sk.p, "reason": sk.reason}

@@ -6,15 +6,22 @@ Eigensystem extraction is restricted to simple roots of charpoly(T_2) mod p
 that lie in the prime field.  They are the linear factors of the gcd of
 charpoly(T_2) with x^p - x over F_p, split by equal-degree factorization;
 repeated division gives each root's multiplicity and the degree left over
-outside the prime field.  Each simple root is Hensel-lifted to mod p^s
-together with its cofactor h, the columns of h(T_2) span the eigenline, and
-every other eigenvalue a_q is read off from a unit coordinate.  Roots of
-larger residue degree or with repeated reduction are reported as skipped;
-such eigensystems enter through the external-record ingestion path instead.
+outside the prime field.  Each simple root is Hensel-lifted to alpha mod p^s
+together with its cofactor h.  The local Hecke algebra at a simple root is
+Z_p, so the alpha-eigenline is spanned by the normalised eigenform: a column
+v of h(T_2) with a unit first coordinate v_0 = a_1 is a unit multiple of it,
+and every eigenvalue is read off its q-expansion, a_q = a_q(v) / v_0, through
+the pairing (T, f) -> a_1(T f) of the Hecke algebra with integral cusp forms
+(Stein, *Modular Forms: A Computational Approach*).  No Hecke matrix but T_2
+is built, and the Miller basis only to precision max(2 dim + 1, largest
+recorded prime).  Roots of larger residue degree or with repeated reduction
+are reported as skipped; such eigensystems enter through the external-record
+ingestion path instead.
 
-Depths are certified over the primes q up to max(Sturm bound, 13); the
-Sturm bound alone can name no prime at all in low weight (it is 1 for
-weight 12 at level 1), so the floor keeps the scan meaningful.
+Depths are certified over the primes q up to max(Sturm bound, 13)
+(``scan_prime_bound``); the Sturm bound alone can name no prime at all in
+low weight (it is 1 for weight 12 at level 1), so the floor keeps the scan
+meaningful.
 """
 
 from __future__ import annotations
@@ -155,8 +162,8 @@ def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -200,47 +207,50 @@ def _primes_upto(n: int) -> list[int]:
     return [q for q in range(2, n + 1) if is_prime(q)]
 
 
-class _EigenContext:
-    """Internal handle for one extracted eigensystem: holds the eigenvector
-    mod p^s so that the eigenvalue of any T_n can be read off."""
-
-    def __init__(self, k, p, s, alpha, vector, unit_index, mats):
-        self.k = k
-        self.p = p
-        self.s = s
-        self.alpha = alpha
-        self.vector = vector
-        self.unit_index = unit_index
-        self._mats = mats  # cache: n -> integer matrix
-
-    def eigenvalue(self, n: int) -> int:
-        mod = self.p**self.s
-        if n not in self._mats:
-            self._mats[n] = _hecke_int(self.k, n)
-        M = self._mats[n]
-        dim = len(M)
-        w = [sum(M[i][j] * self.vector[j] for j in range(dim)) % mod for i in range(dim)]
-        lam = w[self.unit_index] * pow(self.vector[self.unit_index], -1, mod) % mod
-        for i in range(dim):
-            if (w[i] - lam * self.vector[i]) % mod != 0:
-                raise ComputationError("vector is not a simultaneous eigenvector")
-        return lam
+def scan_prime_bound(k: int) -> int:
+    """Bound on the primes q a weight-k scan records a_q for: max(Sturm bound, 13)."""
+    return max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND)
 
 
-def _extract_eigensystems(k: int, p: int, s: int):
-    """All eigensystems of S_k(SL2(Z)) mod p^s reachable from simple
-    prime-field roots of charpoly(T_2), plus skip diagnostics."""
+def _mat_vec(matrix, v, mod):
+    return [sum(a * b for a, b in zip(row, v)) % mod for row in matrix]
+
+
+def _eigenline(T2, h, p, mod):
+    """First column of h(T_2) mod `mod` whose first coordinate is a unit,
+    each column h(T_2) e_j by Horner in T_2; None if there is none."""
+    for j in range(len(T2)):
+        v = [int(i == j) for i in range(len(T2))]  # h is monic
+        for c in reversed(h[:-1]):
+            v = _mat_vec(T2, v, mod)
+            v[j] = (v[j] + c) % mod
+        if v[0] % p:
+            return v
+    return None
+
+
+def eigensystems_mod(k: int, p: int, s: int):
+    """Eigensystem records of S_k(SL2(Z)) mod p^s with eigenvalues recorded
+    for all primes q <= scan_prime_bound(k).
+
+    Returns (records, skipped): eigensystems whose mod-p reduction is a
+    repeated root of charpoly(T_2) or falls outside the prime field are
+    listed in ``skipped`` with a diagnostic instead.
+    """
     if not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
+    if s < 1:
+        raise ParameterError(f"precision s = {s} must be >= 1")
     dim = dim_cusp(k)
-    found, skipped = [], []
+    records, skipped = [], []
     if dim == 0:
-        return found, skipped
-    mats: dict[int, list[list[int]]] = {}
-    T2 = _hecke_int(k, 2)
-    mats[2] = T2
-    f = [int(c) for c in charpoly(T2)]
+        return records, skipped
+    primes = _primes_upto(scan_prime_bound(k))
+    # one basis build: T_2 needs a_1..a_(2 dim), the read-off a_q for q <= primes[-1]
+    cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]))[1:]
     mod = p**s
+    T2 = [[x % mod for x in row] for row in _hecke_int(k, 2)]
+    f = [int(c) for c in charpoly(T2)]  # congruent to charpoly(T_2) mod p^s
     fb = _trim_mod(f, p)
     # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
     lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]
@@ -264,38 +274,16 @@ def _extract_eigensystems(k: int, p: int, s: int):
     for r in simple:
         g, h = _hensel_lift_factor(f, [-r % p, 1], p, s)
         alpha = -g[0] % mod
-        # the columns of h(T_2) span the alpha-eigenline mod p^s (Horner in T_2)
-        hmat = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        for c in reversed(h[:-1]):
-            hmat = [[(x + c * (i == j)) % mod for j, x in enumerate(row)]
-                    for i, row in enumerate(_mat_mul(hmat, T2))]
-        col = next((col for col in zip(*hmat) if any(x % p for x in col)), None)
-        if col is None:
-            raise AssertionError("projector has no primitive column")
-        unit_index = next(i for i, x in enumerate(col) if x % p)
-        found.append(_EigenContext(k, p, s, alpha, list(col), unit_index, mats))
-    return found, skipped
-
-
-def eigensystems_mod(k: int, p: int, s: int):
-    """Eigensystem records of S_k(SL2(Z)) mod p^s with eigenvalues recorded
-    for all primes q <= max(Sturm bound, 13).
-
-    Returns (records, skipped): eigensystems whose mod-p reduction is a
-    repeated root of charpoly(T_2) or falls outside the prime field are
-    listed in ``skipped`` with a diagnostic instead.
-    """
-    primes = _primes_upto(max(sturm_bound(k, 1), MIN_SCAN_PRIME_BOUND))
-    if dim_cusp(k) > 0:  # one basis build, at the precision T_(max prime) needs
-        _miller_rows(k, dim_cusp(k) * primes[-1] + 1)
-    contexts, skipped = _extract_eigensystems(k, p, s)
-    records = []
-    for ctxn in contexts:
-        evs = {q: ctxn.eigenvalue(q) for q in primes}
+        # v = v_0 * (normalised eigenform) mod p^s, so a_q = a_q(sum_j v_j f_j) / v_0
+        v = _eigenline(T2, h, p, mod)
+        if v is None or _mat_vec(T2, v, mod) != [alpha * x % mod for x in v]:
+            raise ComputationError(
+                f"no eigenvector of T_2 mod {p}^{s} with eigenvalue {alpha} and a unit a_1")
+        unit = pow(v[0], -1, mod)
         records.append(EigensystemRecord(
-            weight=k, level=1, p=p,
-            prime_label=f"T2-root-{ctxn.alpha % p}",
-            eigenvalues=evs, source="internal"))
+            weight=k, level=1, p=p, prime_label=f"T2-root-{r}",
+            eigenvalues={q: sum(x * row[q] for x, row in zip(v, cusp)) * unit % mod
+                         for q in primes}))
     return records, skipped
 
 

@@ -128,6 +128,8 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpans
     M = phi.modulus
     if P is None:
         P = default_precision(l, M)
+    if P < 0:
+        raise ParameterError(f"precision P = {P} must be >= 0")
     val_f = phi.order
     a0 = l_nonpositive(phi, 1 - l) * Fraction(1, 2)
     # sums[n][t] = sum of d^(l-1) over the divisors d of n with phi(d) = zeta^t

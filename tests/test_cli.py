@@ -241,3 +241,19 @@ def test_every_declared_flag_changes_the_cache_key(monkeypatch, capsys):
             seen.append(keys[-1])
         assert len(set(seen)) == len(seen) == len(spec.flags) + 1, name
     capsys.readouterr()
+
+
+def test_scan_precision_below_one_is_a_parameter_error(capsys):
+    for command in (("scan", "--k", "12", "--p", "691", "--sigma", "691", "--smax", "0"),
+                    ("scan", "--k", "12", "--p", "691", "--sigma", "691", "--smax", "-2"),
+                    ("example37", "--smax", "0", "--prec", "10")):
+        code, out, err = run_cli(capsys, "--no-cache", *command)
+        assert (code, out) == (1, ""), command
+        assert json.loads(err)["error"] == "parameter"
+        assert "must be >= 1" in json.loads(err)["message"]
+
+
+def test_negative_eisenstein_precision_is_a_parameter_error(capsys):
+    code, out, err = run_cli(capsys, "--no-cache", "eisenstein", "--l", "4", "--prec", "-5")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "parameter", "message": "precision P = -5 must be >= 0"}

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from eiscong import hecke1
-from eiscong.errors import ParameterError
+from eiscong.errors import ComputationError, ParameterError
 from eiscong.hecke1 import (
-    _extract_eigensystems,
     _hecke_int,
     charpoly,
     depth_scan,
@@ -18,6 +17,7 @@ from eiscong.hecke1 import (
     hecke_matrix,
     miller_basis,
     residue_valuation,
+    scan_prime_bound,
 )
 from eiscong.qexp import sturm_bound
 
@@ -176,11 +176,29 @@ def test_eigensystems_skip_diagnostics():
 
 
 def test_eigenvalue_consistency_aq_squared():
-    ctxs, _ = _extract_eigensystems(32, 37, 3)
-    assert len(ctxs) == 2
-    for c in ctxs:
+    # the normalised eigenform through a reference eigenvector: its a_q are the
+    # recorded eigenvalues and a_(q^2) = a_q^2 - q^31 mod 37^3
+    mod = 37**3
+    records, _ = eigensystems_mod(32, 37, 3)
+    systems, _ = scan_eigensystems(32, 37, 3)
+    assert len(records) == len(systems) == 2
+    cusp = [[int(c.as_rational()) for c in f.coefficients] for f in miller_basis(32, 9)[1:]]
+    for rec, (_, v, _) in zip(records, systems):
+        def a(n):
+            return sum(x * f[n] for x, f in zip(v, cusp)) * pow(v[0], -1, mod) % mod
         for q in (2, 3):
-            assert c.eigenvalue(q * q) == (c.eigenvalue(q) ** 2 - q ** 31) % 37 ** 3
+            assert a(q) == rec.eigenvalues[q]
+            assert a(q * q) == (a(q) ** 2 - q ** 31) % mod
+
+
+def test_eigenvector_check_raises(monkeypatch):
+    # e_1 is no eigenvector of T_2 on S_32: the one runtime check must fire
+    monkeypatch.setattr(hecke1, "_eigenline", lambda T2, h, p, mod: [1, 0])
+    with pytest.raises(ComputationError):
+        eigensystems_mod(32, 37, 2)
+    monkeypatch.setattr(hecke1, "_eigenline", lambda T2, h, p, mod: None)
+    with pytest.raises(ComputationError):
+        eigensystems_mod(32, 37, 2)
 
 
 def test_depth_scan_ramanujan():
@@ -225,17 +243,24 @@ def test_record_serialization():
 
 
 def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
-    builds = []
+    builds, heckes = [], []
 
     def counting(k, P):
         builds.append((k, P))
         return build(k, P)
 
-    build = hecke1._build_miller_rows
+    def counting_hecke(k, n, P=None):
+        heckes.append(n)
+        return hecke(k, n, P)
+
+    build, hecke = hecke1._build_miller_rows, hecke1._hecke_int
     monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
     monkeypatch.setattr(hecke1, "_build_miller_rows", counting)
+    monkeypatch.setattr(hecke1, "_hecke_int", counting_hecke)
     recs, skipped = depth_scan(110, 157, {157}, 3)
-    assert builds == [(110, dim_cusp(110) * 13 + 1)]  # T_13 is the largest operator
+    # max(2 dim + 1, largest recorded prime) = max(2 * 8 + 1, 13)
+    assert builds == [(110, 17)]
+    assert heckes == [2]
     assert [r.depth for r in recs] == [0, 1, 0]
     assert len(skipped) == 1
 
@@ -334,12 +359,29 @@ def scan_eigensystems(k, p, s):
     return systems, reasons
 
 
+def recorded_primes(k):
+    return [q for q in range(2, scan_prime_bound(k) + 1) if all(q % d for d in range(2, q))]
+
+
+def reference_eigenvalue(k, q, vector, unit_index, mod):
+    """a_q read off the T_q matrix: T_q v / v[unit_index], after checking
+    that v is an eigenvector of T_q mod `mod`."""
+    w = [sum(a * b for a, b in zip(row, vector)) % mod for row in _hecke_int(k, q)]
+    lam = w[unit_index] * pow(vector[unit_index], -1, mod) % mod
+    assert all((x - lam * y) % mod == 0 for x, y in zip(w, vector)), (k, q)
+    return lam
+
+
 @pytest.mark.parametrize("k", [12, 16, 24, 28, 32, 36, 48, 84, 110])
 def test_extraction_matches_the_root_scan_reference(k):
+    primes = recorded_primes(k)
     for p in (3, 5, 7, 11, 13, 37, 131, 157, 233, 691, 3617):
-        contexts, skipped = _extract_eigensystems(k, p, 3)
+        records, skipped = eigensystems_mod(k, p, 3)
         systems, reasons = scan_eigensystems(k, p, 3)
-        assert [(c.alpha, c.vector, c.unit_index) for c in contexts] == systems, p
+        assert [r.prime_label for r in records] == [f"T2-root-{a % p}" for a, _, _ in systems]
+        for rec, (_, vector, unit_index) in zip(records, systems):
+            assert rec.eigenvalues == {q: reference_eigenvalue(k, q, vector, unit_index, p**3)
+                                       for q in primes}, p
         assert [s.reason for s in skipped] == reasons, p
 
 
@@ -348,3 +390,45 @@ def test_depth_scan_beyond_a_million():
     recs, skipped = depth_scan(12, 1000003, {1000003}, 2)
     assert len(recs) == 1 and not skipped
     assert recs[0].eigenvalues[2] == -24 % 1000003 ** 2
+
+
+# Records of two high-weight scans, recorded with the former read-off of
+# each a_q from a dim x dim T_q matrix on a Miller basis to precision
+# dim * 23 + 1 (k = 284) and dim * 31 + 1 (k = 400): the label and the
+# eigenvalues a_q mod p^s for the primes q up to the scan bound, every
+# depth 0 and uncapped.
+HIGH_WEIGHT_SCANS = {
+    (284, 37, 3): ({
+        "T2-root-8": [13809, 16930, 50645, 4707, 34236, 29865, 35343, 26401, 23168],
+        "T2-root-9": [41967, 41229, 50193, 45551, 1070, 37914, 31089, 16809, 29846],
+        "T2-root-10": [23653, 17605, 36993, 49862, 2121, 26397, 35606, 15453, 22629],
+        "T2-root-11": [43856, 11108, 34147, 26687, 41408, 36236, 35433, 37937, 6390],
+        "T2-root-13": [17662, 49815, 33776, 9119, 42821, 30121, 546, 7483, 30177],
+        "T2-root-14": [40936, 19157, 45096, 14322, 44271, 35650, 38390, 12787, 29516],
+        "T2-root-15": [19255, 39215, 45023, 15025, 37615, 46801, 1344, 47362, 33509],
+        "T2-root-19": [38166, 3817, 43621, 41422, 47584, 36822, 8011, 34090, 19560],
+        "T2-root-20": [50192, 38282, 29658, 8860, 9053, 13108, 26567, 36900, 26718],
+        "T2-root-34": [19311, 18882, 15954, 43500, 39478, 28766, 6536, 29880, 44697],
+        "T2-root-35": [26675, 7544, 40368, 26110, 41107, 9350, 12492, 24060, 11674],
+    }, [*(f"repeated root {r} of charpoly(T_2) mod 37" for r in (22, 23, 27, 28)),
+        "charpoly(T_2) has an irreducible factor of degree 4 mod 37; "
+        "eigenvalues outside the prime field are not extracted"]),
+    (400, 409, 2): ({
+        "T2-root-384": [139444, 141066, 95766, 144910, 97858, 150556, 94492, 35113,
+                        126049, 163590, 30026],
+    }, ["charpoly(T_2) has an irreducible factor of degree 32 mod 409; "
+        "eigenvalues outside the prime field are not extracted"]),
+}
+
+
+@pytest.mark.parametrize("k, p, s", list(HIGH_WEIGHT_SCANS))
+def test_high_weight_scan_matches_the_recorded_records(k, p, s):
+    expected, reasons = HIGH_WEIGHT_SCANS[k, p, s]
+    primes = recorded_primes(k)
+    recs, skipped = depth_scan(k, p, {p}, s)
+    assert [r.as_dict() | {"capped": r.capped} for r in recs] == [
+        {"weight": k, "level": 1, "p": p, "prime_label": label,
+         "eigenvalues": {str(q): str(a) for q, a in zip(primes, values)},
+         "depth": 0, "source": "internal", "capped": False}
+        for label, values in expected.items()]
+    assert [sk.reason for sk in skipped] == reasons

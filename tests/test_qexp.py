@@ -45,6 +45,12 @@ def test_eisenstein_frozen_values():
     assert E12.coeff(2).as_rational() == 2049
 
 
+def test_eisenstein_precision_bounds():
+    assert eisenstein_qexp(4, trivial_char(1), 0).precision == 0
+    with pytest.raises(ParameterError):
+        eisenstein_qexp(4, trivial_char(1), -5)
+
+
 def test_eisenstein_general_coefficients():
     rng = random.Random(17)
     for _ in range(8):
