@@ -4,7 +4,7 @@ Library layout:
 
 - ``exact``: rationals, cyclotomic field arithmetic, p-adic valuations at a
   chosen prime above p.
-- ``characters``: Dirichlet characters and the Teichmuller character.
+- ``characters``: Dirichlet characters: enumeration, evaluation, conductors.
 - ``lfunc``: Bernoulli numbers, L-values at non-positive integers, the
   congruence bound eta, and Kummer congruence utilities.
 - ``qexp``: truncated q-expansions, Eisenstein series, Hecke operators, and

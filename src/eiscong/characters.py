@@ -1,5 +1,4 @@
-"""Dirichlet characters: enumeration, evaluation, conductors, products, and
-the Teichmuller character.
+"""Dirichlet characters: enumeration, evaluation, conductors and products.
 
 A character mod f is stored by its exponent vector on a fixed generator list
 of (Z/f)^*: the generators come from the CRT decomposition over prime powers,
@@ -20,7 +19,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import ParameterError
-from .exact import CycElem, euler_phi, factorize, is_prime, teichmuller
+from .exact import CycElem, euler_phi, factorize
 
 
 # ---------------------------------------------------------------------------
@@ -318,36 +317,3 @@ def char_inverse(chi: DirichletChar) -> DirichletChar:
     gens = unit_group_generators(chi.modulus)
     return DirichletChar(chi.modulus,
                          tuple((-e) % n for e, (_, n) in zip(chi.exponents, gens)))
-
-
-# ---------------------------------------------------------------------------
-# Teichmuller character
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TeichmullerChar:
-    """omega^j as a character mod p, with p-adic values exposed mod p^s.
-
-    The exact values of the underlying DirichletChar live in Q(zeta_(p-1));
-    the identification with p-adic residues sends zeta_(p-1) to the
-    Teichmuller representative of the smallest primitive root mod p.
-    """
-
-    p: int
-    j: int
-    s: int
-    char: DirichletChar
-
-    def residue(self, a: int) -> int:
-        """omega^j(a) mod p^s (0 when p | a)."""
-        if a % self.p == 0:
-            return 0
-        return pow(teichmuller(a, self.p, self.s), self.j % (self.p - 1), self.p**self.s)
-
-
-def teichmuller_char(p: int, j: int, s: int) -> TeichmullerChar:
-    """The j-th power of the Teichmuller character mod p at precision p^s."""
-    if not is_prime(p) or p == 2:
-        raise ParameterError("p must be an odd prime")
-    chi = DirichletChar(p, (j % (p - 1),))
-    return TeichmullerChar(p=p, j=j % (p - 1), s=s, char=chi)

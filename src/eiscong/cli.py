@@ -33,7 +33,7 @@ from .criteria import (
     selmer_upper_km1,
 )
 from .errors import ComputationError, EiscongError, ParameterError
-from .exact import padic_context
+from .exact import is_prime, padic_context
 from .hecke1 import depth_scan
 from .lfunc import bernoulli, eta, kummer_check
 from .qexp import build_h, eisenstein_qexp, sturm_bound
@@ -109,6 +109,9 @@ def _parse_sigma(text: str) -> list[int]:
         raise ParameterError(f"bad --sigma value {text!r}") from exc
     if not out:
         raise ParameterError("--sigma must list at least one prime")
+    bad = [x for x in out if not is_prime(x)]
+    if bad:
+        raise ParameterError(f"--sigma entries must be primes, got {bad}")
     return out
 
 

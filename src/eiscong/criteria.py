@@ -47,6 +47,8 @@ def selmer_lower_1mk(p: int, k: int, sigma, f_res: int) -> int:
     f_res * (min(val_p(B_(1,omega^(k-1))), 1) + sum_l min(val_p(1 - l^k), 1))."""
     if k % 2 != 0 or not 2 <= k <= p - 1:
         raise ParameterError("need even k with 2 <= k <= p-1")
+    if f_res < 1:
+        raise ParameterError(f"residue field degree f_res = {f_res} must be >= 1")
     sigma = sorted(set(int(x) for x in sigma))
     if p not in sigma:
         raise ParameterError("Sigma must contain p")

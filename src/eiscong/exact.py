@@ -213,8 +213,9 @@ def _over_common(xs) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _poly_divmod_q(num: list, den) -> tuple[list, list]:
-    """Quotient and remainder of polynomials over Q, den monic.
+def _poly_divmod_q(num: list[int], den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, den monic, so both
+    stay in Z.
 
     Zero coefficients of den are skipped: cyclotomic divisors are sparse."""
     num = list(num)
@@ -448,14 +449,23 @@ class CycElem:
             raise ParameterError(f"{a} is not a unit mod {f}")
         return CycElem(f, _substitute(self.coeffs, a, f))
 
+    def _norm_and_adjugate(self) -> tuple[Fraction, "CycElem"]:
+        """N(self) and the product of the conjugates sigma_a(self), a != 1,
+        whose product with self is N(self); multiplied in integers over one
+        denominator, each partial product reduced mod Phi_f."""
+        f = self.conductor
+        adj, den = [1], 1
+        for a in range(2, f):
+            if gcd(a, f) == 1:
+                nums, d = _over_common(self.galois_conjugate(a).coeffs)
+                adj, den = _poly_divmod_q(_pmul(adj, nums), cyclotomic_poly(f))[1], den * d
+        nums, d = _over_common(self.coeffs)
+        norm = CycElem(f, _reduce_coeffs(_pmul(nums, adj), f, d * den)).as_rational()
+        return norm, CycElem(f, _reduce_coeffs(adj, f, den))
+
     def norm(self) -> Fraction:
         """Field norm to Q: product over all Galois conjugates."""
-        f = self.conductor
-        out = CycElem.one(f)
-        for a in range(1, f + 1):
-            if gcd(a, f) == 1:
-                out = out * self.galois_conjugate(a)
-        return out.as_rational()
+        return self._norm_and_adjugate()[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -500,27 +510,14 @@ class CycElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: the product of the other conjugates over
+        the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return CycElem.from_rational(Fraction(1) / self.coeffs[0], self.conductor)
-        f = self.conductor
-        # Fractions throughout: an int leading coefficient would divide to a float
-        r0 = [Fraction(c) for c in cyclotomic_poly(f)]
-        r1 = [Fraction(c) for c in self.coeffs]
-        while r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [], [Fraction(1)]
-        while r1:  # r0 = t0 * self and r1 = t1 * self mod Phi_f
-            lead = r1[-1]
-            q, r = _poly_divmod_q(r0, [c / lead for c in r1])
-            (nq, dq), (nt, dt) = _over_common([c / lead for c in q]), _over_common(t1)
-            qt = [Fraction(c, dq * dt) for c in _pmul(nq, nt)]
-            r0, r1 = r1, r
-            t0, t1 = t1, [a - b for a, b in zip_longest(t0, qt, fillvalue=0)]
-        # r0 is a nonzero constant gcd
-        return CycElem(f, _substitute([t / r0[0] for t in t0], 1, f))
+        norm, adj = self._norm_and_adjugate()
+        return adj * (Fraction(1) / norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -55,10 +55,8 @@ def dim_modular(k: int) -> int:
 
 
 def dim_cusp(k: int) -> int:
-    """dim S_k(SL2(Z)) for even k."""
-    if k < 12:
-        return 0
-    return dim_modular(k) - 1
+    """dim S_k(SL2(Z)); 0 for odd or negative k, like dim_modular."""
+    return max(dim_modular(k) - 1, 0)
 
 
 def _build_miller_rows(k: int, P: int) -> list[list[int]]:
@@ -241,6 +239,8 @@ def eigensystems_mod(k: int, p: int, s: int):
         raise ParameterError("p must be an odd prime")
     if s < 1:
         raise ParameterError(f"precision s = {s} must be >= 1")
+    if k < 0 or k % 2:
+        raise ParameterError(f"weight k = {k} must be even and >= 0")
     dim = dim_cusp(k)
     records, skipped = [], []
     if dim == 0:

@@ -24,7 +24,8 @@ from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
-from .exact import INF, CycElem, PadicContext, _val_json, is_prime, teichmuller, valp_cyc
+from .exact import (INF, CycElem, PadicContext, _over_common, _reduce_coeffs, _val_json, is_prime,
+                    teichmuller, valp_cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +90,6 @@ def bernoulli_mod(n: int, p: int) -> int:
     return (total // p) % p
 
 
-def bernoulli_poly_at(n: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_n(x) at a rational point."""
-    x = Fraction(x)
-    return sum(comb(n, i) * bernoulli(i) * x ** (n - i) for i in range(n + 1))
-
-
 # ---------------------------------------------------------------------------
 # generalized Bernoulli numbers and L-values
 # ---------------------------------------------------------------------------
@@ -110,13 +105,16 @@ def gen_bernoulli(n: int, chi: DirichletChar) -> CycElem:
     f = chi.modulus
     if conductor(chi) != f:
         raise ParameterError("character must be given at its own conductor")
-    val_f = chi.order
-    acc = CycElem.zero(val_f)
+    # f^(n-1) B_n(a/f) = sum_i C(n, i) B_i f^(i-1) a^(n-i), over one denominator
+    nums, den = _over_common([comb(n, i) * bernoulli(i) * Fraction(f) ** (i - 1)
+                              for i in range(n + 1)])
+    # sums[t] = sum of those values over the residues a with chi(a) = zeta^t
+    sums = [0] * chi.order
     for a in range(1, f + 1):
-        value = char_eval(chi, a)
-        if not value.is_zero():
-            acc = acc + value * bernoulli_poly_at(n, Fraction(a, f))
-    return acc * Fraction(f) ** (n - 1)
+        t = chi.value_exponent(a)
+        if t is not None:
+            sums[t] += sum(c * a ** (n - i) for i, c in enumerate(nums))
+    return CycElem(chi.order, _reduce_coeffs(sums, chi.order, den))
 
 
 def l_nonpositive(chi: DirichletChar, s: int) -> CycElem:

@@ -353,8 +353,8 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
             f"a_0(G) has valuation {v0}; the auxiliary character does not satisfy "
             "the p-unit condition")
     scale = F.coeff(0) * a0G.inverse()
-    H = F - G.scale(scale)
-    H = replace(H, label="H", level=F.level)
+    S = G.scale(scale)
+    H = replace(F - S, label="H", level=F.level)
 
     unit_index = ell ** (m - 1)
     a0_is_zero = H.coeff(0).is_zero()
@@ -363,7 +363,7 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     p_integral = first_bad is None
     unit_val = valp_cyc(H.coeff(unit_index), ctx)
 
-    diff_depth = min(valp_cyc(H.coeff(n) - F.coeff(n), ctx) for n in range(H.precision + 1))
+    diff_depth = min(valp_cyc(S.coeff(n), ctx) for n in range(H.precision + 1))  # F - H = S
     congruent = diff_depth >= eta_val.valuation_vpi
 
     cusps = cusps_gamma0(F.level)

@@ -15,7 +15,6 @@ from eiscong.characters import (
     induce_char,
     parse_char,
     primitive_char,
-    teichmuller_char,
     trivial_char,
 )
 from eiscong.errors import ParameterError
@@ -122,15 +121,6 @@ def test_canonical_text():
     assert parse_char("trivial").is_trivial()
     with pytest.raises(ParameterError):
         parse_char("31:{1}")
-
-
-def test_teichmuller_char():
-    assert teichmuller_char(5, 1, 1).residue(2) == 2
-    assert teichmuller_char(37, 0, 2).char.is_trivial()
-    assert teichmuller_char(5, 2, 2).residue(2) == 24
-    w = teichmuller_char(37, 31, 2)
-    assert w.char.parity == (-1) ** 31
-    assert w.residue(36) == pow(37**2 - 1, 31, 37**2)
 
 
 def test_exponent_validation():

@@ -257,3 +257,34 @@ def test_negative_eisenstein_precision_is_a_parameter_error(capsys):
     code, out, err = run_cli(capsys, "--no-cache", "eisenstein", "--l", "4", "--prec", "-5")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "parameter", "message": "precision P = -5 must be >= 0"}
+
+
+def test_sigma_entries_must_be_primes(capsys):
+    for entry in ("1", "0"):
+        code, out, err = run_cli(capsys, "--no-cache", "eta", "--k", "32", "--sigma",
+                                 f"{entry},37", "--p", "37")
+        assert (code, out) == (1, ""), entry
+        assert json.loads(err) == {"error": "parameter",
+                                   "message": f"--sigma entries must be primes, got [{entry}]"}
+
+
+def test_residue_field_degree_below_one_is_a_parameter_error(capsys):
+    records = fixture_path("example37.json")
+    for command in (("selmer", "--fres", "0"), ("selmer", "--fres", "-1"),
+                    ("criterion", "--records", records, "--fres", "0")):
+        code, out, err = run_cli(capsys, "--no-cache", *command, "--p", "37", "--k", "32",
+                                 "--sigma", "31,37")
+        assert (code, out) == (1, ""), command
+        fres = command[-1]
+        assert json.loads(err) == {
+            "error": "parameter",
+            "message": f"residue field degree f_res = {fres} must be >= 1"}
+
+
+def test_scan_weight_must_be_even_and_non_negative(capsys):
+    for k in ("11", "13", "-4"):
+        code, out, err = run_cli(capsys, "--no-cache", "scan", "--k", k, "--p", "37",
+                                 "--sigma", "37")
+        assert (code, out) == (1, ""), k
+        assert json.loads(err) == {"error": "parameter",
+                                   "message": f"weight k = {k} must be even and >= 0"}

@@ -75,6 +75,14 @@ GOLDEN_STURM_CONSTRUCTIONS = [
      "ccf7ccc29cf6f5046a69304421391b62e482c49906492dfaf81ef91cf1a6016e"),
 ]
 
+# A construction over Q(zeta_100), with an auxiliary character of conductor
+# 101: the scale a_0(F_m)/a_0(G) needs an inverse in a field of degree 40.
+GOLDEN_LARGE_FIELD_CONSTRUCTIONS = [
+    (("build-h", "--p", "37", "--k", "32", "--ell", "101", "--sigma", "37,101",
+      "--prec", "20"),
+     "8da2cf160e179ada437615ed6400ab125b11fc72ac5f3d8d6151ce8630213777"),
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -88,11 +96,12 @@ def sha(text: str) -> str:
 
 @pytest.mark.parametrize("argv,digest",
                          GOLDEN + GOLDEN_HIGH_WEIGHT_SCANS + GOLDEN_STURM_CONSTRUCTIONS
-                         + GOLDEN_SKIPPING_SCANS,
+                         + GOLDEN_SKIPPING_SCANS + GOLDEN_LARGE_FIELD_CONSTRUCTIONS,
                          ids=[" ".join(a[:2]) for a, _ in GOLDEN]
                          + [" ".join(a[:3]) for a, _ in GOLDEN_HIGH_WEIGHT_SCANS]
                          + [" ".join(a[:3]) for a, _ in GOLDEN_STURM_CONSTRUCTIONS]
-                         + [" ".join(a[:5]) for a, _ in GOLDEN_SKIPPING_SCANS])
+                         + [" ".join(a[:5]) for a, _ in GOLDEN_SKIPPING_SCANS]
+                         + [" ".join(a[:7]) for a, _ in GOLDEN_LARGE_FIELD_CONSTRUCTIONS])
 def test_golden_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, "--no-cache", *argv)
     assert (code, err) == (0, "")

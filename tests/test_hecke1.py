@@ -69,6 +69,13 @@ def test_dim_formula_sweep():
     for k in range(4, 62, 2):
         expected = k // 12 - 1 if k % 12 == 2 else k // 12
         assert dim_cusp(k) == max(expected, 0), k
+    assert [dim_cusp(k) for k in (-4, 0, 2, 11, 13, 25)] == [0] * 6
+
+
+def test_eigensystems_reject_odd_or_negative_weight():
+    for k in (11, 13, -4):
+        with pytest.raises(ParameterError, match="must be even"):
+            eigensystems_mod(k, 37, 1)
 
 
 def test_hecke_matrix_frozen():

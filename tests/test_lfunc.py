@@ -6,16 +6,15 @@ from math import comb
 import pytest
 
 from eiscong import lfunc
-from eiscong.characters import enumerate_chars, primitive_char, trivial_char
+from eiscong.characters import char_eval, conductor, enumerate_chars, primitive_char, trivial_char
 from eiscong.errors import ParameterError
-from eiscong.exact import padic_context, valp_cyc
+from eiscong.exact import CycElem, padic_context, valp_cyc
 from eiscong.lfunc import (
     B1NotIntegral,
     b1_omega_min_valuation,
     b1_omega_mod,
     bernoulli,
     bernoulli_mod,
-    bernoulli_poly_at,
     eta,
     gen_bernoulli,
     kummer_check,
@@ -30,6 +29,22 @@ def bernoulli_recurrence_oracle(N):
         s = sum(Fraction(comb(n + 1, j)) * out[j] for j in range(n))
         out.append(-s / (n + 1))
     return out
+
+
+def bernoulli_poly_at(n, x):
+    """Bernoulli polynomial B_n(x) at a rational point."""
+    x = Fraction(x)
+    return sum(comb(n, i) * bernoulli(i) * x ** (n - i) for i in range(n + 1))
+
+
+def gen_bernoulli_reference(n, chi):
+    """B_(n,chi) = f^(n-1) sum_a chi(a) B_n(a/f), one Bernoulli polynomial and
+    one CycElem per residue a."""
+    f = chi.modulus
+    acc = CycElem.zero(chi.order)
+    for a in range(1, f + 1):
+        acc = acc + char_eval(chi, a) * bernoulli_poly_at(n, Fraction(a, f))
+    return acc * Fraction(f) ** (n - 1)
 
 
 def bernoulli_worpitzky_oracle(n):
@@ -108,12 +123,22 @@ def test_gen_bernoulli_weight_one_summation_oracle():
             if prim.is_trivial() or prim.parity != -1:
                 continue
             fc = prim.modulus
-            from eiscong.characters import char_eval
-            from eiscong.exact import CycElem
             acc = CycElem.zero(prim.order)
             for a in range(1, fc + 1):
                 acc = acc + char_eval(prim, a) * Fraction(a, fc)
             assert gen_bernoulli(1, prim) == acc, (f, chi)
+
+
+def test_gen_bernoulli_matches_the_bernoulli_polynomial_route():
+    cases = 0
+    for f in range(1, 25):
+        for chi in enumerate_chars(f):
+            if conductor(chi) != f:
+                continue
+            for n in range(1, 13):
+                assert gen_bernoulli(n, chi) == gen_bernoulli_reference(n, chi), (chi, n)
+                cases += 1
+    assert cases == 1296
 
 
 def test_gen_bernoulli_generating_function_oracle():

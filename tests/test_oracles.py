@@ -1,6 +1,7 @@
 """Independent oracles from sympy, a test-only dependency: these tests skip
-when it is not installed.  They cross-check cyclotomic polynomials, products
-in Q(zeta_f), Bernoulli numbers and the factorization of Phi_f mod p."""
+when it is not installed.  They cross-check cyclotomic polynomials, products,
+inverses and norms in Q(zeta_f), Bernoulli numbers and the factorization of
+Phi_f mod p."""
 
 import random
 from fractions import Fraction
@@ -23,6 +24,11 @@ def _expr(x: CycElem):
     return sum(sympy.Rational(c.numerator, c.denominator) * X**i for i, c in enumerate(x.coeffs))
 
 
+def _random_elem(f: int, rng: random.Random) -> CycElem:
+    return CycElem(f, tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                            for _ in range(euler_phi(f))))
+
+
 def test_cyclotomic_poly_matches_sympy():
     for f in [*range(1, 121), MAX_CONDUCTOR - 2, MAX_CONDUCTOR - 1, MAX_CONDUCTOR]:
         assert list(cyclotomic_poly(f)) == _ascending(sympy.cyclotomic_poly(f, X)), f
@@ -34,10 +40,27 @@ def test_cyc_products_match_sympy_remainder(f):
     deg = euler_phi(f)
     phi = sympy.cyclotomic_poly(f, X)
     for _ in range(5):
-        a, b = (CycElem(f, tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
-                                 for _ in range(deg))) for _ in range(2))
+        a, b = _random_elem(f, rng), _random_elem(f, rng)
         expected = _ascending(sympy.rem(_expr(a) * _expr(b), phi, X))
         assert list((a * b).coeffs) == expected + [0] * (deg - len(expected))
+
+
+@pytest.mark.parametrize("f", [7, 12, 30, 100])
+def test_cyc_inverse_matches_sympy_invert(f):
+    rng = random.Random(f)
+    for _ in range(2):
+        x = _random_elem(f, rng)
+        expected = _ascending(sympy.invert(_expr(x), sympy.cyclotomic_poly(f, X), X))
+        assert list(x.inverse().coeffs) == expected + [0] * (euler_phi(f) - len(expected))
+
+
+@pytest.mark.parametrize("f", [77, 100, 210])
+def test_cyc_inverse_and_norm_at_large_degree(f):
+    # N(x) = Res(Phi_f, x(X)), Phi_f being monic
+    x = _random_elem(f, random.Random(f))
+    assert x * x.inverse() == CycElem.one(f)
+    norm = sympy.resultant(sympy.cyclotomic_poly(f, X), _expr(x), X)
+    assert x.norm() == Fraction(int(norm.p), int(norm.q))
 
 
 def test_bernoulli_matches_sympy():
