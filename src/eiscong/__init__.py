@@ -14,34 +14,44 @@ Library layout:
 - ``criteria``: Selmer bound calculators, the auxiliary-character search, and
   the non-principality criterion with external-record ingestion.
 - ``cli``: the ``eiscong`` command-line front end and its on-disk cache.
+
+The names in ``__all__`` are re-exported from those modules lazily (PEP 562):
+``eiscong.bernoulli`` imports ``eiscong.lfunc`` on first access, so importing
+one submodule, such as ``eiscong.cli``, loads no other.
 """
 
-from .characters import DirichletChar, enumerate_chars, parse_char, trivial_char
-from .exact import CycElem, PadicContext, padic_context, teichmuller, valp_cyc, valp_rational
-from .hecke1 import EigensystemRecord, depth_scan, eigensystems_mod, miller_basis
-from .lfunc import EtaValue, bernoulli, eta, gen_bernoulli, kummer_check, l_nonpositive
-from .qexp import (
-    QExpansion, build_fm, build_g, build_h, eisenstein_qexp, hecke_tq, multiply, sturm_bound, v_operator,
-)
-from .criteria import (
-    aux_char_search,
-    full_report,
-    herbrand_eigenspace,
-    ingest_records,
-    nonprincipality_verdict,
-    selmer_lower_1mk,
-    selmer_upper_km1,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycElem", "DirichletChar", "EigensystemRecord", "EtaValue", "PadicContext",
-    "QExpansion", "aux_char_search", "bernoulli", "build_fm", "build_g", "build_h",
-    "depth_scan", "eigensystems_mod", "eisenstein_qexp", "enumerate_chars", "eta",
-    "full_report", "gen_bernoulli", "hecke_tq", "herbrand_eigenspace",
-    "ingest_records", "kummer_check", "l_nonpositive", "miller_basis", "multiply",
-    "nonprincipality_verdict", "padic_context", "parse_char", "selmer_lower_1mk",
-    "selmer_upper_km1", "sturm_bound", "teichmuller", "trivial_char", "v_operator",
-    "valp_cyc", "valp_rational",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("DirichletChar", "enumerate_chars", "parse_char", "trivial_char"),
+                    "characters"),
+    **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "teichmuller", "valp_cyc",
+                     "valp_rational"), "exact"),
+    **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod", "miller_basis"),
+                    "hecke1"),
+    **dict.fromkeys(("EtaValue", "bernoulli", "eta", "gen_bernoulli", "kummer_check",
+                     "l_nonpositive"), "lfunc"),
+    **dict.fromkeys(("QExpansion", "build_fm", "build_g", "build_h", "eisenstein_qexp",
+                     "hecke_tq", "multiply", "sturm_bound", "v_operator"), "qexp"),
+    **dict.fromkeys(("aux_char_search", "full_report", "herbrand_eigenspace", "ingest_records",
+                     "nonprincipality_verdict", "selmer_lower_1mk", "selmer_upper_km1"),
+                    "criteria"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,10 +3,16 @@
 Every subcommand prints a single JSON document (compact by default,
 indented with --pretty) whose arithmetic values are exact decimal strings;
 runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
-subcommand once; the parser, the dispatch and the cache key (the command plus
-every declared flag) are built from it.  Pure computations are cached on disk
-under --cache-dir (default ./.eiscache); `verify-cache` recomputes every
-entry and checks the stored payloads byte for byte.
+subcommand once; the parser, the dispatch and the cache key are built from
+it.  Pure computations are cached on disk under --cache-dir (default
+./.eiscache), keyed on the code (``__version__`` and a sha256 of the
+package's sources), the command and every declared flag; `verify-cache`
+recomputes every entry and checks the stored payloads byte for byte.
+
+This module imports only the standard library and ``errors`` at load time;
+each command imports its arithmetic when it runs, so a cache hit loads none.
+A cache entry that cannot be read or parsed is a miss, and a result that
+cannot be stored is still printed, with a warning on stderr.
 
 Exit codes: 0 success, 1 parameter/usage error, 2 computation error.
 """
@@ -14,29 +20,15 @@ Exit codes: 0 success, 1 parameter/usage error, 2 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
-from math import lcm
-from typing import Callable
+from collections import namedtuple
 
-from .characters import enumerate_chars, parse_char, primitive_char, conductor as char_conductor
-from .criteria import (
-    aux_char_search,
-    dim_chi_hypothesis,
-    full_report,
-    ingest_records,
-    nonprincipality_verdict,
-    selmer_upper_km1,
-)
+from . import __version__
 from .errors import ComputationError, EiscongError, ParameterError
-from .exact import is_prime, padic_context
-from .hecke1 import depth_scan
-from .lfunc import bernoulli, eta, kummer_check
-from .qexp import build_h, eisenstein_qexp, sturm_bound
 
 # Version 2 stores params typed (ints, None, booleans) rather than as text.
 CACHE_SCHEMA_VERSION = 2
@@ -46,33 +38,55 @@ CACHE_SCHEMA_VERSION = 2
 # cache
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the package's *.py sources in sorted name order, read as
+    bytes once per process (the compute modules are not imported)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
+def _read_entry(path: str):
+    """The JSON object stored at path, or None if it is unreadable, not UTF-8,
+    not JSON or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return entry if isinstance(entry, dict) else None
+
+
 class Cache:
-    """Content-addressed JSON cache: one file per (command, parameters) key,
-    written atomically (temp file + rename)."""
+    """Content-addressed JSON cache: one file per (code, command, parameters)
+    key, written atomically (temp file + rename)."""
 
     def __init__(self, root: str):
         self.root = os.path.join(root, str(CACHE_SCHEMA_VERSION))
 
     @staticmethod
     def key_text(command: str, params: dict) -> str:
-        return command + "|" + json.dumps(params, sort_keys=True, separators=(",", ":"))
+        return "|".join((__version__, _code_digest(), command,
+                         json.dumps(params, sort_keys=True, separators=(",", ":"))))
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.root, digest + ".json")
 
     def get(self, key: str):
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if entry.get("key") != key or entry.get("version") != CACHE_SCHEMA_VERSION:
+        entry = _read_entry(self._path(key))
+        if (entry is None or entry.get("key") != key
+                or entry.get("version") != CACHE_SCHEMA_VERSION):
             return None
         return entry.get("payload")
 
     def put(self, command: str, params: dict, key: str, payload) -> None:
+        import tempfile
         os.makedirs(self.root, exist_ok=True)
         entry = {"key": key, "version": CACHE_SCHEMA_VERSION,
                  "command": command, "params": params, "payload": payload}
@@ -89,13 +103,8 @@ class Cache:
         if not os.path.isdir(self.root):
             return
         for name in sorted(os.listdir(self.root)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(self.root, name), "r", encoding="utf-8") as fh:
-                    yield name, json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                yield name, None
+            if name.endswith(".json"):
+                yield name, _read_entry(os.path.join(self.root, name))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +112,7 @@ class Cache:
 # ---------------------------------------------------------------------------
 
 def _parse_sigma(text: str) -> list[int]:
+    from .exact import is_prime
     try:
         out = sorted({int(x) for x in text.split(",") if x.strip() != ""})
     except ValueError as exc:
@@ -116,10 +126,14 @@ def _parse_sigma(text: str) -> list[int]:
 
 
 def _bernoulli(n):
+    from .lfunc import bernoulli
     return {"n": n, "value": str(bernoulli(n))}
 
 
 def _eta(p, k, psi, sigma, s):
+    from .characters import parse_char, primitive_char
+    from .exact import padic_context
+    from .lfunc import eta
     psi0 = primitive_char(parse_char(psi))
     sigma = _parse_sigma(sigma)
     value = eta(psi0, k, sigma, padic_context(p, psi0.order, s))
@@ -127,6 +141,7 @@ def _eta(p, k, psi, sigma, s):
 
 
 def _chars(f, parity, conductor):
+    from .characters import conductor as char_conductor, enumerate_chars
     chars = enumerate_chars(f, parity=parity, exact_conductor=conductor)
     return {
         "modulus": f,
@@ -138,10 +153,17 @@ def _chars(f, parity, conductor):
 
 
 def _eisenstein(l, phi, prec):
+    from .characters import parse_char
+    from .qexp import eisenstein_qexp
     return eisenstein_qexp(l, parse_char(phi), prec).as_dict()
 
 
 def _build_h(p, k, psi, ell, m, sigma, s, prec):
+    from math import lcm
+    from .characters import parse_char, primitive_char
+    from .criteria import aux_char_search
+    from .exact import padic_context
+    from .qexp import build_h
     psi = primitive_char(parse_char(psi))
     sigma = _parse_sigma(sigma)
     aux = aux_char_search(p, k, psi, ell, m, s=s)
@@ -155,6 +177,8 @@ def _build_h(p, k, psi, ell, m, sigma, s, prec):
 
 
 def _scan(k, p, sigma, smax):
+    from .hecke1 import depth_scan
+    from .qexp import sturm_bound
     sigma = _parse_sigma(sigma)
     records, skipped = depth_scan(k, p, sigma, smax)
     return {
@@ -167,20 +191,28 @@ def _scan(k, p, sigma, smax):
 
 
 def _selmer(p, k, sigma, fres):
+    from .criteria import selmer_upper_km1
     return selmer_upper_km1(p, k, _parse_sigma(sigma), fres).as_dict()
 
 
 def _aux_char(p, k, psi, ell, mmax, s):
+    from .characters import parse_char, primitive_char
+    from .criteria import aux_char_search
     return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax, s=s).as_dict()
 
 
 def _kummer(p, k):
-    # called by its module-level name, so that a tracer rebinding it sees the call
+    from .lfunc import kummer_check
     return kummer_check(p, k)
 
 
 def _criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
                assume_nontrivial_extension):
+    from .characters import parse_char, primitive_char
+    from .criteria import (dim_chi_hypothesis, ingest_records, nonprincipality_verdict,
+                           selmer_upper_km1)
+    from .exact import padic_context
+    from .lfunc import eta
     records = ingest_records(records, p=p, weight=k)
     psi = primitive_char(parse_char(psi))
     sigma = _parse_sigma(sigma)
@@ -200,6 +232,8 @@ def _criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
 
 def _report(p, k, psi, sigma, s, prec, ell, mmax, records, smax,
             assume_nontrivial_extension):
+    from .characters import parse_char, primitive_char
+    from .criteria import full_report
     return full_report(
         p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), s=s, prec=prec,
         ell=ell, m_max=mmax, records_path=records,
@@ -207,6 +241,8 @@ def _report(p, k, psi, sigma, s, prec, ell, mmax, records, smax,
 
 
 def _example37(s, prec, smax):
+    from .characters import parse_char
+    from .criteria import full_report
     return full_report(37, 32, parse_char("trivial"), [31, 37], s=s, prec=prec,
                        records_path=fixture_path("example37.json"), s_max=smax)
 
@@ -220,15 +256,11 @@ def fixture_path(name: str) -> str:
 # the command table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "name type default required choices",
+                      defaults=(int, None, False, None))):
     """One subcommand option --name; type bool makes it a switch."""
 
-    name: str
-    type: type = int
-    default: object = None
-    required: bool = False
-    choices: tuple | None = None
+    __slots__ = ()
 
     @property
     def dest(self) -> str:
@@ -248,13 +280,13 @@ class Flag:
         return type(value) is self.type and (self.choices is None or value in self.choices)
 
 
-@dataclass(frozen=True)
-class Command:
-    fn: Callable
-    help: str
-    flags: tuple[Flag, ...] = ()
-    cached: bool = True       # pure: stored under --cache-dir, keyed by every flag
-    reads_cache: bool = False  # fn takes the Cache as its first argument
+class Command(namedtuple("Command", "fn help flags cached reads_cache",
+                         defaults=((), True, False))):
+    """A subcommand: fn maps the flags' typed values to the JSON payload.
+    cached: pure, stored under --cache-dir and keyed by every flag;
+    reads_cache: fn takes the Cache as its first argument."""
+
+    __slots__ = ()
 
     def accepts(self, params) -> bool:
         return (isinstance(params, dict) and params.keys() == {f.dest for f in self.flags}
@@ -332,14 +364,20 @@ COMMANDS = {
 
 
 def run_cached(command: str, params: dict, cache: Cache | None):
+    """The payload of command, from the cache if it holds one.  A miss that
+    cannot be stored warns on stderr and still returns the payload."""
+    if cache is None:
+        return COMMANDS[command].fn(**params)
     key = Cache.key_text(command, params)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     payload = COMMANDS[command].fn(**params)
-    if cache is not None:
+    try:
         cache.put(command, params, key, payload)
+    except OSError as exc:
+        print(json.dumps({"warning": "cache", "message": f"entry not stored: {exc}"}),
+              file=sys.stderr)
     return payload
 
 

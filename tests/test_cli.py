@@ -288,3 +288,70 @@ def test_scan_weight_must_be_even_and_non_negative(capsys):
         assert (code, out) == (1, ""), k
         assert json.loads(err) == {"error": "parameter",
                                    "message": f"weight k = {k} must be even and >= 0"}
+
+
+def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
+    args = ("bernoulli", "--n", "12")
+    _, expected, _ = run_cli(capsys, "--no-cache", *args)
+    cache = Cache(str(tmp_path))
+    path = cache._path(Cache.key_text("bernoulli", {"n": 12}))
+    os.makedirs(cache.root)
+    for content in (b"[]", b'{"key": "\xff\xfe"}', b"\x80not utf-8"):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        assert cache.get(Cache.key_text("bernoulli", {"n": 12})) is None
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
+        assert (code, out, err) == (0, expected, ""), content
+    assert cache.get(Cache.key_text("bernoulli", {"n": 12})) == json.loads(expected)
+
+
+def test_verify_cache_lists_corrupt_entries_as_unverifiable(tmp_path, capsys):
+    run_cli(capsys, "--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
+    cache = Cache(str(tmp_path))
+    corrupt = {"a-array.json": b"[]", "b-number.json": b"7", "c-not-utf8.json": b"\xff\xfe{}"}
+    for name, content in corrupt.items():
+        with open(os.path.join(cache.root, name), "wb") as fh:
+            fh.write(content)
+    assert [entry for name, entry in cache.entries() if name in corrupt] == [None] * 3
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checked"] == 1 and payload["ok"]
+    assert payload["unverifiable"] == sorted(corrupt)
+
+
+def test_unwritable_cache_dir_still_prints_the_result(tmp_path, capsys):
+    args = ("eta", "--psi", "trivial", "--k", "32", "--sigma", "31,37", "--p", "37")
+    _, expected, _ = run_cli(capsys, "--no-cache", *args)
+    not_a_dir = tmp_path / "cache-file"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(capsys, "--cache-dir", str(not_a_dir), *args)
+    assert (code, out) == (0, expected)
+    (line,) = err.splitlines()
+    warning = json.loads(line)
+    assert warning["warning"] == "cache"
+    assert warning["message"].startswith("entry not stored: ")
+    assert not_a_dir.read_text() == ""
+
+
+def test_entries_from_other_code_are_not_served(tmp_path, monkeypatch, capsys):
+    import eiscong
+    import eiscong.cli as cli
+    args = ("--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
+    key = Cache.key_text("bernoulli", {"n": 12})
+    assert key.startswith(f"{eiscong.__version__}|{cli._code_digest()}|bernoulli|")
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    run_cli(capsys, *args)
+    cache = Cache(str(tmp_path))
+    (name, entry), = list(cache.entries())
+    assert entry["key"] != key
+    entry["payload"]["value"] = "0"
+    with open(os.path.join(cache.root, name), "w") as fh:
+        json.dump(entry, fh)
+    assert json.loads(run_cli(capsys, *args)[1])["value"] == "0"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["value"] == "-691/2730"
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert json.loads(out) == {"checked": 1, "mismatches": [], "unverifiable": [name],
+                               "ok": True}
