@@ -28,14 +28,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("DirichletChar", "enumerate_chars", "parse_char", "trivial_char"),
                     "characters"),
-    **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "teichmuller", "valp_cyc",
-                     "valp_rational"), "exact"),
+    **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "sturm_bound", "teichmuller",
+                     "valp_cyc", "valp_rational"), "exact"),
     **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod", "miller_basis"),
                     "hecke1"),
     **dict.fromkeys(("EtaValue", "bernoulli", "eta", "gen_bernoulli", "kummer_check",
                      "l_nonpositive"), "lfunc"),
     **dict.fromkeys(("QExpansion", "build_fm", "build_g", "build_h", "eisenstein_qexp",
-                     "hecke_tq", "multiply", "sturm_bound", "v_operator"), "qexp"),
+                     "hecke_tq", "multiply", "v_operator"), "qexp"),
     **dict.fromkeys(("aux_char_search", "full_report", "herbrand_eigenspace", "ingest_records",
                      "nonprincipality_verdict", "selmer_lower_1mk", "selmer_upper_km1"),
                     "criteria"),

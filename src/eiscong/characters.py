@@ -14,7 +14,7 @@ canonical text form is ``"f:[e1,e2,...]"``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import gcd, lcm
 
@@ -86,21 +86,20 @@ def _dlog_table(f: int) -> dict[int, tuple[int, ...]]:
 # characters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirichletChar:
+class DirichletChar(namedtuple("DirichletChar", "modulus exponents")):
     """A Dirichlet character mod ``modulus`` with exponent vector ``exponents``
-    on :func:`unit_group_generators`."""
+    (a tuple of ints) on :func:`unit_group_generators`."""
 
-    modulus: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = unit_group_generators(self.modulus)
-        if len(self.exponents) != len(gens):
+    def __new__(cls, modulus: int, exponents: tuple[int, ...]):
+        gens = unit_group_generators(modulus)
+        if len(exponents) != len(gens):
             raise ParameterError("exponent vector length does not match generator list")
-        for e, (_, n) in zip(self.exponents, gens):
+        for e, (_, n) in zip(exponents, gens):
             if not 0 <= e < n:
                 raise ParameterError("exponents must be reduced mod generator orders")
+        return super().__new__(cls, modulus, exponents)
 
     # -- invariants ----------------------------------------------------------
 

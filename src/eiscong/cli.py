@@ -177,8 +177,8 @@ def _build_h(p, k, psi, ell, m, sigma, s, prec):
 
 
 def _scan(k, p, sigma, smax):
+    from .exact import sturm_bound
     from .hecke1 import depth_scan
-    from .qexp import sturm_bound
     sigma = _parse_sigma(sigma)
     records, skipped = depth_scan(k, p, sigma, smax)
     return {

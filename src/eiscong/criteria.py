@@ -7,12 +7,16 @@ The criterion compares the congruence depths of Hecke eigensystems against
 the valuation of the congruence-module bound eta(psi, k): when
 sum(depths)/e exceeds f_res * e * val_p(eta) and the opposite-direction
 Selmer group is one-dimensional, the Eisenstein ideal cannot be principal.
+
+``hecke1`` and ``qexp`` are imported by ``ingest_records`` and
+``full_report``, the only functions that use them, so the Selmer and
+auxiliary-character commands load neither.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -26,10 +30,9 @@ from .characters import (
     trivial_char,
 )
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import INF, CycElem, PadicContext, factorize, is_prime, padic_context, valp_cyc, valp_rational
-from .hecke1 import EigensystemRecord, depth_scan, scan_prime_bound
+from .exact import (INF, CycElem, PadicContext, factorize, is_prime, padic_context, valp_cyc,
+                    valp_rational)
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
-from .qexp import build_h
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +106,16 @@ def herbrand_eigenspace(p: int, r: int) -> str:
     return "trivial" if bernoulli_mod(p - r, p) != 0 else "nontrivial"
 
 
-@dataclass(frozen=True)
-class SelmerBoundReport:
-    """Computed bounds on the two Selmer groups entering the criterion."""
+class SelmerBoundReport(namedtuple(
+        "SelmerBoundReport",
+        "p k sigma residue_field_degree lower_bound_1mk dim_chi_inverse_lower"
+        " upper_bound_km1_terms herbrand_status dim_chi_upper")):
+    """Computed bounds on the two Selmer groups entering the criterion.
 
-    p: int
-    k: int
-    sigma: tuple[int, ...]
-    residue_field_degree: int
-    lower_bound_1mk: int
-    dim_chi_inverse_lower: int
-    upper_bound_km1_terms: tuple[tuple[int, int], ...]
-    herbrand_status: str
-    dim_chi_upper: int | None
+    ``upper_bound_km1_terms`` holds one (ell, term) pair per prime of Sigma
+    other than p; ``dim_chi_upper`` is None when no upper bound applies."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -163,18 +163,15 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
 # auxiliary character search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuxCharCertificate:
-    """Outcome of the p-unit auxiliary-character search at conductor ell^m."""
+class AuxCharCertificate(namedtuple(
+        "AuxCharCertificate",
+        "found char conductor val_l_psi_phi val_l_phi_inv context_conductor context_precision"
+        " searched_m_max")):
+    """Outcome of the p-unit auxiliary-character search at conductor ell^m;
+    ``char`` (a DirichletChar), ``conductor`` and the two valuations are None
+    when none was found."""
 
-    found: bool
-    char: DirichletChar | None
-    conductor: int | None
-    val_l_psi_phi: int | None
-    val_l_phi_inv: int | None
-    context_conductor: int
-    context_precision: int
-    searched_m_max: int
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -251,18 +248,14 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
 # the non-principality criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriterionReport:
-    """Verdict of the congruence-counting criterion."""
+class CriterionReport(namedtuple(
+        "CriterionReport",
+        "eta e f_res depth_records depth_sum_over_e valp_congruence_module verdict"
+        " conclusion_text")):
+    """Verdict of the congruence-counting criterion, from an EtaValue and a
+    tuple of EigensystemRecords; the two sums are Fractions."""
 
-    eta: EtaValue
-    e: int
-    f_res: int
-    depth_records: tuple[EigensystemRecord, ...]
-    depth_sum_over_e: Fraction
-    valp_congruence_module: Fraction
-    verdict: str
-    conclusion_text: str
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -338,12 +331,12 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int,
 _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth", "source"}
 
 
-def ingest_records(path, *, p: int | None = None,
-                   weight: int | None = None) -> list[EigensystemRecord]:
+def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> list:
     """Load externally computed eigensystem records (JSON array, or an object
-    with a "records" array).  Depths are re-checked against the supplied
-    eigenvalue residues, and each record's p and weight against the given
-    ones; source is forced to "external"."""
+    with a "records" array) as EigensystemRecords.  Depths are re-checked
+    against the supplied eigenvalue residues, and each record's p and weight
+    against the given ones; source is forced to "external"."""
+    from .hecke1 import EigensystemRecord
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -409,6 +402,8 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
                 assume_nontrivial_extension: bool = False, s_max: int = 3) -> dict:
     """Assemble the full pipeline into one JSON-ready report with sections
     parameters, eta, selmer, aux_char, h_construction, depths, criterion."""
+    from .hecke1 import depth_scan, scan_prime_bound
+    from .qexp import build_h
     sigma = sorted(set(int(x) for x in sigma))
     if p not in sigma:
         raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")

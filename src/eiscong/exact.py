@@ -15,12 +15,18 @@ the lexicographically smallest one (ascending coefficient sequence, entries
 normalized into [0, p)).  The extension is unramified, so e = 1 and the
 pi-adic valuation of an element equals the minimum p-valuation of its
 coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)).
+
+The Sturm bound lives here, with the other elementary number theory, so that
+the level-1 engine (``hecke1``) needs no module but this one and ``errors``.
+The module imports no ``dataclasses``: its plain records are ``namedtuple``
+subclasses, and ``CycElem``, which carries arithmetic and so must not be a
+tuple, is a ``__slots__`` class on ``_Frozen``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import gcd, lcm
@@ -87,6 +93,18 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         out *= (p - 1) * p ** (e - 1)
     return out
+
+
+def sturm_bound(k: int, N: int) -> int:
+    """ceil(k * [SL2(Z) : Gamma0(N)] / 12), for weight k >= 0 and level N >= 1."""
+    if k < 0:
+        raise ParameterError(f"weight k = {k} must be >= 0")
+    if N < 1:
+        raise ParameterError(f"level N = {N} must be >= 1")
+    idx = N
+    for p, _ in factorize(N):
+        idx = idx // p * (p + 1)
+    return -(-k * idx // 12)
 
 
 def mult_order(a: int, n: int) -> int:
@@ -380,8 +398,45 @@ def _substitute(coeffs, e: int, f: int) -> tuple[Fraction, ...]:
     return _reduce_coeffs(out, f, den)
 
 
-@dataclass(frozen=True)
-class CycElem:
+class _Frozen:
+    """Base of the immutable value classes that carry arithmetic, and so must
+    not be tuples (a tuple's ``+`` and ``*`` would concatenate and repeat
+    them).  Subclasses list their fields in ``__slots__`` and set them once,
+    in ``__init__``, through ``object.__setattr__``.  Instances compare and
+    hash as (class, fields), like frozen records."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        """A copy with the named fields replaced, checked like a new instance."""
+        return self.__class__(**{**dict(zip(self.__slots__, self._fields())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return "{}({})".format(type(self).__name__, ", ".join(f"{n}={v!r}" for n, v in fields))
+
+
+class CycElem(_Frozen):
     """An element of Q(zeta_f), reduced mod the f-th cyclotomic polynomial.
 
     ``coeffs`` has length phi(f); entry i is the coefficient of zeta_f^i.
@@ -390,14 +445,15 @@ class CycElem:
     Scalars (int/Fraction) mix freely.
     """
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("conductor", "coeffs")
 
-    def __post_init__(self):
-        if self.conductor < 1 or self.conductor > MAX_CONDUCTOR:
-            raise ConductorTooLargeError(f"conductor {self.conductor} out of range")
-        if len(self.coeffs) != euler_phi(self.conductor):
+    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+        if conductor < 1 or conductor > MAX_CONDUCTOR:
+            raise ConductorTooLargeError(f"conductor {conductor} out of range")
+        if len(coeffs) != euler_phi(conductor):
             raise ParameterError("coefficient vector has wrong length")
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -562,24 +618,20 @@ def lift_common(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:
 # p-adic contexts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree all_factors e",
+                               defaults=(1,))):
     """A fixed prime above p in Q(zeta_f) (p coprime to f), with working
     precision p^s.
 
     ``prime_poly`` is the Hensel lift mod p^s of the selected irreducible
-    factor of the f-th cyclotomic polynomial mod p; the quotient
-    Z[x]/(p^s, prime_poly) is the length-s truncation of the unramified
-    extension of Z_p of degree ``residue_degree``.  Ramification index e = 1.
+    factor of the f-th cyclotomic polynomial mod p, as a tuple of ints; the
+    quotient Z[x]/(p^s, prime_poly) is the length-s truncation of the
+    unramified extension of Z_p of degree ``residue_degree``.
+    ``all_factors`` holds the lifts of every factor.  Ramification index
+    e = 1.
     """
 
-    p: int
-    f: int
-    s: int
-    prime_poly: tuple[int, ...]
-    residue_degree: int
-    all_factors: tuple[tuple[int, ...], ...]
-    e: int = 1
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,19 +22,23 @@ Depths are certified over the primes q up to max(Sturm bound, 13)
 (``scan_prime_bound``); the Sturm bound alone can name no prime at all in
 low weight (it is 1 for weight 12 at level 1), so the floor keeps the scan
 meaningful.
+
+The engine works on integer lists and needs only ``errors`` and ``exact`` at
+module level, so a scan loads no q-series, character or L-function code:
+``miller_basis``, the one function that returns q-expansions, imports
+``QExpansion`` and ``trivial_char`` when it is called.  The records are
+``namedtuple`` subclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .characters import trivial_char
 from .errors import ComputationError, ParameterError
 from .exact import (CycElem, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
-                    _ppow_mod, _psub_mod, _pxgcd_mod, _trim_mod, is_prime, valp_int)
-from .qexp import QExpansion, sturm_bound
+                    _ppow_mod, _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sturm_bound, valp_int)
 
 MIN_SCAN_PRIME_BOUND = 13
 
@@ -65,8 +69,6 @@ def _build_miller_rows(k: int, P: int) -> list[list[int]]:
     Row j starts as E4^a E6^b Delta^j with 4a + 6b = k - 12j: b is fixed by
     k mod 4 and a falls by 3 per row.  Delta = (E4^3 - E6^2)/1728 is integral
     and row j leads with q^j, so back-substitution stays in Z."""
-    if k % 2 or k < 4:
-        raise ParameterError("weight must be even and >= 4")
     dim = dim_modular(k)
     one = [1] + [0] * P
     E4 = [1] + [240 * _sigma(n, 3) for n in range(1, P + 1)]
@@ -99,22 +101,32 @@ _MILLER_ROWS: dict[int, list[list[int]]] = {}
 
 
 def _miller_rows(k: int, P: int) -> list[list[int]]:
-    """Integer Miller rows of M_k with at least P + 1 coefficients each."""
+    """Integer Miller rows of M_k with at least P + 1 coefficients each;
+    the echelon form needs P >= dim M_k - 1."""
+    if k % 2 or k < 4:
+        raise ParameterError("weight must be even and >= 4")
+    if P < dim_modular(k) - 1:
+        raise ParameterError(f"precision P = {P} is below dim M_{k} - 1 = {dim_modular(k) - 1}")
     rows = _MILLER_ROWS.get(k)
     if rows is None or len(rows[0]) <= P:
         rows = _MILLER_ROWS[k] = _build_miller_rows(k, P)
     return rows
 
 
-def miller_basis(k: int, P: int) -> list[QExpansion]:
-    """Echelonized basis of M_k(SL2(Z)): element i has a_j = delta_ij for
-    j < dim.  Elements 1..dim-1 (those with a_0 = 0) span the cusp forms."""
+def miller_basis(k: int, P: int) -> list:
+    """Echelonized basis of M_k(SL2(Z)) as QExpansions to precision P:
+    element i has a_j = delta_ij for j < dim.  Elements 1..dim-1 (those with
+    a_0 = 0) span the cusp forms."""
+    from .characters import trivial_char
+    from .qexp import QExpansion
     return [QExpansion(coefficients=tuple(CycElem.from_rational(c) for c in row[:P + 1]),
                        weight=k, level=1, character=trivial_char(1), label=f"M_{k}[{i}]")
             for i, row in enumerate(_miller_rows(k, P))]
 
 
 def _hecke_int(k: int, n: int, P: int | None = None) -> list[list[int]]:
+    if n < 1:
+        raise ParameterError(f"Hecke index n = {n} must be >= 1")
     ds = dim_cusp(k)
     need = ds * n + 1
     if P is None:
@@ -168,19 +180,14 @@ def _mat_mul(a, b):
 # eigensystems mod p^s
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigensystemRecord:
-    """A Hecke eigensystem with eigenvalue residues mod p^s and, once a depth
-    scan ran, the congruence depth against 1 + psi(q) q^(k-1)."""
+class EigensystemRecord(namedtuple(
+        "EigensystemRecord", "weight level p prime_label eigenvalues depth capped source",
+        defaults=(None, False, "internal"))):
+    """A Hecke eigensystem with eigenvalue residues mod p^s (``eigenvalues``
+    maps each prime q to its residue) and, once a depth scan ran, the
+    congruence depth against 1 + psi(q) q^(k-1) (None before)."""
 
-    weight: int
-    level: int
-    p: int
-    prime_label: str
-    eigenvalues: dict[int, int]
-    depth: int | None = None
-    capped: bool = False
-    source: str = "internal"
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -194,11 +201,10 @@ class EigensystemRecord:
         }
 
 
-@dataclass(frozen=True)
-class SkippedEigensystem:
-    weight: int
-    p: int
-    reason: str
+class SkippedEigensystem(namedtuple("SkippedEigensystem", "weight p reason")):
+    """An eigensystem the scan does not extract, with the reason."""
+
+    __slots__ = ()
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -318,5 +324,5 @@ def depth_scan(k: int, p: int, sigma, s_max: int):
         if not vals:
             raise ComputationError("no primes outside Sigma were recorded")
         depth = min(vals)
-        out.append(replace(rec, depth=depth, capped=depth >= s_max))
+        out.append(rec._replace(depth=depth, capped=depth >= s_max))
     return out, skipped

@@ -17,7 +17,7 @@ over the primes l of Sigma other than p, evaluating psi at its conductor
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -129,15 +129,12 @@ def l_nonpositive(chi: DirichletChar, s: int) -> CycElem:
 # the congruence bound eta
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaValue:
-    """eta(psi, k) together with its pi-adic valuation and the per-factor
-    breakdown (one entry for B_k(psi), one per prime of Sigma - {p})."""
+class EtaValue(namedtuple("EtaValue", "value p valuation_vpi factor_breakdown")):
+    """eta(psi, k) (a CycElem) together with its pi-adic valuation (an int,
+    or INF) and the per-factor breakdown: (name, valuation) pairs, one for
+    B_k(psi), one per prime of Sigma - {p}."""
 
-    value: CycElem
-    p: int
-    valuation_vpi: object  # int or INF
-    factor_breakdown: tuple[tuple[str, object], ...]
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ infinity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,24 +24,29 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import (CycElem, PadicContext, _over_common, _pmul, _reduce_coeffs, _val_json, euler_phi,
-                    factorize, is_prime, valp_cyc)
-from .lfunc import EtaValue, eta, l_nonpositive
+from .exact import (CycElem, PadicContext, _Frozen, _over_common, _pmul, _reduce_coeffs, _val_json,
+                    euler_phi, is_prime, sturm_bound, valp_cyc)
+from .lfunc import eta, l_nonpositive
 
 
 # ---------------------------------------------------------------------------
 # the q-expansion container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QExpansion:
-    """A weight-k, level-N q-series with nebentypus, truncated at q^P."""
+class QExpansion(_Frozen):
+    """A weight-k, level-N q-series with nebentypus, truncated at q^P:
+    ``coefficients`` is a tuple of P + 1 CycElems of one conductor and
+    ``character`` a DirichletChar."""
 
-    coefficients: tuple[CycElem, ...]
-    weight: int
-    level: int
-    character: DirichletChar
-    label: str = ""
+    __slots__ = ("coefficients", "weight", "level", "character", "label")
+
+    def __init__(self, coefficients: tuple[CycElem, ...], weight: int, level: int,
+                 character: DirichletChar, label: str = ""):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "label", label)
 
     @property
     def precision(self) -> int:
@@ -59,15 +64,15 @@ class QExpansion:
     def lift_conductor(self, f: int) -> "QExpansion":
         if f == self.conductor:
             return self
-        return replace(self, coefficients=tuple(c.lift(f) for c in self.coefficients))
+        return self._replace(coefficients=tuple(c.lift(f) for c in self.coefficients))
 
     def scale(self, c) -> "QExpansion":
         """Multiply every coefficient by a scalar (Fraction or CycElem)."""
         if isinstance(c, CycElem):
             f = lcm(self.conductor, c.conductor)
             coeffs = self.lift_conductor(f).coefficients
-            return replace(self, coefficients=_flat_product(coeffs, (c.lift(f),), f, len(coeffs)))
-        return replace(self, coefficients=tuple(x * c for x in self.coefficients))
+            return self._replace(coefficients=_flat_product(coeffs, (c.lift(f),), f, len(coeffs)))
+        return self._replace(coefficients=tuple(x * c for x in self.coefficients))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
@@ -95,14 +100,6 @@ class QExpansion:
 
 def default_precision(k: int, level: int) -> int:
     return max(2 * sturm_bound(k, level), 50)
-
-
-def sturm_bound(k: int, N: int) -> int:
-    """ceil(k * [SL2(Z) : Gamma0(N)] / 12)."""
-    idx = N
-    for p, _ in factorize(N):
-        idx = idx // p * (p + 1)
-    return -(-k * idx // 12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def build_fm(psi: DirichletChar, k: int, ell: int, m: int,
     first = v_operator(E, ell ** (m - 1))
     second = v_operator(E, ell**m).scale(char_eval(psi, ell) * (Fraction(ell) ** k))
     out = first - second
-    return replace(out, level=N * ell**m, label=f"F_{m}")
+    return out._replace(level=N * ell**m, label=f"F_{m}")
 
 
 def build_g(psi: DirichletChar, k: int, phi: DirichletChar,
@@ -263,28 +260,20 @@ def build_g(psi: DirichletChar, k: int, phi: DirichletChar,
     e1 = eisenstein_qexp(1, chi1, P)
     e2 = eisenstein_qexp(k - 1, chi2, P)
     out = multiply(e1, e2)
-    return replace(out, label="G")
+    return out._replace(label="G")
 
 
-@dataclass(frozen=True)
-class HConstructionReport:
-    """Verification record for the cuspidal combination H = F_m - c*G."""
+class HConstructionReport(namedtuple(
+        "HConstructionReport",
+        "weight ell m precision eta scale_valuation a0_is_zero p_integral first_nonintegral_index"
+        " unit_index unit_coeff_valuation congruence_depth congruent_to_fm_mod_eta cusps_vanish"
+        " cusp_count")):
+    """Verification record for the cuspidal combination H = F_m - c*G.
 
-    weight: int
-    ell: int
-    m: int
-    precision: int
-    eta: EtaValue
-    scale_valuation: object
-    a0_is_zero: bool
-    p_integral: bool
-    first_nonintegral_index: int | None
-    unit_index: int
-    unit_coeff_valuation: object
-    congruence_depth: object
-    congruent_to_fm_mod_eta: bool
-    cusps_vanish: bool
-    cusp_count: int
+    ``eta`` is an EtaValue; the valuations are ints or INF, and
+    ``first_nonintegral_index`` is None when H is p-integral."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -354,7 +343,7 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
             "the p-unit condition")
     scale = F.coeff(0) * a0G.inverse()
     S = G.scale(scale)
-    H = replace(F - S, label="H", level=F.level)
+    H = (F - S)._replace(label="H", level=F.level)
 
     unit_index = ell ** (m - 1)
     a0_is_zero = H.coeff(0).is_zero()
@@ -391,17 +380,15 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
 # cusps and closed-form constant terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CuspClass:
+class CuspClass(namedtuple("CuspClass", "u v level")):
     """The cusp [u : v] of Gamma0(level), with gcd(u, v) = 1 and v | level."""
 
-    u: int
-    v: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if gcd(self.u, self.v) != 1:
+    def __new__(cls, u: int, v: int, level: int):
+        if gcd(u, v) != 1:
             raise ParameterError("cusp label needs gcd(u, v) = 1")
+        return super().__new__(cls, u, v, level)
 
 
 def cusps_gamma0(M: int) -> list[CuspClass]:

@@ -192,8 +192,7 @@ def test_verdict_scaling_with_e():
 
 def test_verdict_mixed_records_rejected():
     records = ingest_records(FIXTURE)
-    from dataclasses import replace
-    bad = replace(records[0], weight=12)
+    bad = records[0]._replace(weight=12)
     with pytest.raises(ParameterError):
         nonprincipality_verdict(eta37(), [records[1], bad], 1, 1, 1)
 
@@ -315,3 +314,50 @@ def test_ingest_checks_p_and_weight():
     for kwargs in ({"p": 41, "weight": 32}, {"p": 37, "weight": 12}):
         with pytest.raises(ParameterError):
             ingest_records(FIXTURE, **kwargs)
+
+
+def _record_samples():
+    """name -> a function building one instance of each plain record class."""
+    from eiscong.characters import DirichletChar, parse_char
+    from eiscong.hecke1 import EigensystemRecord, SkippedEigensystem
+    from eiscong.qexp import CuspClass, build_h
+    psi, phi = trivial_char(1), parse_char("31:[15]")
+    return {
+        "DirichletChar": lambda: DirichletChar(31, (15,)),
+        "PadicContext": lambda: padic_context(37, 30, 2)._replace(),
+        "EigensystemRecord": lambda: EigensystemRecord(12, 1, 691, "P1", {2: 667}),
+        "SkippedEigensystem": lambda: SkippedEigensystem(12, 691, "reason"),
+        "EtaValue": eta37,
+        "SelmerBoundReport": lambda: selmer_upper_km1(37, 32, [31, 37], 1),
+        "AuxCharCertificate": lambda: aux_char_search(37, 32, psi, 31, 1),
+        "CriterionReport": lambda: nonprincipality_verdict(
+            eta37(), ingest_records(FIXTURE), 1, 1, 1),
+        "HConstructionReport": lambda: build_h(
+            psi, 32, 31, 1, phi, [31, 37], padic_context(37, 30, 6), 12)[1],
+        "CuspClass": lambda: CuspClass(1, 31, 31),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_record_samples()))
+def test_records_are_frozen_namedtuples(name):
+    make = _record_samples()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name and a == b and a is not b
+    field = a._fields[0]
+    if name not in ("EigensystemRecord", "CriterionReport"):  # these hold a dict
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a).startswith(f"{name}({field}=")
+    assert a._replace(**{field: None}) != a
+
+
+def test_record_checks_run_on_construction():
+    from eiscong.characters import DirichletChar
+    from eiscong.qexp import CuspClass
+    with pytest.raises(ParameterError, match="exponents must be reduced"):
+        DirichletChar(31, (30,))
+    with pytest.raises(ParameterError, match="gcd"):
+        CuspClass(2, 4, 8)

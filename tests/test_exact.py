@@ -1,7 +1,6 @@
 """Base arithmetic: rational valuations, cyclotomic elements, p-adic contexts."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -277,7 +276,7 @@ def test_valp_cyc_matches_valp_rational_on_constants():
 
 def _context_with_factor(ctx: PadicContext, index: int) -> PadicContext:
     """ctx with the index-th lifted factor as its chosen prime."""
-    return replace(ctx, prime_poly=ctx.all_factors[index])
+    return ctx._replace(prime_poly=ctx.all_factors[index])
 
 
 def test_valp_cyc_norm_oracle():
@@ -333,3 +332,44 @@ def test_galois_conjugation_composes_and_commutes_with_lifting():
             a, b, c = rng.choice(units_f), rng.choice(units_f), rng.choice(units_F)
             assert x.galois_conjugate(a).galois_conjugate(b) == x.galois_conjugate(a * b % f)
             assert x.lift(F).galois_conjugate(c) == x.galois_conjugate(c % f).lift(F)
+
+
+def test_sturm_bound_checks_weight_and_level():
+    from eiscong import qexp
+    from eiscong.exact import sturm_bound
+    assert qexp.sturm_bound is sturm_bound
+    assert [sturm_bound(0, 1), sturm_bound(12, 1), sturm_bound(32, 31)] == [0, 1, 86]
+    with pytest.raises(ParameterError, match=r"weight k = -12 must be >= 0"):
+        sturm_bound(-12, 1)
+    with pytest.raises(ParameterError, match=r"level N = 0 must be >= 1"):
+        sturm_bound(12, 0)
+
+
+def test_cycelem_is_a_frozen_value():
+    a, b = CycElem(5, (Fraction(1), Fraction(2), 0, 0)), CycElem.zeta(5) * 2 + 1
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != CycElem.zeta(5) and a != (5, a.coeffs) and a != 1
+
+    class Other(CycElem):
+        __slots__ = ()
+
+    assert Other(5, a.coeffs) != a and a != Other(5, a.coeffs)
+    for name in ("conductor", "coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    assert a._replace(coeffs=(1, 0, 0, 0)) == CycElem.one(5)
+    with pytest.raises(ParameterError):
+        a._replace(coeffs=(1,))
+    assert a == b and repr(a) == "CycElem(cyc5:1,2,0,0)"
+    import copy
+    assert copy.deepcopy(a) == a and copy.copy(a) == a
+
+
+def test_cycelem_is_not_a_tuple():
+    a = CycElem.zeta(5)
+    for op in (lambda: a + (1,), lambda: (1,) + a, lambda: len(a), lambda: a[0]):
+        with pytest.raises(TypeError):
+            op()
+    assert 2 * a == a + a

@@ -439,3 +439,23 @@ def test_high_weight_scan_matches_the_recorded_records(k, p, s):
          "depth": 0, "source": "internal", "capped": False}
         for label, values in expected.items()]
     assert [sk.reason for sk in skipped] == reasons
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_hecke_index_below_one_is_a_parameter_error(n):
+    # n = 0 gave the zero matrix and n = -1 read negative list indices
+    with pytest.raises(ParameterError, match=f"Hecke index n = {n} must be >= 1"):
+        hecke_matrix(24, n)
+
+
+@pytest.mark.parametrize("k, P", [(12, 0), (24, 1), (24, -3)])
+def test_miller_precision_below_dim_minus_one_is_a_parameter_error(monkeypatch, k, P):
+    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
+    with pytest.raises(ParameterError, match=f"precision P = {P} is below dim M_{k} - 1"):
+        miller_basis(k, P)
+    miller_basis(k, 40)  # the rows are now cached at a larger precision
+    with pytest.raises(ParameterError, match="precision"):
+        miller_basis(k, P)
+    basis = miller_basis(k, dim_modular(k) - 1)
+    assert [[c.as_rational() for c in f.coefficients] for f in basis] == [
+        [int(i == j) for j in range(dim_modular(k))] for i in range(dim_modular(k))]

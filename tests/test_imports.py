@@ -68,3 +68,57 @@ print(json.dumps({{"loaded": loaded, "homes": homes, "dir": sorted(dir(eiscong))
     assert got["star"] == sorted(got["all"])
     assert set(got["all"]) <= set(got["dir"])
     assert got["missing"] == "module 'eiscong' has no attribute 'no_such_name'"
+
+
+# One cache miss per argument string, in one fresh interpreter started with -S
+# so that no site hook (a .pth file) preloads modules: the exit codes, the
+# eiscong modules loaded and whether `dataclasses` was loaded.
+MISSES = ("import json, sys; from eiscong.cli import main; "
+          "codes = [main(['--no-cache', *argv.split()]) for argv in sys.argv[1:]]; "
+          f"print(json.dumps([codes, {LOADED}, 'dataclasses' in sys.modules]))")
+
+SCAN = "scan --k 84 --p 233 --sigma 233"
+BUILD_H = "build-h --p 37 --k 32 --ell 31 --sigma 31,37 --prec 20"
+SELMER = "selmer --p 37 --k 32 --sigma 31,37"
+AUX_CHAR = "aux-char --p 37 --k 32 --ell 31"
+
+
+def misses(*commands: str):
+    run = subprocess.run([sys.executable, "-S", "-c", MISSES, *commands], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    codes, loaded, dataclasses = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    return loaded, dataclasses
+
+
+def test_a_scan_miss_loads_exact_and_hecke1_alone():
+    assert misses(SCAN) == (["eiscong", "eiscong.cli", "eiscong.errors", "eiscong.exact",
+                             "eiscong.hecke1"], False)
+
+
+def test_selmer_aux_char_and_build_h_misses_do_not_load_hecke1():
+    for command in (SELMER, AUX_CHAR):
+        loaded, _ = misses(command)
+        assert "eiscong.criteria" in loaded and "eiscong.hecke1" not in loaded, command
+        assert "eiscong.qexp" not in loaded, command
+    loaded, _ = misses(BUILD_H)
+    assert "eiscong.qexp" in loaded and "eiscong.hecke1" not in loaded
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    from eiscong.cli import COMMANDS, fixture_path
+    commands = {
+        "bernoulli": "bernoulli --n 12", "eta": "eta --p 37 --k 32 --sigma 31,37",
+        "chars": "chars --f 31", "eisenstein": "eisenstein --l 12 --prec 5",
+        "build-h": BUILD_H, "scan": SCAN, "selmer": SELMER, "aux-char": AUX_CHAR,
+        "kummer": "kummer --p 37 --k 32",
+        "criterion": f"criterion --p 37 --k 32 --sigma 31,37 --records "
+                     f"{fixture_path('example37.json')} --assume-nontrivial-extension",
+        "report": "report --p 691 --k 12 --sigma 691 --prec 10",
+        "example37": "example37 --prec 10",
+        "verify-cache": f"--cache-dir {tmp_path} verify-cache",
+    }
+    assert commands.keys() == COMMANDS.keys()
+    loaded, dataclasses = misses(*commands.values())
+    assert "eiscong.qexp" in loaded and "eiscong.hecke1" in loaded
+    assert not dataclasses

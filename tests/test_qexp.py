@@ -350,3 +350,24 @@ def test_sturm_bound():
     assert sturm_bound(12, 1) == 1
     assert sturm_bound(32, 1) == 3
     assert sturm_bound(32, 31) == 86
+
+
+def test_qexpansion_is_a_frozen_value_not_a_sequence():
+    f, g = eisenstein_qexp(4, trivial_char(1), 5), eisenstein_qexp(4, trivial_char(1), 5)
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert f != f._replace(label="other") and f != eisenstein_qexp(4, trivial_char(1), 4)
+
+    class Other(QExpansion):
+        __slots__ = ()
+
+    assert Other(f.coefficients, 4, 1, f.character, f.label) != f
+    with pytest.raises(AttributeError):
+        f.weight = 6
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    for op in (lambda: 2 * f, lambda: f * 2, lambda: f + (1,), lambda: len(f), lambda: f[0]):
+        with pytest.raises(TypeError):
+            op()
+    assert repr(f).startswith("QExpansion(coefficients=(CycElem(1/240), CycElem(1), ")
+    assert repr(f).endswith(", weight=4, level=1, character=DirichletChar(modulus=1, "
+                            "exponents=()), label='E_4(1:[])')")
