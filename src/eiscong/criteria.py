@@ -205,9 +205,10 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
         raise ParameterError("ell must be an odd prime different from p")
     if k < 2:
         raise ParameterError("weight must be >= 2")
+    if m_max < 1:
+        raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
     psi = primitive_char(psi)
     parity = (-1) ** (k - 1)
-    ctx_m = None
     for m in range(1, m_max + 1):
         # per-conductor context; first-found stability keeps the result
         # independent of m_max
@@ -239,8 +240,7 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     return AuxCharCertificate(
         found=False, char=None, conductor=None,
         val_l_psi_phi=None, val_l_phi_inv=None,
-        context_conductor=ctx_m.f if ctx_m else 0,
-        context_precision=ctx_m.s if ctx_m else s,
+        context_conductor=ctx_m.f, context_precision=ctx_m.s,
         searched_m_max=m_max)
 
 

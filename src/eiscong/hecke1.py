@@ -2,18 +2,20 @@
 M_k(SL2(Z)), Hecke matrices on the cuspidal subspace, eigensystem extraction
 mod p^s, and congruence-depth scans.
 
-Eigensystem extraction is restricted to simple roots of charpoly(T_2) mod p
-that lie in the prime field.  They are the linear factors of the gcd of
-charpoly(T_2) with x^p - x over F_p, split by equal-degree factorization;
-repeated division gives each root's multiplicity and the degree left over
-outside the prime field.  Each simple root is Hensel-lifted to alpha mod p^s
-together with its cofactor h.  The local Hecke algebra at a simple root is
-Z_p, so the alpha-eigenline is spanned by the normalised eigenform: a column
-v of h(T_2) with a unit first coordinate v_0 = a_1 is a unit multiple of it,
-and every eigenvalue is read off its q-expansion, a_q = a_q(v) / v_0, through
-the pairing (T, f) -> a_1(T f) of the Hecke algebra with integral cusp forms
-(Stein, *Modular Forms: A Computational Approach*).  No Hecke matrix but T_2
-is built, and the Miller basis only to precision max(2 dim + 1, largest
+The whole extraction runs on residues mod p^s: charpoly(T_2) comes from
+Berkowitz's division-free recurrence in Z/p^s, never over Q.  Extraction is
+restricted to simple roots of charpoly(T_2) mod p that lie in the prime
+field.  They are the linear factors of the gcd of charpoly(T_2) with x^p - x
+over F_p, split by equal-degree factorization; repeated division gives each
+root's multiplicity and the degree left over outside the prime field.  Each
+simple root is Hensel-lifted to alpha mod p^s together with its cofactor h.
+The local Hecke algebra at a simple root is Z_p, so the alpha-eigenline is
+spanned by the normalised eigenform: a column v of h(T_2) with a unit first
+coordinate v_0 = a_1 is a unit multiple of it, and every eigenvalue is read
+off its q-expansion, a_q = a_q(v) / v_0, through the pairing
+(T, f) -> a_1(T f) of the Hecke algebra with integral cusp forms (Stein,
+*Modular Forms: A Computational Approach*).  No Hecke matrix but T_2 is
+built, and the Miller basis only to precision max(2 dim + 1, largest
 recorded prime).  Roots of larger residue degree or with repeated reduction
 are reported as skipped; such eigensystems enter through the external-record
 ingestion path instead.
@@ -33,8 +35,8 @@ module level, so a scan loads no q-series, character or L-function code:
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import ComputationError, ParameterError
 from .exact import (CycElem, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
@@ -124,7 +126,14 @@ def miller_basis(k: int, P: int) -> list:
             for i, row in enumerate(_miller_rows(k, P))]
 
 
-def _hecke_int(k: int, n: int, P: int | None = None) -> list[list[int]]:
+def hecke_matrix(k: int, n: int, P: int | None = None) -> list[list[int]]:
+    """Matrix of T_n on the cuspidal echelon basis of S_k(SL2(Z)), via
+    a_m(T_n f) = sum_{d | gcd(m,n)} d^(k-1) a_(mn/d^2)(f).
+
+    Entry [i][j] is the f_(i+1)-coordinate of T_n f_(j+1).  Precision P must
+    reach dim * n (defaulted when omitted).  The entries are integers,
+    computed on the integer Miller basis (built once per weight and process).
+    """
     if n < 1:
         raise ParameterError(f"Hecke index n = {n} must be >= 1")
     ds = dim_cusp(k)
@@ -137,43 +146,6 @@ def _hecke_int(k: int, n: int, P: int | None = None) -> list[list[int]]:
     return [[sum(d ** (k - 1) * f[m * n // (d * d)]
                  for d in range(1, gcd(m, n) + 1) if m % d == 0 and n % d == 0)
              for f in cusp] for m in range(1, ds + 1)]
-
-
-def hecke_matrix(k: int, n: int, P: int | None = None) -> list[list[Fraction]]:
-    """Matrix of T_n on the cuspidal echelon basis of S_k(SL2(Z)), via
-    a_m(T_n f) = sum_{d | gcd(m,n)} d^(k-1) a_(mn/d^2)(f).
-
-    Entry [i][j] is the f_(i+1)-coordinate of T_n f_(j+1).  Precision P must
-    reach dim * n (defaulted when omitted).  The entries are integers,
-    computed on the integer Miller basis (built once per weight and process)
-    and returned as Fractions.
-    """
-    return [[Fraction(c) for c in row] for row in _hecke_int(k, n, P)]
-
-
-def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), ascending coefficients, via
-    Newton's identities on the power-sum traces (exact, dims are tiny)."""
-    n = len(matrix)
-    if n == 0:
-        return [Fraction(1)]
-    cur = [[int(i == j) for j in range(n)] for i in range(n)]  # an int matrix stays in ints
-    traces = []
-    for _ in range(n):
-        cur = _mat_mul(cur, matrix)
-        traces.append(sum(cur[i][i] for i in range(n)))
-    e = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * traces[i - 1]
-        e.append(acc / m)
-    return [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
-
-
-def _mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +189,25 @@ def scan_prime_bound(k: int) -> int:
 
 
 def _mat_vec(matrix, v, mod):
-    return [sum(a * b for a, b in zip(row, v)) % mod for row in matrix]
+    return [sum(map(mul, row, v)) % mod for row in matrix]
+
+
+def charpoly(matrix: list[list[int]], m: int) -> list[int]:
+    """det(xI - A) mod m, ascending coefficients, by Berkowitz's division-free
+    recurrence (Inf. Proc. Letters 18, 1984), so any modulus m works.
+
+    Write the leading (r+1) x (r+1) block of A as [[A_r, c], [row, a]].  Its
+    charpoly is the Toeplitz product of the lower-triangular band
+    (1, -a, -row c, -row A_r c, ..., -row A_r^(r-1) c) with that of A_r.
+    """
+    f = [1]  # descending coefficients of det(xI - A_r)
+    for r, row in enumerate(matrix):
+        v, t = [matrix[i][r] for i in range(r)], [1, -row[r]]
+        for _ in range(r):  # map stops at len(v): each row is cut to A_r's columns
+            t.append(-sum(map(mul, row, v)))
+            v = _mat_vec(matrix[:r], v, m)
+        f = [sum(t[i - j] * f[j] for j in range(min(i, r) + 1)) % m for i in range(r + 2)]
+    return f[::-1]
 
 
 def _eigenline(T2, h, p, mod):
@@ -255,8 +245,8 @@ def eigensystems_mod(k: int, p: int, s: int):
     # one basis build: T_2 needs a_1..a_(2 dim), the read-off a_q for q <= primes[-1]
     cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]))[1:]
     mod = p**s
-    T2 = [[x % mod for x in row] for row in _hecke_int(k, 2)]
-    f = [int(c) for c in charpoly(T2)]  # congruent to charpoly(T_2) mod p^s
+    T2 = [[x % mod for x in row] for row in hecke_matrix(k, 2)]
+    f = charpoly(T2, mod)
     fb = _trim_mod(f, p)
     # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
     lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]

@@ -263,4 +263,12 @@ def test_criterion_11_property_suites():
                     for j in range(d):
                         assert Tq2[i][j] == sq[i][j] - (
                             Fraction(q) ** (k - 1) if i == j else 0)
-            assert all(c.denominator == 1 for c in charpoly(T2))
+            # Cayley-Hamilton: charpoly(T_2, m) annihilates T_2 mod m, also for m = p^s
+            # with p <= dim, where Newton's identities would divide by p
+            d = len(T2)
+            for m in (2, 3**3, 37**3):
+                acc = [[0] * d for _ in range(d)]
+                for c in reversed(charpoly(T2, m)):
+                    acc = [[(x + c * (i == j)) % m for j, x in enumerate(row)]
+                           for i, row in enumerate(matmul(acc, T2))]
+                assert acc == [[0] * d for _ in range(d)], (k, m)

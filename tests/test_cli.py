@@ -290,6 +290,30 @@ def test_scan_weight_must_be_even_and_non_negative(capsys):
                                    "message": f"weight k = {k} must be even and >= 0"}
 
 
+def _assert_m_max_rejected(capsys, *command):
+    code, out, err = run_cli(capsys, "--no-cache", *command, "--p", "37", "--k", "32")
+    assert (code, out) == (1, ""), command
+    assert json.loads(err) == {
+        "error": "parameter",
+        "message": f"conductor exponent bound m_max = {command[-1]} must be >= 1"}
+
+
+def test_aux_char_mmax_below_one_is_a_parameter_error(capsys):
+    # before: an empty search printed "context_conductor": 0 with exit 0
+    for mmax in ("0", "-1"):
+        _assert_m_max_rejected(capsys, "aux-char", "--ell", "101", "--mmax", mmax)
+
+
+def test_report_mmax_below_one_is_a_parameter_error(capsys):
+    # before: the report carried the empty search's certificate, exit 0
+    _assert_m_max_rejected(capsys, "report", "--sigma", "37,101", "--mmax", "0")
+
+
+def test_build_h_m_below_one_is_a_parameter_error(capsys):
+    # before: exit 2 with a "computation" error about a search that never ran
+    _assert_m_max_rejected(capsys, "build-h", "--ell", "101", "--sigma", "37,101", "--m", "0")
+
+
 def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
     args = ("bernoulli", "--n", "12")
     _, expected, _ = run_cli(capsys, "--no-cache", *args)

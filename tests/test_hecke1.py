@@ -1,6 +1,8 @@
 """Level-1 Hecke engine: echelon basis, Hecke matrices, eigensystems mod p^s,
 and depth scans."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from eiscong import hecke1
 from eiscong.errors import ComputationError, ParameterError
 from eiscong.hecke1 import (
-    _hecke_int,
     charpoly,
     depth_scan,
     dim_cusp,
@@ -80,6 +81,7 @@ def test_eigensystems_reject_odd_or_negative_weight():
 
 def test_hecke_matrix_frozen():
     assert hecke_matrix(12, 2) == [[Fraction(-24)]]
+    assert type(hecke_matrix(12, 2)[0][0]) is int
     assert hecke_matrix(12, 6) == [[Fraction(-24 * 252)]]
     assert hecke_matrix(12, 1) == [[Fraction(1)]]
     assert hecke_matrix(32, 1) == [[Fraction(1), Fraction(0)],
@@ -117,16 +119,36 @@ def test_tq_squared_identity(k):
                 assert Tq2[i][j] == expected
 
 
+def newton_charpoly(matrix):
+    """Reference det(xI - A) over Q, ascending coefficients, by Newton's
+    identities on the traces of A, A^2, ..., A^n: step m divides by m, so it
+    needs Q and cannot run mod p^s when p <= n."""
+    n = len(matrix)
+    cur, traces = [[int(i == j) for j in range(n)] for i in range(n)], []
+    for _ in range(n):
+        cur = _matmul(cur, matrix)
+        traces.append(sum(cur[i][i] for i in range(n)))
+    e = [Fraction(1)]
+    for m in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * traces[i - 1] for i in range(1, m + 1)) / m)
+    return [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
+
+
 @pytest.mark.parametrize("k", [12, 16, 20, 24, 26, 28, 30, 32, 34, 36, 38, 40])
 def test_charpoly_integer_coefficients(k):
+    # the reference over Q is integral, and charpoly mod m is its reduction
     for n in (2, 3):
-        for c in charpoly(hecke_matrix(k, n)):
-            assert c.denominator == 1, (k, n)
+        Tn = hecke_matrix(k, n)
+        reference = newton_charpoly(Tn)
+        assert all(c.denominator == 1 for c in reference), (k, n)
+        for m in (2, 3**4, 37**3):
+            assert charpoly(Tn, m) == [int(c) % m for c in reference], (k, n, m)
 
 
 def test_charpoly_t2_weight32():
-    cp = charpoly(hecke_matrix(32, 2))
+    cp = newton_charpoly(hecke_matrix(32, 2))
     assert cp == [Fraction(-2235350016), Fraction(-39960), Fraction(1)]
+    assert charpoly(hecke_matrix(32, 2), 37**3) == [-2235350016 % 37**3, -39960 % 37**3, 1]
     # oracle: roots mod 37 by exhaustive scan
     roots = [r for r in range(37) if (r * r - 39960 * r - 2235350016) % 37 == 0]
     assert sorted(roots) == [14, 23]
@@ -134,11 +156,16 @@ def test_charpoly_t2_weight32():
 
 
 def test_charpoly_of_an_int_matrix_matches_fractions():
-    assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
-    for matrix in ([[1, 2], [3, 4]], hecke1._hecke_int(84, 2), hecke1._hecke_int(110, 2)):
-        cp = charpoly(matrix)
-        assert cp == charpoly([[Fraction(c) for c in row] for row in matrix])
-        assert all(type(c) is Fraction for c in cp)
+    assert newton_charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
+    assert charpoly([[1, 2], [3, 4]], 7) == [5, 2, 1]
+    assert charpoly([], 7) == [1]
+    for matrix in ([[1, 2], [3, 4]], hecke_matrix(84, 2), hecke_matrix(110, 2)):
+        reference = newton_charpoly([[Fraction(c) for c in row] for row in matrix])
+        assert all(type(c) is Fraction for c in reference)
+        for m in (3, 3**5, 1000003**2):
+            cp = charpoly(matrix, m)
+            assert cp == [int(c) % m for c in reference]
+            assert all(type(c) is int for c in cp)
 
 
 def test_hecke_action_on_cusp_expansion():
@@ -260,10 +287,10 @@ def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
         heckes.append(n)
         return hecke(k, n, P)
 
-    build, hecke = hecke1._build_miller_rows, hecke1._hecke_int
+    build, hecke = hecke1._build_miller_rows, hecke1.hecke_matrix
     monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
     monkeypatch.setattr(hecke1, "_build_miller_rows", counting)
-    monkeypatch.setattr(hecke1, "_hecke_int", counting_hecke)
+    monkeypatch.setattr(hecke1, "hecke_matrix", counting_hecke)
     recs, skipped = depth_scan(110, 157, {157}, 3)
     # max(2 dim + 1, largest recorded prime) = max(2 * 8 + 1, 13)
     assert builds == [(110, 17)]
@@ -297,10 +324,13 @@ def test_precision_guard_after_a_larger_build():
 def test_charpoly_t2_matches_sympy(k):
     sympy = pytest.importorskip("sympy")
     T2 = hecke_matrix(k, 2)
-    x = sympy.Symbol("x")
-    expected = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
-                             for row in T2]).charpoly(x).all_coeffs()
-    assert charpoly(T2) == [Fraction(int(c)) for c in reversed(expected)]
+    expected = sympy.Matrix(T2).charpoly(sympy.Symbol("x")).all_coeffs()
+    expected = [int(c) for c in reversed(expected)]
+    assert newton_charpoly(T2) == expected
+    # p <= dim, where Newton's identities would divide by p, and a large prime power
+    small = [p for p in (2, 3, 5, 7) if p <= len(T2)]
+    for m in (*small, *(p**3 for p in small), 1000003**4):
+        assert charpoly(T2, m) == [c % m for c in expected], m
 
 
 def _horner(poly, x, m):
@@ -335,8 +365,8 @@ def scan_eigensystems(k, p, s):
     charpoly(T_2), simple roots Newton-lifted, the eigenline read off a
     column of h(T_2) with h = charpoly / (x - alpha) by synthetic division.
     Returns ([(alpha, vector, unit_index)], skip reasons)."""
-    T2 = _hecke_int(k, 2)
-    f = [int(c) for c in charpoly(T2)]
+    T2 = hecke_matrix(k, 2)
+    f = [int(c) for c in newton_charpoly(T2)]
     mod = p**s
     fb = [c % p for c in f]
     deriv = [i * c % p for i, c in enumerate(fb)][1:]
@@ -373,7 +403,7 @@ def recorded_primes(k):
 def reference_eigenvalue(k, q, vector, unit_index, mod):
     """a_q read off the T_q matrix: T_q v / v[unit_index], after checking
     that v is an eigenvector of T_q mod `mod`."""
-    w = [sum(a * b for a, b in zip(row, vector)) % mod for row in _hecke_int(k, q)]
+    w = [sum(a * b for a, b in zip(row, vector)) % mod for row in hecke_matrix(k, q)]
     lam = w[unit_index] * pow(vector[unit_index], -1, mod) % mod
     assert all((x - lam * y) % mod == 0 for x, y in zip(w, vector)), (k, q)
     return lam
@@ -392,6 +422,25 @@ def test_extraction_matches_the_root_scan_reference(k):
         assert [s.reason for s in skipped] == reasons, p
 
 
+# sha256 of the records and skip reasons of depth_scan(k, p, {p}, s) on the
+# grid below, as compact JSON with sorted keys; recorded with charpoly(T_2)
+# from Newton's identities over Q.
+SCAN_GRID_SHA256 = "e901bc8083cecef4a949482eb8bcf5039b61f959079d93c3f10b44075a01be50"
+
+
+def test_scan_grid_matches_the_recorded_digest():
+    cases = [{"k": k, "p": p, "s": s,
+              "records": [r.as_dict() | {"capped": r.capped} for r in recs],
+              "skipped": [sk.reason for sk in skipped]}
+             for k in range(12, 171, 2)
+             for p in (3, 5, 7, 11, 13, 37, 131, 157, 233, 691, 3617)
+             for s in (1, 3)
+             for recs, skipped in [depth_scan(k, p, {p}, s)]]
+    assert len(cases) == 1760
+    text = json.dumps(cases, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_GRID_SHA256
+
+
 def test_depth_scan_beyond_a_million():
     # no O(p) root scan: the roots come from gcd(f, x^p - x)
     recs, skipped = depth_scan(12, 1000003, {1000003}, 2)
@@ -399,11 +448,12 @@ def test_depth_scan_beyond_a_million():
     assert recs[0].eigenvalues[2] == -24 % 1000003 ** 2
 
 
-# Records of two high-weight scans, recorded with the former read-off of
-# each a_q from a dim x dim T_q matrix on a Miller basis to precision
-# dim * 23 + 1 (k = 284) and dim * 31 + 1 (k = 400): the label and the
-# eigenvalues a_q mod p^s for the primes q up to the scan bound, every
-# depth 0 and uncapped.
+# Records of high-weight scans: the label and the eigenvalues a_q mod p^s
+# for the primes q up to the scan bound, every record uncapped and of depth 0
+# unless HIGH_WEIGHT_DEPTHS says otherwise.  k = 284 and 400 were recorded
+# with the former read-off of each a_q from a dim x dim T_q matrix on a
+# Miller basis to precision dim * 23 + 1 and dim * 31 + 1; k = 800 (dim 66)
+# with charpoly(T_2) from Newton's identities over Q.
 HIGH_WEIGHT_SCANS = {
     (284, 37, 3): ({
         "T2-root-8": [13809, 16930, 50645, 4707, 34236, 29865, 35343, 26401, 23168],
@@ -425,7 +475,39 @@ HIGH_WEIGHT_SCANS = {
                         126049, 163590, 30026],
     }, ["charpoly(T_2) has an irreducible factor of degree 32 mod 409; "
         "eigenvalues outside the prime field are not extracted"]),
+    (800, 37, 2): ({
+        "T2-root-0": [777, 915, 555, 1322, 700, 55, 655, 102, 852, 1, 235, 0, 608, 433, 558,
+                      1143, 1347, 480, 40],
+        "T2-root-5": [708, 489, 1354, 790, 335, 1107, 1226, 227, 24, 1303, 452, 0, 942, 1090,
+                      765, 131, 1286, 374, 1077],
+        "T2-root-7": [340, 1274, 441, 576, 554, 1293, 351, 1138, 75, 529, 1084, 0, 1112, 453,
+                      1227, 1134, 183, 386, 786],
+        "T2-root-15": [718, 661, 435, 886, 1172, 1037, 47, 175, 1336, 772, 636, 0, 1042, 143,
+                       936, 161, 1116, 716, 1106],
+        "T2-root-17": [794, 414, 174, 1205, 703, 417, 193, 1259, 204, 189, 104, 0, 1180, 190,
+                       1273, 585, 726, 632, 515],
+        "T2-root-18": [1165, 375, 241, 997, 1048, 551, 53, 173, 15, 416, 340, 0, 1326, 143, 85,
+                       272, 114, 1301, 1225],
+        "T2-root-19": [1314, 5, 425, 1071, 197, 1040, 391, 456, 1095, 768, 1288, 0, 1104, 523,
+                       640, 1012, 293, 1215, 152],
+        "T2-root-20": [649, 303, 381, 243, 999, 27, 954, 1035, 55, 1328, 340, 0, 1143, 1105,
+                       1273, 30, 1013, 922, 478],
+        "T2-root-22": [1354, 1364, 971, 331, 765, 1220, 545, 232, 403, 671, 1251, 0, 635, 893,
+                       862, 1160, 179, 838, 625],
+        "T2-root-24": [283, 811, 47, 931, 62, 1195, 300, 428, 1225, 661, 303, 0, 283, 883, 566,
+                       1108, 260, 982, 1022],
+        "T2-root-30": [141, 1200, 1335, 58, 258, 594, 759, 342, 295, 507, 1284, 0, 557, 583,
+                       302, 172, 705, 1242, 1304],
+        "T2-root-32": [1179, 1007, 681, 1160, 39, 336, 809, 143, 1234, 214, 140, 0, 572, 908,
+                       543, 316, 1045, 1291, 670],
+        "T2-root-34": [589, 1062, 681, 564, 749, 1076, 1254, 1239, 95, 121, 214, 0, 1144, 668,
+                       244, 873, 330, 2, 243],
+    }, [*(f"repeated root {r} of charpoly(T_2) mod 37"
+          for r in (1, 2, 3, 6, 8, 11, 16, 21, 26, 29, 31, 35, 36)),
+        "charpoly(T_2) has an irreducible factor of degree 17 mod 37; "
+        "eigenvalues outside the prime field are not extracted"]),
 }
+HIGH_WEIGHT_DEPTHS = {(800, 37, 2): {"T2-root-18": 1}}
 
 
 @pytest.mark.parametrize("k, p, s", list(HIGH_WEIGHT_SCANS))
@@ -436,7 +518,8 @@ def test_high_weight_scan_matches_the_recorded_records(k, p, s):
     assert [r.as_dict() | {"capped": r.capped} for r in recs] == [
         {"weight": k, "level": 1, "p": p, "prime_label": label,
          "eigenvalues": {str(q): str(a) for q, a in zip(primes, values)},
-         "depth": 0, "source": "internal", "capped": False}
+         "depth": HIGH_WEIGHT_DEPTHS.get((k, p, s), {}).get(label, 0),
+         "source": "internal", "capped": False}
         for label, values in expected.items()]
     assert [sk.reason for sk in skipped] == reasons
 
