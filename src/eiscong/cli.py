@@ -185,8 +185,7 @@ def _scan(k, p, sigma, smax):
         "k": k, "p": p, "sigma": sigma, "s_max": smax,
         "sturm_bound": sturm_bound(k, 1),
         "records": [r.as_dict() | {"capped": r.capped} for r in records],
-        "skipped": [{"weight": sk.weight, "p": sk.p, "reason": sk.reason}
-                    for sk in skipped],
+        "skipped": [sk._asdict() for sk in skipped],
     }
 
 

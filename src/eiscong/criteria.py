@@ -20,17 +20,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .characters import (
-    DirichletChar,
-    char_eval,
-    char_inverse,
-    char_product,
-    enumerate_chars,
-    primitive_char,
-    trivial_char,
-)
+from .characters import DirichletChar, char_inverse, char_product, enumerate_chars, primitive_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import (INF, CycElem, PadicContext, factorize, is_prime, padic_context, valp_cyc,
+from .exact import (INF, euler_phi, factorize, is_prime, padic_context, valp_cyc, valp_int,
                     valp_rational)
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
 
@@ -62,36 +54,16 @@ def selmer_lower_1mk(p: int, k: int, sigma, f_res: int) -> int:
     return f_res * total
 
 
-def local_factor(ell: int, n: int, p: int, psi: DirichletChar, mode: str,
-                 ctx: PadicContext | None = None):
-    """Correction exponent for adding the prime ell to the ramification set.
-
-    mode "lemma21": the full valuation val(psi(ell) ell^(n+1) - 1), computed
-    in the coefficient ring of psi (a context is required when psi is
-    nontrivial).  mode "lemma11": min(val_p(ell^(n+1) - 1), 1); valid only
-    for trivial psi with ell != 1 mod p.
-    """
+def local_factor(ell: int, n: int, p: int) -> int:
+    """Correction exponent for adding the prime ell to the ramification set
+    (lemma 11): min(val_p(ell^(n+1) - 1), 1), valid for ell != 1 mod p."""
     if n == 0:
         raise ParameterError("n must be nonzero")
     if not is_prime(ell) or ell == p:
         raise ParameterError("ell must be a prime different from p")
-    psi = primitive_char(psi)
-    if mode == "lemma11":
-        if not psi.is_trivial():
-            raise ParameterError("lemma11 mode requires trivial psi")
-        if ell % p == 1:
-            raise ParameterError(f"lemma11 requires ell != 1 mod p (got ell = {ell})")
-        return _min_val1(Fraction(ell) ** (n + 1) - 1, p)
-    if mode == "lemma21":
-        if psi.is_trivial():
-            x = Fraction(ell) ** (n + 1) - 1
-            v = valp_rational(x, p)
-            return v if v == INF else int(v)
-        if ctx is None:
-            raise ParameterError("lemma21 with nontrivial psi needs a PadicContext")
-        val = char_eval(psi, ell).lift(ctx.f) * (Fraction(ell) ** (n + 1)) - CycElem.one(ctx.f)
-        return valp_cyc(val, ctx)
-    raise ParameterError(f"unknown mode {mode!r}")
+    if ell % p == 1:
+        raise ParameterError(f"lemma11 requires ell != 1 mod p (got ell = {ell})")
+    return _min_val1(Fraction(ell) ** (n + 1) - 1, p)
 
 
 def herbrand_eigenspace(p: int, r: int) -> str:
@@ -149,7 +121,7 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
     for ell in sigma_t:
         if ell == p:
             continue
-        terms.append((ell, local_factor(ell, 1 - k, p, trivial_char(1), "lemma11")))
+        terms.append((ell, local_factor(ell, 1 - k, p)))
     dim_upper = (1 + sum(t for _, t in terms)) if status == "trivial" else None
     lower = selmer_lower_1mk(p, k, sigma_t, f_res)
     return SelmerBoundReport(
@@ -186,11 +158,6 @@ class AuxCharCertificate(namedtuple(
         }
 
 
-def _carmichael_odd_prime_power(ell: int, m: int) -> int:
-    """Exponent of (Z/ell^m)^* for odd prime ell."""
-    return (ell - 1) * ell ** (m - 1)
-
-
 def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
                     s: int = 6) -> AuxCharCertificate:
     """First character phi of conductor ell^m (m <= m_max) with
@@ -212,7 +179,7 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     for m in range(1, m_max + 1):
         # per-conductor context; first-found stability keeps the result
         # independent of m_max
-        f_work = lcm(psi.order, _carmichael_odd_prime_power(ell, m))
+        f_work = lcm(psi.order, euler_phi(ell**m))
         if f_work % p == 0:
             raise ParameterError(
                 f"value field conductor {f_work} is divisible by p = {p}")
@@ -373,6 +340,8 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
             raise ParameterError(
                 f"{where}: p = {rec_p}, weight = {rec_weight} does not match "
                 f"p = {p}, k = {weight}")
+        if not is_prime(rec_p):
+            raise ParameterError(f"{where}: p = {rec_p} is not prime")
         sigma = {rec_p} | {q for q, _ in factorize(level)}
         residual_vals = []
         for q, aq in evs.items():
@@ -380,8 +349,7 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
                 continue
             r = aq - (1 + q ** (rec_weight - 1))
             if r != 0:
-                v = valp_rational(Fraction(r), rec_p)
-                residual_vals.append(int(v))
+                residual_vals.append(valp_int(r, rec_p))
         if residual_vals and min(residual_vals) != depth:
             raise SchemaError(
                 f"{where}: depth {depth} inconsistent with eigenvalues "
@@ -407,6 +375,8 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     sigma = sorted(set(int(x) for x in sigma))
     if p not in sigma:
         raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
+    if m_max < 1:
+        raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
     psi = primitive_char(psi)
 
     report: dict = {}
@@ -453,8 +423,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
             "prime_bound": scan_prime_bound(k),
             "note": "depths verified over recorded primes up to the scan bound",
             "records": [r.as_dict() for r in internal_records],
-            "skipped": [{"weight": sk.weight, "p": sk.p, "reason": sk.reason}
-                        for sk in skipped],
+            "skipped": [sk._asdict() for sk in skipped],
         }
     else:
         depths_section["level1_scan"] = None

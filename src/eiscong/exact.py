@@ -4,9 +4,11 @@ elements, and valuations at a chosen prime above p in Q(zeta_f).
 Rationals are plain ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator, zero is 0/1).
 
-An element of Q(zeta_f) is stored as the coefficient vector of its unique
-representative of degree < phi(f) modulo the f-th cyclotomic polynomial.
-Conductors are capped at MAX_CONDUCTOR to bound polynomial degrees.
+An element of Q(zeta_f) is stored as the integer coefficients of its unique
+representative of degree < phi(f) modulo the f-th cyclotomic polynomial,
+over one positive denominator in lowest terms; every kernel works on those
+integers, and the ``CycElem`` constructor is the one place that reduces mod
+Phi_f.  Conductors are capped at MAX_CONDUCTOR to bound polynomial degrees.
 
 A ``PadicContext`` fixes a prime above p in Q(zeta_f) for p not dividing f:
 it factors the f-th cyclotomic polynomial mod p (all factors share degree
@@ -379,25 +381,6 @@ def _hensel_lift_factor(full: list[int], g0: list[int], p: int,
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
-def _reduce_coeffs(coeffs: list[int], f: int, den: int = 1) -> tuple[Fraction, ...]:
-    """Coordinates in Q(zeta_f) of (sum_j coeffs[j] zeta_f^j) / den for
-    integer coeffs: the remainder mod Phi_f, which stays in Z because Phi_f
-    is monic, padded to phi(f) and put over den once per coordinate."""
-    rem = _poly_divmod_q(coeffs, cyclotomic_poly(f))[1]
-    return tuple(Fraction(c, den) for c in rem) + (Fraction(0),) * (euler_phi(f) - len(rem))
-
-
-def _substitute(coeffs, e: int, f: int) -> tuple[Fraction, ...]:
-    """Coordinates in Q(zeta_f) of sum_j coeffs[j] zeta_f^(j*e), for
-    rational coeffs."""
-    nums, den = _over_common(coeffs)
-    out = [0] * f
-    for j, c in enumerate(nums):
-        if c:
-            out[j * e % f] += c
-    return _reduce_coeffs(out, f, den)
-
-
 class _Frozen:
     """Base of the immutable value classes that carry arithmetic, and so must
     not be tuples (a tuple's ``+`` and ``*`` would concatenate and repeat
@@ -437,36 +420,51 @@ class _Frozen:
 
 
 class CycElem(_Frozen):
-    """An element of Q(zeta_f), reduced mod the f-th cyclotomic polynomial.
+    """An element (sum_i nums[i] zeta_f^i) / den of Q(zeta_f), f = ``conductor``.
 
-    ``coeffs`` has length phi(f); entry i is the coefficient of zeta_f^i.
-    Arithmetic between two CycElems requires equal conductors; use
-    :func:`lift_common` (or ``lift``) to move into a common field first.
-    Scalars (int/Fraction) mix freely.
+    ``nums`` holds phi(f) integers, the coordinates of the unique
+    representative of degree < phi(f) modulo Phi_f, and ``den`` is a positive
+    integer coprime to them all (1 for zero), so equal elements have equal
+    fields.  The constructor is the one normalisation: it takes an integer or
+    rational vector of any length and a nonzero integer ``den``, reduces the
+    vector mod Phi_f, pads it to phi(f) and cancels common factors.
+    ``coeffs`` gives the coordinates as ``Fraction``s.
+
+    Arithmetic between two CycElems requires equal conductors; ``lift`` moves
+    an element into a larger field first.  Scalars (int/Fraction) mix freely.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, conductor: int, nums, den: int = 1):
         if conductor < 1 or conductor > MAX_CONDUCTOR:
             raise ConductorTooLargeError(f"conductor {conductor} out of range")
-        if len(coeffs) != euler_phi(conductor):
-            raise ParameterError("coefficient vector has wrong length")
+        if not den:
+            raise ZeroDivisionError("division by zero")
+        if not all(type(c) is int for c in nums):
+            nums, d = _over_common(nums)
+            den *= d
+        deg = euler_phi(conductor)
+        if len(nums) > deg:
+            nums = _poly_divmod_q(nums, cyclotomic_poly(conductor))[1]
+        nums = [*nums] + [0] * (deg - len(nums))
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(x, conductor: int = 1) -> "CycElem":
-        x = Fraction(x)
-        deg = euler_phi(conductor)
-        return CycElem(conductor, (x,) + (Fraction(0),) * (deg - 1))
+        return CycElem(conductor, (x,))
 
     @staticmethod
     def zeta(f: int, power: int = 1) -> "CycElem":
         """zeta_f^power as an element of Q(zeta_f)."""
-        return CycElem(f, _substitute((0, 1), power, f))
+        return CycElem(f, [0] * (power % f) + [1])
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycElem":
@@ -478,16 +476,28 @@ class CycElem(_Frozen):
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates nums[i] / den, entry i the coefficient of zeta_f^i."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ParameterError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def _substitute(self, e: int, F: int) -> "CycElem":
+        """The image of self under zeta_f -> zeta_F^e."""
+        out = [0] * F
+        for j, c in enumerate(self.nums):
+            out[j * e % F] += c
+        return CycElem(F, out, self.den)
 
     def lift(self, conductor: int) -> "CycElem":
         """Image under the canonical embedding Q(zeta_f) -> Q(zeta_F), f | F."""
@@ -496,32 +506,27 @@ class CycElem(_Frozen):
             return self
         if F % f != 0:
             raise ParameterError(f"no canonical embedding of Q(zeta_{f}) into Q(zeta_{F})")
-        return CycElem(F, _substitute(self.coeffs, F // f, F))
+        return self._substitute(F // f, F)
 
     def galois_conjugate(self, a: int) -> "CycElem":
         """Image under zeta_f -> zeta_f^a, for a coprime to the conductor."""
         f = self.conductor
         if gcd(a, f) != 1:
             raise ParameterError(f"{a} is not a unit mod {f}")
-        return CycElem(f, _substitute(self.coeffs, a, f))
+        return self._substitute(a, f)
 
-    def _norm_and_adjugate(self) -> tuple[Fraction, "CycElem"]:
-        """N(self) and the product of the conjugates sigma_a(self), a != 1,
-        whose product with self is N(self); multiplied in integers over one
-        denominator, each partial product reduced mod Phi_f."""
-        f = self.conductor
-        adj, den = [1], 1
-        for a in range(2, f):
-            if gcd(a, f) == 1:
-                nums, d = _over_common(self.galois_conjugate(a).coeffs)
-                adj, den = _poly_divmod_q(_pmul(adj, nums), cyclotomic_poly(f))[1], den * d
-        nums, d = _over_common(self.coeffs)
-        norm = CycElem(f, _reduce_coeffs(_pmul(nums, adj), f, d * den)).as_rational()
-        return norm, CycElem(f, _reduce_coeffs(adj, f, den))
+    def _adjugate(self) -> "CycElem":
+        """The product of the conjugates sigma_a(self), a != 1, whose product
+        with self is the norm N(self)."""
+        adj = CycElem.one(self.conductor)
+        for a in range(2, self.conductor):
+            if gcd(a, self.conductor) == 1:
+                adj = adj * self.galois_conjugate(a)
+        return adj
 
     def norm(self) -> Fraction:
         """Field norm to Q: product over all Galois conjugates."""
-        return self._norm_and_adjugate()[0]
+        return (self * self._adjugate()).as_rational()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -536,12 +541,14 @@ class CycElem(_Frozen):
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_same(other)
-        return CycElem(self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        return CycElem(self.conductor, [a * ma + b * mb for a, b in zip(self.nums, other.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.conductor, tuple(-c for c in self.coeffs))
+        return CycElem(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -555,31 +562,27 @@ class CycElem(_Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycElem(self.conductor, tuple(c * other for c in self.coeffs))
+            return CycElem(self.conductor, [c * other.numerator for c in self.nums],
+                           self.den * other.denominator)
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_same(other)
-        a, da = _over_common(self.coeffs)
-        b, db = _over_common(other.coeffs)
-        return CycElem(self.conductor, _reduce_coeffs(_pmul(a, b), self.conductor, da * db))
+        return CycElem(self.conductor, _pmul(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse: the product of the other conjugates over
         the norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycElem.from_rational(Fraction(1) / self.coeffs[0], self.conductor)
-        norm, adj = self._norm_and_adjugate()
-        return adj * (Fraction(1) / norm)
+            return CycElem(self.conductor, (self.den,), self.nums[0])
+        adj = self._adjugate()
+        return adj * (self * adj).inverse()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return CycElem(self.conductor, [c * other.denominator for c in self.nums],
+                           self.den * other.numerator)
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_same(other)
@@ -601,17 +604,11 @@ class CycElem(_Frozen):
 
     def __str__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         return "cyc{}:{}".format(self.conductor, ",".join(str(c) for c in self.coeffs))
 
     def __repr__(self):
         return f"CycElem({self})"
-
-
-def lift_common(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:
-    """Lift two cyclotomic elements into Q(zeta_lcm) for shared arithmetic."""
-    f = lcm(a.conductor, b.conductor)
-    return a.lift(f), b.lift(f)
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +677,9 @@ def valp_cyc(x: CycElem, ctx: PadicContext):
             f"element conductor {x.conductor} does not match context conductor {ctx.f}")
     if x.is_zero():
         return INF
-    ints, den = _over_common(x.coeffs)
-    shift = valp_int(den, ctx.p)
+    shift = valp_int(x.den, ctx.p)
     mod = ctx.p**ctx.s
-    _, r = _pdivmod_mod([c % mod for c in ints], [c % mod for c in ctx.prime_poly], mod)
+    _, r = _pdivmod_mod([c % mod for c in x.nums], [c % mod for c in ctx.prime_poly], mod)
     v = min((valp_int(c, ctx.p) for c in r if c), default=INF)
     if v == INF or v >= ctx.s:
         raise IndeterminateValuationError(

@@ -206,7 +206,7 @@ def charpoly(matrix: list[list[int]], m: int) -> list[int]:
         for _ in range(r):  # map stops at len(v): each row is cut to A_r's columns
             t.append(-sum(map(mul, row, v)))
             v = _mat_vec(matrix[:r], v, m)
-        f = [sum(t[i - j] * f[j] for j in range(min(i, r) + 1)) % m for i in range(r + 2)]
+        f = [c % m for c in _pmul(t, f, r + 2)]
     return f[::-1]
 
 

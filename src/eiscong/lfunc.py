@@ -24,8 +24,8 @@ from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
-from .exact import (INF, CycElem, PadicContext, _over_common, _reduce_coeffs, _val_json, is_prime,
-                    teichmuller, valp_cyc)
+from .exact import (INF, CycElem, PadicContext, _over_common, _val_json, is_prime, teichmuller,
+                    valp_cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def gen_bernoulli(n: int, chi: DirichletChar) -> CycElem:
         t = chi.value_exponent(a)
         if t is not None:
             sums[t] += sum(c * a ** (n - i) for i, c in enumerate(nums))
-    return CycElem(chi.order, _reduce_coeffs(sums, chi.order, den))
+    return CycElem(chi.order, sums, den)
 
 
 def l_nonpositive(chi: DirichletChar, s: int) -> CycElem:

@@ -24,8 +24,8 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import (CycElem, PadicContext, _Frozen, _over_common, _pmul, _reduce_coeffs, _val_json,
-                    euler_phi, is_prime, sturm_bound, valp_cyc)
+from .exact import (CycElem, PadicContext, _Frozen, _pmul, _val_json, euler_phi, is_prime,
+                    sturm_bound, valp_cyc)
 from .lfunc import eta, l_nonpositive
 
 
@@ -70,8 +70,7 @@ class QExpansion(_Frozen):
         """Multiply every coefficient by a scalar (Fraction or CycElem)."""
         if isinstance(c, CycElem):
             f = lcm(self.conductor, c.conductor)
-            coeffs = self.lift_conductor(f).coefficients
-            return self._replace(coefficients=_flat_product(coeffs, (c.lift(f),), f, len(coeffs)))
+            self, c = self.lift_conductor(f), c.lift(f)
         return self._replace(coefficients=tuple(x * c for x in self.coefficients))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
@@ -98,15 +97,11 @@ class QExpansion(_Frozen):
         }
 
 
-def default_precision(k: int, level: int) -> int:
-    return max(2 * sturm_bound(k, level), 50)
-
-
 # ---------------------------------------------------------------------------
 # Eisenstein series and operators
 # ---------------------------------------------------------------------------
 
-def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpansion:
+def eisenstein_qexp(l: int, phi: DirichletChar, P: int) -> QExpansion:
     """The weight-l Eisenstein series with constant term L(phi, 1-l)/2 and
     a_n = sum_{d|n} phi(d) d^(l-1), at level cond(phi).
 
@@ -123,8 +118,6 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpans
     if l == 2 and phi.is_trivial():
         raise ParameterError("weight 2 with trivial character is not supported")
     M = phi.modulus
-    if P is None:
-        P = default_precision(l, M)
     if P < 0:
         raise ParameterError(f"precision P = {P} must be >= 0")
     val_f = phi.order
@@ -137,7 +130,7 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int | None = None) -> QExpans
             power = d ** (l - 1)
             for n in range(d, P + 1, d):
                 sums[n][t] += power
-    coeffs = [a0.lift(val_f)] + [CycElem(val_f, _reduce_coeffs(s, val_f)) for s in sums[1:]]
+    coeffs = [a0.lift(val_f)] + [CycElem(val_f, s) for s in sums[1:]]
     return QExpansion(coefficients=tuple(coeffs), weight=l, level=M,
                       character=phi, label=f"E_{l}({phi.canonical_text()})")
 
@@ -158,33 +151,33 @@ def v_operator(f: QExpansion, M: int) -> QExpansion:
                       character=f.character, label=f"V_{M}({f.label})")
 
 
-def _flat_product(xs, ys, F: int, count: int) -> tuple[CycElem, ...]:
-    """The first ``count`` coefficients of (sum_i xs[i] q^i)(sum_j ys[j] q^j)
-    for CycElems of conductor F.
-
-    Each series is laid out flat at stride w over one common denominator: a
-    product of two coordinate vectors has w = 2*phi(F) - 1 terms, so the
-    terms of xs[i]*ys[j] land in the block of q^(i+j), and one integer
-    product gives every coefficient unreduced."""
-    deg = euler_phi(F)
-    w = 2 * deg - 1
-    pad = (0,) * (deg - 1)
-    a, da = _over_common([x for c in xs for x in c.coeffs + pad])
-    b, db = _over_common([x for c in ys for x in c.coeffs + pad])
-    prod = _pmul(a, b, count * w)
-    return tuple(CycElem(F, _reduce_coeffs(prod[n * w:(n + 1) * w], F, da * db))
-                 for n in range(count))
-
-
 def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
     """Cauchy product truncated at the smaller precision.
 
     Weights add, levels take lcm, characters multiply (stored primitively).
+
+    Each series is laid out flat at stride w over one common denominator: a
+    product of two coordinate vectors has w = 2*phi(F) - 1 terms, so the
+    terms of a_i*b_j land in the block of q^(i+j), and one integer product
+    gives every coefficient unreduced.
     """
     F = lcm(f.conductor, g.conductor)
     P = min(f.precision, g.precision)
-    out = _flat_product(f.lift_conductor(F).coefficients[:P + 1],
-                        g.lift_conductor(F).coefficients[:P + 1], F, P + 1)
+    deg = euler_phi(F)
+    w = 2 * deg - 1
+    pad = [0] * (deg - 1)
+
+    def flat(series):
+        coeffs = series.lift_conductor(F).coefficients[:P + 1]
+        den, out = lcm(*(c.den for c in coeffs)), []
+        for c in coeffs:
+            scale = den // c.den
+            out += [x * scale for x in c.nums] + pad
+        return out, den
+
+    (a, da), (b, db) = flat(f), flat(g)
+    prod = _pmul(a, b, (P + 1) * w)
+    out = tuple(CycElem(F, prod[n * w:(n + 1) * w], da * db) for n in range(P + 1))
     char = primitive_char(char_product(f.character, g.character))
     return QExpansion(coefficients=out, weight=f.weight + g.weight,
                       level=lcm(f.level, g.level), character=char,
@@ -221,8 +214,7 @@ def hecke_tq(f: QExpansion, q: int) -> QExpansion:
 # the constructive congruence: F_m, G, H
 # ---------------------------------------------------------------------------
 
-def build_fm(psi: DirichletChar, k: int, ell: int, m: int,
-             P: int | None = None) -> QExpansion:
+def build_fm(psi: DirichletChar, k: int, ell: int, m: int, P: int) -> QExpansion:
     """F_m = V_(ell^(m-1)) E_k(psi)  -  psi(ell) ell^k V_(ell^m) E_k(psi),
     of level N ell^m (N the conductor of psi)."""
     psi = primitive_char(psi)
@@ -233,8 +225,6 @@ def build_fm(psi: DirichletChar, k: int, ell: int, m: int,
         raise ParameterError("m must be >= 1")
     if k < 2 or (k == 2 and psi.is_trivial()):
         raise ParameterError("need k >= 2 and (k, psi) != (2, trivial)")
-    if P is None:
-        P = default_precision(k, N * ell**m)
     E = eisenstein_qexp(k, psi, P)
     first = v_operator(E, ell ** (m - 1))
     second = v_operator(E, ell**m).scale(char_eval(psi, ell) * (Fraction(ell) ** k))
@@ -242,8 +232,7 @@ def build_fm(psi: DirichletChar, k: int, ell: int, m: int,
     return out._replace(level=N * ell**m, label=f"F_{m}")
 
 
-def build_g(psi: DirichletChar, k: int, phi: DirichletChar,
-            P: int | None = None) -> QExpansion:
+def build_g(psi: DirichletChar, k: int, phi: DirichletChar, P: int) -> QExpansion:
     """The auxiliary weight-k form E_1(psi*phi) * E_(k-1)(phi^(-1)), whose
     constant term L(psi*phi, 0) L(phi^(-1), 2-k) / 4 is arranged (via the
     choice of phi) to be a p-unit."""
@@ -255,8 +244,6 @@ def build_g(psi: DirichletChar, k: int, phi: DirichletChar,
         raise ParameterError("(psi*phi)(-1) must be -1 for the weight-1 factor")
     if chi2.parity != (-1) ** (k - 1):
         raise ParameterError("phi^(-1)(-1) must match the weight k-1 factor")
-    if P is None:
-        P = default_precision(k, lcm(chi1.modulus, chi2.modulus))
     e1 = eisenstein_qexp(1, chi1, P)
     e2 = eisenstein_qexp(k - 1, chi2, P)
     out = multiply(e1, e2)
@@ -303,7 +290,7 @@ class HConstructionReport(namedtuple(
 
 
 def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
-            sigma, ctx: PadicContext, P: int | None = None):
+            sigma, ctx: PadicContext, P: int):
     """Build H = F_m - (a_0(F_m)/a_0(G)) * G and verify that it is cuspidal,
     p-integral, and congruent to F_m modulo eta.
 
@@ -321,8 +308,6 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     p = ctx.p
     if ell % p == 0 or psi.modulus % p == 0:
         raise ParameterError("ell and cond(psi) must be coprime to p")
-    if P is None:
-        P = default_precision(k, psi.modulus * ell**m)
     eta_val = eta(psi, k, sigma, ctx)
     F = build_fm(psi, k, ell, m, P)
     G = build_g(psi, k, phi, P)

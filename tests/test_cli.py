@@ -309,6 +309,12 @@ def test_report_mmax_below_one_is_a_parameter_error(capsys):
     _assert_m_max_rejected(capsys, "report", "--sigma", "37,101", "--mmax", "0")
 
 
+def test_report_checks_mmax_without_an_auxiliary_prime(capsys):
+    # before: with no auxiliary prime in Sigma the search was skipped, exit 0
+    for mmax in ("0", "-3"):
+        _assert_m_max_rejected(capsys, "report", "--sigma", "37", "--mmax", mmax)
+
+
 def test_build_h_m_below_one_is_a_parameter_error(capsys):
     # before: exit 2 with a "computation" error about a search that never ran
     _assert_m_max_rejected(capsys, "build-h", "--ell", "101", "--sigma", "37,101", "--m", "0")

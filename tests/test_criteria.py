@@ -46,22 +46,18 @@ def test_selmer_lower_monotonicity():
 
 def test_local_factor_examples():
     # n = 1 - k = -31 at (p, k) = (37, 32): factor vanishes
-    assert local_factor(31, -31, 37, trivial_char(1), "lemma11") == 0
-    assert local_factor(31, 31, 37, trivial_char(1), "lemma11") == 1
-    assert local_factor(5, 3, 37, trivial_char(1), "lemma21") == 0
+    assert local_factor(31, -31, 37) == 0
+    assert local_factor(31, 31, 37) == 1
     # negative-exponent symmetry: val(l^-t - 1) = val(l^t - 1)
     for t in (30, 32):
-        assert (local_factor(31, -t - 1, 37, trivial_char(1), "lemma11")
-                == local_factor(31, t - 1, 37, trivial_char(1), "lemma11"))
+        assert local_factor(31, -t - 1, 37) == local_factor(31, t - 1, 37)
 
 
 def test_local_factor_hypothesis_violation():
     with pytest.raises(ParameterError):
-        local_factor(149, 3, 37, trivial_char(1), "lemma11")  # 149 = 1 mod 37
-    # lemma21 has no such restriction
-    assert local_factor(149, 3, 37, trivial_char(1), "lemma21") >= 0
+        local_factor(149, 3, 37)  # 149 = 1 mod 37
     with pytest.raises(ParameterError):
-        local_factor(5, 0, 37, trivial_char(1), "lemma11")
+        local_factor(5, 0, 37)
 
 
 def test_herbrand_examples():
@@ -219,6 +215,13 @@ def test_ingest_errors(tmp_path):
     with pytest.raises(SchemaError) as err:
         ingest_records(missing)
     assert "missing" in str(err.value)
+    # a residual's valuation needs a prime p: p = 1 would divide it forever
+    not_prime = tmp_path / "not_prime.json"
+    not_prime.write_text(json.dumps([{
+        "weight": 32, "level": 31, "p": 1, "prime_label": "P1",
+        "eigenvalues": {"2": "5"}, "depth": 0, "source": "external"}]))
+    with pytest.raises(ParameterError, match="p = 1 is not prime"):
+        ingest_records(not_prime, p=1)
 
 
 def test_kummer_sweep_consistency():
