@@ -13,7 +13,8 @@ Library layout:
   congruence-depth scans).
 - ``criteria``: Selmer bound calculators, the auxiliary-character search, and
   the non-principality criterion with external-record ingestion.
-- ``cli``: the ``eiscong`` command-line front end and its on-disk cache.
+- ``cli``: the ``eiscong`` command-line front end and its on-disk cache;
+  ``commands``: what each of its subcommands computes.
 
 The names in ``__all__`` are re-exported from those modules lazily (PEP 562):
 ``eiscong.bernoulli`` imports ``eiscong.lfunc`` on first access, so importing

@@ -195,6 +195,9 @@ def enumerate_chars(f: int, parity: int | None = None,
                     exact_conductor: int | None = None) -> list[DirichletChar]:
     """All characters mod f matching the filters, in lexicographic exponent order."""
     orders = (range(n) for _, n in unit_group_generators(f))
+    if exact_conductor is not None and (exact_conductor < 1 or f % exact_conductor):
+        raise ParameterError(
+            f"conductor {exact_conductor} must be >= 1 and divide the modulus {f}")
     chars = (DirichletChar(f, exps) for exps in product(*orders))
     return [chi for chi in chars
             if (parity is None or chi.parity == parity)

@@ -3,35 +3,50 @@
 Every subcommand prints a single JSON document (compact by default,
 indented with --pretty) whose arithmetic values are exact decimal strings;
 runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
-subcommand once; the parser, the dispatch and the cache key are built from
-it.  Pure computations are cached on disk under --cache-dir (default
-./.eiscache), keyed on the code (``__version__`` and a sha256 of the
-package's sources), the command and every declared flag; `verify-cache`
-recomputes every entry and checks the stored payloads byte for byte.
+subcommand and its flags once; the argument parser, the -h/--help text, the
+dispatch and the cache key are built from it.  The parser accepts what
+argparse accepts: ``--flag value`` and ``--flag=value``, a unique prefix of a
+flag (``--no-c``, ``--par -1``), negative numbers as values, the last value of
+a repeated flag, and the top-level options only before the command.
 
-This module imports only the standard library and ``errors`` at load time;
-each command imports its arithmetic when it runs, so a cache hit loads none.
-A cache entry that cannot be read or parsed is a miss, and a result that
-cannot be stored is still printed, with a warning on stderr.
+Pure computations are cached on disk under --cache-dir (default
+./.eiscache), one file per key.  The key is the code (``__version__`` and a
+sha256 of the package's sources), the command and every declared flag.  An
+entry holds the key on line 1, a JSON object naming the schema, the command
+and its parameters on line 2 (read only by `verify-cache`), and then the
+command's compact stdout, so a hit compares line 1 with the key and prints
+the rest as stored; `verify-cache` recomputes every entry and checks the
+stored bytes.
 
-Exit codes: 0 success, 1 parameter/usage error, 2 computation error.
+A cache hit imports nothing beyond this module, ``errors`` and the
+interpreter's builtin sha256: no argparse, no json, no OpenSSL, and not
+``commands``, which holds what each command computes and is imported, with
+the arithmetic it needs, when a command runs.  An entry that cannot
+be read, is not UTF-8, is truncated or holds another key is a miss, and a
+result that cannot be stored is still printed, with a warning on stderr.
+
+Exit codes: 0 success or help, 1 usage or parameter error, 2 computation error.
 """
 
-from __future__ import annotations
-
-import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 from collections import namedtuple
 
-from . import __version__
-from .errors import ComputationError, EiscongError, ParameterError
+# The interpreter's own sha256, not OpenSSL's: hashlib would map libcrypto.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:     # a build without the builtin hashes
+    from hashlib import sha256
 
-# Version 2 stores params typed (ints, None, booleans) rather than as text.
-CACHE_SCHEMA_VERSION = 2
+from . import __version__
+from .errors import EiscongError, ParameterError
+
+# Version 3: line 1 the key, line 2 the JSON description, then the stdout text.
+CACHE_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -43,207 +58,82 @@ def _code_digest() -> str:
     """sha256 over the package's *.py sources in sorted name order, read as
     bytes once per process (the compute modules are not imported)."""
     here = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
+    h = sha256()
     for name in sorted(os.listdir(here)):
         if name.endswith(".py"):
             with open(os.path.join(here, name), "rb") as fh:
-                h.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+                h.update(f"{name} {sha256(fh.read()).hexdigest()}\n".encode())
     return h.hexdigest()
 
 
 def _read_entry(path: str):
-    """The JSON object stored at path, or None if it is unreadable, not UTF-8,
-    not JSON or not an object."""
+    """(line 1, line 2, rest) of the entry file at path, or None if it cannot
+    be read, is not UTF-8 or is truncated (the rest must end in a newline)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
+        with open(path, "rb") as fh:
+            key, description, text = fh.read().decode("utf-8").split("\n", 2)
     except (OSError, ValueError):
         return None
-    return entry if isinstance(entry, dict) else None
+    return (key, description, text) if text.endswith("\n") else None
 
 
 class Cache:
-    """Content-addressed JSON cache: one file per (code, command, parameters)
-    key, written atomically (temp file + rename)."""
+    """Content-addressed cache of stdout texts: one file per (code, command,
+    parameters) key, written atomically (temp file + rename)."""
 
     def __init__(self, root: str):
         self.root = os.path.join(root, str(CACHE_SCHEMA_VERSION))
 
     @staticmethod
     def key_text(command: str, params: dict) -> str:
-        return "|".join((__version__, _code_digest(), command,
-                         json.dumps(params, sort_keys=True, separators=(",", ":"))))
+        """One line: the code, the command and the repr of every parameter
+        (int, str, bool or None) by name, so distinct parameters give
+        distinct keys."""
+        values = ",".join(f"{name}={value!r}" for name, value in sorted(params.items()))
+        return "|".join((__version__, _code_digest(), command, values))
 
     def _path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return os.path.join(self.root, digest + ".json")
+        return os.path.join(self.root, sha256(key.encode("utf-8")).hexdigest() + ".entry")
 
     def get(self, key: str):
+        """The stored stdout text of key, or None."""
         entry = _read_entry(self._path(key))
-        if (entry is None or entry.get("key") != key
-                or entry.get("version") != CACHE_SCHEMA_VERSION):
-            return None
-        return entry.get("payload")
+        return entry[2] if entry is not None and entry[0] == key else None
 
-    def put(self, command: str, params: dict, key: str, payload) -> None:
+    def put(self, command: str, params: dict, key: str, text: str) -> None:
+        import json
         import tempfile
         os.makedirs(self.root, exist_ok=True)
-        entry = {"key": key, "version": CACHE_SCHEMA_VERSION,
-                 "command": command, "params": params, "payload": payload}
+        description = json.dumps({"version": CACHE_SCHEMA_VERSION, "command": command,
+                                  "params": params}, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(f"{key}\n{description}\n{text}".encode("utf-8"))
             os.replace(tmp, self._path(key))
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
     def entries(self):
+        """(file name, (key, description, stdout text) or None) of every
+        entry by name; None when the file cannot be read, is truncated or
+        its line 2 is not a JSON object."""
         if not os.path.isdir(self.root):
             return
+        import json
         for name in sorted(os.listdir(self.root)):
-            if name.endswith(".json"):
-                yield name, _read_entry(os.path.join(self.root, name))
-
-
-# ---------------------------------------------------------------------------
-# command computations (typed keyword arguments -> JSON payload)
-# ---------------------------------------------------------------------------
-
-def _parse_sigma(text: str) -> list[int]:
-    from .exact import is_prime
-    try:
-        out = sorted({int(x) for x in text.split(",") if x.strip() != ""})
-    except ValueError as exc:
-        raise ParameterError(f"bad --sigma value {text!r}") from exc
-    if not out:
-        raise ParameterError("--sigma must list at least one prime")
-    bad = [x for x in out if not is_prime(x)]
-    if bad:
-        raise ParameterError(f"--sigma entries must be primes, got {bad}")
-    return out
-
-
-def _bernoulli(n):
-    from .lfunc import bernoulli
-    return {"n": n, "value": str(bernoulli(n))}
-
-
-def _eta(p, k, psi, sigma, s):
-    from .characters import parse_char, primitive_char
-    from .exact import padic_context
-    from .lfunc import eta
-    psi0 = primitive_char(parse_char(psi))
-    sigma = _parse_sigma(sigma)
-    value = eta(psi0, k, sigma, padic_context(p, psi0.order, s))
-    return {"p": p, "k": k, "psi": psi0.canonical_text(), "sigma": sigma} | value.as_dict()
-
-
-def _chars(f, parity, conductor):
-    from .characters import conductor as char_conductor, enumerate_chars
-    chars = enumerate_chars(f, parity=parity, exact_conductor=conductor)
-    return {
-        "modulus": f,
-        "count": len(chars),
-        "characters": [
-            {"char": c.canonical_text(), "order": c.order, "parity": c.parity,
-             "conductor": char_conductor(c)} for c in chars],
-    }
-
-
-def _eisenstein(l, phi, prec):
-    from .characters import parse_char
-    from .qexp import eisenstein_qexp
-    return eisenstein_qexp(l, parse_char(phi), prec).as_dict()
-
-
-def _build_h(p, k, psi, ell, m, sigma, s, prec):
-    from math import lcm
-    from .characters import parse_char, primitive_char
-    from .criteria import aux_char_search
-    from .exact import padic_context
-    from .qexp import build_h
-    psi = primitive_char(parse_char(psi))
-    sigma = _parse_sigma(sigma)
-    aux = aux_char_search(p, k, psi, ell, m, s=s)
-    if not aux.found:
-        raise ComputationError(
-            f"no auxiliary character of conductor {ell}^m (m <= {m}) satisfies "
-            "the p-unit condition")
-    ctx = padic_context(p, lcm(psi.order, aux.char.order), s)
-    h, rep = build_h(psi, k, ell, m, aux.char, sigma, ctx, prec)
-    return {"aux_char": aux.as_dict(), "report": rep.as_dict(), "h": h.as_dict()}
-
-
-def _scan(k, p, sigma, smax):
-    from .exact import sturm_bound
-    from .hecke1 import depth_scan
-    sigma = _parse_sigma(sigma)
-    records, skipped = depth_scan(k, p, sigma, smax)
-    return {
-        "k": k, "p": p, "sigma": sigma, "s_max": smax,
-        "sturm_bound": sturm_bound(k, 1),
-        "records": [r.as_dict() | {"capped": r.capped} for r in records],
-        "skipped": [sk._asdict() for sk in skipped],
-    }
-
-
-def _selmer(p, k, sigma, fres):
-    from .criteria import selmer_upper_km1
-    return selmer_upper_km1(p, k, _parse_sigma(sigma), fres).as_dict()
-
-
-def _aux_char(p, k, psi, ell, mmax, s):
-    from .characters import parse_char, primitive_char
-    from .criteria import aux_char_search
-    return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax, s=s).as_dict()
-
-
-def _kummer(p, k):
-    from .lfunc import kummer_check
-    return kummer_check(p, k)
-
-
-def _criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
-               assume_nontrivial_extension):
-    from .characters import parse_char, primitive_char
-    from .criteria import (dim_chi_hypothesis, ingest_records, nonprincipality_verdict,
-                           selmer_upper_km1)
-    from .exact import padic_context
-    from .lfunc import eta
-    records = ingest_records(records, p=p, weight=k)
-    psi = primitive_char(parse_char(psi))
-    sigma = _parse_sigma(sigma)
-    eta_value = eta(psi, k, sigma, padic_context(p, psi.order, s))
-    explicit = dim_chi_upper is not None
-    if not explicit:
-        dim_chi_upper = selmer_upper_km1(p, k, sigma, fres).dim_chi_upper
-    established = dim_chi_hypothesis(
-        dim_chi_upper, assumed=assume_nontrivial_extension)["dim_chi_equals_1"]
-    source = ("explicit" if explicit else "selmer-upper-plus-assertion" if established
-              else "selmer-upper-only")
-    crit = nonprincipality_verdict(eta_value, records, e=e, f_res=fres,
-                                   dim_chi_upper=1 if established else None)
-    return {"p": p, "k": k, "sigma": sigma, "dim_chi_upper": dim_chi_upper,
-            "hypothesis_source": source} | crit.as_dict()
-
-
-def _report(p, k, psi, sigma, s, prec, ell, mmax, records, smax,
-            assume_nontrivial_extension):
-    from .characters import parse_char, primitive_char
-    from .criteria import full_report
-    return full_report(
-        p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), s=s, prec=prec,
-        ell=ell, m_max=mmax, records_path=records,
-        assume_nontrivial_extension=assume_nontrivial_extension, s_max=smax)
-
-
-def _example37(s, prec, smax):
-    from .characters import parse_char
-    from .criteria import full_report
-    return full_report(37, 32, parse_char("trivial"), [31, 37], s=s, prec=prec,
-                       records_path=fixture_path("example37.json"), s_max=smax)
+            if not name.endswith(".entry"):
+                continue
+            entry = _read_entry(os.path.join(self.root, name))
+            if entry is not None:
+                key, description, text = entry
+                try:
+                    description = json.loads(description)
+                except ValueError:
+                    description = None
+                entry = (key, description, text) if isinstance(description, dict) else None
+            yield name, entry
 
 
 def fixture_path(name: str) -> str:
@@ -255,9 +145,9 @@ def fixture_path(name: str) -> str:
 # the command table
 # ---------------------------------------------------------------------------
 
-class Flag(namedtuple("Flag", "name type default required choices",
-                      defaults=(int, None, False, None))):
-    """One subcommand option --name; type bool makes it a switch."""
+class Flag(namedtuple("Flag", "name type default required choices help",
+                      defaults=(int, None, False, None, None))):
+    """One option --name; type bool makes it a switch."""
 
     __slots__ = ()
 
@@ -265,27 +155,39 @@ class Flag(namedtuple("Flag", "name type default required choices",
     def dest(self) -> str:
         return self.name.replace("-", "_")
 
-    def add_to(self, parser) -> None:
-        if self.type is bool:
-            parser.add_argument("--" + self.name, action="store_true")
-        else:
-            parser.add_argument("--" + self.name, type=self.type, default=self.default,
-                                required=self.required, choices=self.choices)
-
     def accepts(self, value) -> bool:
         """Whether a stored parameter value is one this flag can produce."""
         if value is None:
             return self.default is None and not self.required
         return type(value) is self.type and (self.choices is None or value in self.choices)
 
+    def usage(self) -> str:
+        if self.type is bool:
+            return "--" + self.name
+        if self.choices:
+            return f"--{self.name} {{{','.join(map(str, self.choices))}}}"
+        return f"--{self.name} {self.dest.upper()}"
+
+    def describe(self) -> str:
+        if self.help is not None:
+            return self.help
+        return ("switch" if self.type is bool else "required" if self.required
+                else f"default {self.default}")
+
 
 class Command(namedtuple("Command", "fn help flags cached reads_cache",
                          defaults=((), True, False))):
-    """A subcommand: fn maps the flags' typed values to the JSON payload.
-    cached: pure, stored under --cache-dir and keyed by every flag;
-    reads_cache: fn takes the Cache as its first argument."""
+    """A subcommand: fn names the function of ``eiscong.commands`` that maps
+    the flags' typed values to the JSON payload, imported when the command
+    runs, so that a cache hit compiles none of them.  cached: pure, stored
+    under --cache-dir and keyed by every flag; reads_cache: fn takes the
+    Cache as its first argument."""
 
     __slots__ = ()
+
+    def run(self, *args, **params):
+        from . import commands
+        return getattr(commands, self.fn)(*args, **params)
 
     def accepts(self, params) -> bool:
         return (isinstance(params, dict) and params.keys() == {f.dest for f in self.flags}
@@ -306,134 +208,229 @@ NONTRIVIAL = Flag("assume-nontrivial-extension", bool, False)
 REPORT_PREC = Flag("prec", default=40)
 
 
-def _verify_cache(cache: Cache) -> dict:
-    checked = 0
-    mismatches = []
-    unknown = []
-    for name, entry in cache.entries():
-        entry = entry if isinstance(entry, dict) else {}
-        command, params = entry.get("command"), entry.get("params")
-        spec = COMMANDS.get(command) if isinstance(command, str) else None
-        if (spec is None or not spec.cached or not spec.accepts(params)
-                or entry.get("version") != CACHE_SCHEMA_VERSION
-                or entry.get("key") != Cache.key_text(command, params)):
-            unknown.append(name)
-            continue
-        checked += 1
-        try:
-            fresh = _render(spec.fn(**params), False)
-        except EiscongError as exc:
-            mismatches.append({"file": name, "key": entry["key"], "error": str(exc)})
-            continue
-        if _render(entry.get("payload"), False) != fresh:
-            mismatches.append({"file": name, "key": entry["key"]})
-    return {"checked": checked, "mismatches": mismatches,
-            "unverifiable": unknown, "ok": not mismatches}
-
-
 COMMANDS = {
-    "bernoulli": Command(_bernoulli, "exact Bernoulli number", (_required("n"),)),
-    "eta": Command(_eta, "congruence-module bound and its valuation",
+    "bernoulli": Command("bernoulli", "exact Bernoulli number", (_required("n"),)),
+    "eta": Command("eta", "congruence-module bound and its valuation",
                    (P, K, PSI, SIGMA, S)),
-    "chars": Command(_chars, "enumerate Dirichlet characters",
+    "chars": Command("chars", "enumerate Dirichlet characters",
                      (_required("f"), Flag("parity", choices=(-1, 1)), Flag("conductor"))),
-    "eisenstein": Command(_eisenstein, "Eisenstein series q-expansion",
+    "eisenstein": Command("eisenstein", "Eisenstein series q-expansion",
                           (_required("l"), Flag("phi", str, "trivial"),
                            Flag("prec", default=50))),
-    "build-h": Command(_build_h, "construct and verify the cuspidal combination H",
+    "build-h": Command("build_h", "construct and verify the cuspidal combination H",
                        (P, K, PSI, ELL, Flag("m", default=1), SIGMA, S,
                         Flag("prec", default=100))),
-    "scan": Command(_scan, "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
-    "selmer": Command(_selmer, "Selmer group bounds", (P, K, SIGMA, FRES)),
-    "aux-char": Command(_aux_char, "search for a p-unit auxiliary character",
+    "scan": Command("scan", "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
+    "selmer": Command("selmer", "Selmer group bounds", (P, K, SIGMA, FRES)),
+    "aux-char": Command("aux_char", "search for a p-unit auxiliary character",
                         (P, K, PSI, ELL, MMAX, S)),
-    "kummer": Command(_kummer, "Kummer congruence check", (P, K)),
-    "criterion": Command(_criterion, "non-principality verdict from eigensystem records",
+    "kummer": Command("kummer", "Kummer congruence check", (P, K)),
+    "criterion": Command("criterion", "non-principality verdict from eigensystem records",
                          (P, K, PSI, SIGMA, _required("records", str), S,
                           Flag("e", default=1), FRES, Flag("dim-chi-upper"), NONTRIVIAL),
                          cached=False),
-    "report": Command(_report, "full composite report",
+    "report": Command("report", "full composite report",
                       (P, K, PSI, SIGMA, S, REPORT_PREC, Flag("ell"), MMAX,
                        Flag("records", str), SMAX, NONTRIVIAL), cached=False),
-    "example37": Command(_example37, "preset: the full p=37, k=32, level-31 example",
+    "example37": Command("example37", "preset: the full p=37, k=32, level-31 example",
                          (S, REPORT_PREC, SMAX)),
-    "verify-cache": Command(_verify_cache, "recompute every cache entry and compare bytes",
+    "verify-cache": Command("verify_cache", "recompute every cache entry and compare bytes",
                             cached=False, reads_cache=True),
 }
 
 
-def run_cached(command: str, params: dict, cache: Cache | None):
-    """The payload of command, from the cache if it holds one.  A miss that
-    cannot be stored warns on stderr and still returns the payload."""
+OPTIONS = (Flag("cache-dir", str, "./.eiscache", help="cache directory (default ./.eiscache)"),
+           Flag("no-cache", bool, False, help="bypass the cache"),
+           Flag("pretty", bool, False, help="indent the JSON output"))
+DESCRIPTION = ("Exact Eisenstein-congruence toolkit: congruence bounds, constructive "
+               "q-expansion congruences, depth scans, Selmer bounds, and the "
+               "non-principality criterion.")
+
+
+def run_cached(command: str, params: dict, cache: Cache | None) -> str:
+    """The compact stdout text of command, from the cache if it holds the
+    entry.  A miss that cannot be stored warns on stderr and still returns
+    the text."""
     if cache is None:
-        return COMMANDS[command].fn(**params)
+        return _render(COMMANDS[command].run(**params))
     key = Cache.key_text(command, params)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    payload = COMMANDS[command].fn(**params)
-    try:
-        cache.put(command, params, key, payload)
-    except OSError as exc:
-        print(json.dumps({"warning": "cache", "message": f"entry not stored: {exc}"}),
-              file=sys.stderr)
-    return payload
+    text = cache.get(key)
+    if text is None:
+        text = _render(COMMANDS[command].run(**params))
+        try:
+            cache.put(command, params, key, text)
+        except OSError as exc:
+            _stderr_json({"warning": "cache", "message": f"entry not stored: {exc}"})
+    return text
+
+
+def _render(payload) -> str:
+    import json
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _pretty(text: str) -> str:
+    import json
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _stderr_json(obj: dict) -> None:
+    import json
+    print(json.dumps(obj), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="eiscong",
-        description="Exact Eisenstein-congruence toolkit: congruence bounds, "
-                    "constructive q-expansion congruences, depth scans, Selmer "
-                    "bounds, and the non-principality criterion.")
-    ap.add_argument("--cache-dir", default="./.eiscache",
-                    help="cache directory (default ./.eiscache)")
-    ap.add_argument("--no-cache", action="store_true", help="bypass the cache")
-    ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sub = ap.add_subparsers(dest="command")
-    for name, spec in COMMANDS.items():
-        sp = sub.add_parser(name, help=spec.help)
-        for flag in spec.flags:
-            flag.add_to(sp)
-    return ap
+class _Stop(Exception):
+    """The command line ends without a command to run: code 0 with help for
+    stdout, code 1 with a usage error for stderr."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code, self.text = code, text
 
 
-def _render(payload, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(",", ":"))
+def _usage(prog: str, flags) -> str:
+    words = [f.usage() if f.required else f"[{f.usage()}]" for f in flags]
+    tail = ["COMMAND ..."] if flags is OPTIONS else []
+    return " ".join(["usage:", prog, "[-h]", *words, *tail]) + "\n"
+
+
+def _fail(prog: str, flags, message) -> _Stop:
+    return _Stop(1, f"{_usage(prog, flags)}{prog}: error: {message}\n")
+
+
+def _help(prog: str, flags, description: str) -> str:
+    tables = [("options", [("-h, --help", "show this help message and exit")]
+               + [(f.usage(), f.describe()) for f in flags])]
+    if flags is OPTIONS:
+        tables.insert(0, ("commands", [(name, c.help) for name, c in COMMANDS.items()]))
+    text = [_usage(prog, flags), "\n", description, "\n"]
+    for title, rows in tables:
+        width = max(len(left) for left, _ in rows)
+        text += [f"\n{title}:\n"] + [f"  {left:<{width}}  {right}\n" for left, right in rows]
+    return "".join(text)
+
+
+def _is_negative_number(token: str) -> bool:
+    """argparse's test -\\d+|-\\d*\\.\\d+ (a final newline allowed) for a
+    token that starts with '-' and is still a value."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    digits = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else body.isdecimal()
+    return token.startswith("-") and digits
+
+
+def _option(token: str, names):
+    """(option string, attached value or None) that token names among names,
+    None if token is a value, or ("", None) for an unknown option.  A long
+    option may be cut to a unique prefix; an ambiguous one raises ValueError."""
+    if token in names:
+        return token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token.startswith("--") and token != "--":
+        name, eq, value = token.partition("=")
+        hits = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    return None if _is_negative_number(token) or " " in token else ("", None)
+
+
+def _parse_flags(prog: str, flags, args: list, description: str):
+    """(values by dest, the command and its arguments, unknown tokens) of
+    args under flags.  Under OPTIONS the first value is the command and ends
+    the options; under a command's flags every value is unknown."""
+    names = {"--" + f.name: f for f in flags} | {"-h": None, "--help": None}
+    try:
+        kinds = [_option(token, names) for token in args]
+    except ValueError as exc:
+        raise _fail(prog, flags, exc) from None
+    values = {f.dest: f.default for f in flags}
+    given, unknown, i = set(), [], 0
+    while i < len(args):
+        kind, token = kinds[i], args[i]
+        i += 1
+        if kind is None and flags is OPTIONS:
+            return values, args[i - 1:], unknown
+        if kind is None or not kind[0]:
+            unknown.append(token)
+            continue
+        name, value = kind
+        flag = names[name]
+        if flag is None or flag.type is bool:
+            if value is not None:
+                raise _fail(prog, flags, f"argument {name}: ignored explicit argument {value!r}")
+            if flag is None:
+                raise _Stop(0, _help(prog, flags, description))
+            value = True
+        else:
+            if value is None:
+                if i == len(args) or kinds[i] is not None:
+                    raise _fail(prog, flags, f"argument {name}: expected one argument")
+                value, i = args[i], i + 1
+            try:
+                value = flag.type(value)
+            except ValueError:
+                raise _fail(prog, flags, f"argument {name}: invalid int value: {value!r}") from None
+            if flag.choices is not None and value not in flag.choices:
+                raise _fail(prog, flags, f"argument {name}: invalid choice: {value!r}")
+        values[flag.dest] = value
+        given.add(flag)
+    missing = ["--" + f.name for f in flags if f.required and f not in given]
+    if missing:
+        raise _fail(prog, flags, f"the following arguments are required: {', '.join(missing)}")
+    return values, [], unknown
+
+
+def _parse_args(argv: list):
+    """(top-level options, command or None, its parameters); raises _Stop
+    for help and for every rejected command line."""
+    options, rest, unknown = _parse_flags("eiscong", OPTIONS, argv, DESCRIPTION)
+    command = params = None
+    if rest:
+        command, spec = rest[0], COMMANDS.get(rest[0])
+        if spec is None:
+            raise _fail("eiscong", OPTIONS, f"invalid command {command!r} "
+                        f"(choose from {', '.join(COMMANDS)})")
+        params, _, more = _parse_flags(f"eiscong {command}", spec.flags, rest[1:], spec.help)
+        unknown += more
+    if unknown:
+        raise _fail("eiscong", OPTIONS, f"unrecognized arguments: {' '.join(unknown)}")
+    return options, command, params
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    if args.command is None:
-        ap.print_usage()
+        options, command, params = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        (sys.stdout if stop.code == 0 else sys.stderr).write(stop.text)
+        return stop.code
+    if command is None:
+        sys.stdout.write(_usage("eiscong", OPTIONS))
         return 1
-    spec = COMMANDS[args.command]
-    params = {f.dest: getattr(args, f.dest) for f in spec.flags}
+    spec = COMMANDS[command]
     try:
         if spec.cached:
-            cache = None if args.no_cache else Cache(args.cache_dir)
-            payload = run_cached(args.command, params, cache)
+            cache = None if options["no_cache"] else Cache(options["cache_dir"])
+            text = run_cached(command, params, cache)
         elif spec.reads_cache:
-            payload = spec.fn(Cache(args.cache_dir), **params)
+            text = _render(spec.run(Cache(options["cache_dir"]), **params))
         else:
-            payload = spec.fn(**params)
+            text = _render(spec.run(**params))
     except ParameterError as exc:
-        print(json.dumps({"error": "parameter", "message": str(exc)}), file=sys.stderr)
+        _stderr_json({"error": "parameter", "message": str(exc)})
         return 1
     except EiscongError as exc:
-        print(json.dumps({"error": "computation", "message": str(exc)}), file=sys.stderr)
+        _stderr_json({"error": "computation", "message": str(exc)})
         return 2
-    print(_render(payload, args.pretty))
+    sys.stdout.write(_pretty(text) if options["pretty"] else text)
     return 0
 
 

@@ -603,9 +603,16 @@ class CycElem(_Frozen):
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        if self.is_rational():
-            return str(self.as_rational())
-        return "cyc{}:{}".format(self.conductor, ",".join(str(c) for c in self.coeffs))
+        """Each coordinate nums[i] / den in lowest terms, printed as `Fraction`
+        prints it ("n" or "n/d"), with one gcd and no `Fraction`; a rational
+        element prints as its rational value."""
+        rational = self.is_rational()
+        den, den_text, text = self.den, str(self.den), []
+        for c in self.nums[:1] if rational else self.nums:
+            g = gcd(c, den)
+            text.append(str(c // g) if g == den else f"{c}/{den_text}" if g == 1
+                        else f"{c // g}/{den // g}")
+        return text[0] if rational else f"cyc{self.conductor}:{','.join(text)}"
 
     def __repr__(self):
         return f"CycElem({self})"

@@ -419,3 +419,26 @@ def test_constructor_reduces_any_vector():
         CycElem(5, (1,), 0)
     with pytest.raises(ZeroDivisionError):
         CycElem.zero(5).inverse()
+
+
+def fraction_str(x):
+    """The rendering `CycElem.__str__` replaced: each coordinate as a reduced
+    `Fraction`, a rational element as its value."""
+    if x.is_rational():
+        return str(x.as_rational())
+    return "cyc{}:{}".format(x.conductor, ",".join(str(c) for c in x.coeffs))
+
+
+def test_str_matches_the_fraction_rendering():
+    rng = random.Random(15)
+    for f in (3, 12, 22, 100):
+        phi = euler_phi(f)
+        for den in (1, 2, 6, 12, 2 * 3**40 * 7, 10**60 + 7):
+            for _ in range(10):
+                scale = rng.choice((1, 2, 3, 7, den, 3**40))
+                nums = [rng.choice((0, 1, -1, rng.randint(-10**80, 10**80))) * scale
+                        for _ in range(phi)]
+                for x in (CycElem(f, nums, den), CycElem(f, nums[:1], den)):
+                    assert str(x) == fraction_str(x), (f, nums, den)
+    assert str(CycElem(12, [0, 3, 0, 0], 6)) == "cyc12:0,1/2,0,0"
+    assert str(CycElem(3, [-4], 6)) == "-2/3" and str(CycElem.zero(100)) == "0"

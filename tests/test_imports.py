@@ -1,9 +1,11 @@
-"""Import budget: `import eiscong.cli` and a cache hit load no arithmetic, and
-the package exports resolve lazily to the objects of their home modules.
+"""Import budget: `import eiscong.cli` and a cache hit load no arithmetic and
+no argparse, json or OpenSSL, and the package exports resolve lazily to the
+objects of their home modules.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so that modules
 imported by other tests do not count."""
 
+import ast
 import json
 import os
 import subprocess
@@ -36,6 +38,34 @@ def test_a_cache_hit_loads_no_arithmetic(tmp_path, capsys):
     out, loaded = fresh(code, *argv)
     assert out + "\n" == miss
     assert json.loads(loaded) == [0, ["eiscong", "eiscong.cli", "eiscong.errors"]]
+
+
+# Run with -S, so that no site hook (a .pth file) preloads modules; the
+# result is printed with repr because json is one of the modules checked.
+HIT = ("import sys; import eiscong.cli; "
+       "loaded = lambda: [m for m in ('argparse', 'json', 'hashlib', '_hashlib') "
+       "if m in sys.modules]; "
+       "imported = loaded(); code = eiscong.cli.main(sys.argv[1:]); "
+       "print(repr([imported, code, loaded(), eiscong.cli._code_digest()]))")
+
+
+def test_a_hit_loads_no_argparse_json_or_openssl(tmp_path, capsys):
+    import hashlib
+    argv = ["--cache-dir", str(tmp_path), "build-h", "--p", "37", "--k", "32", "--ell", "31",
+            "--sigma", "31,37", "--prec", "20"]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    run = subprocess.run([sys.executable, "-S", "-c", HIT, *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    out, result = run.stdout.rsplit("\n", 2)[:2]
+    assert out + "\n" == miss
+    here = os.path.join(SRC, "eiscong")
+    reference = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                reference.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    assert ast.literal_eval(result) == [[], 0, [], reference.hexdigest()]
 
 
 def test_package_exports_resolve_lazily():
@@ -92,8 +122,8 @@ def misses(*commands: str):
 
 
 def test_a_scan_miss_loads_exact_and_hecke1_alone():
-    assert misses(SCAN) == (["eiscong", "eiscong.cli", "eiscong.errors", "eiscong.exact",
-                             "eiscong.hecke1"], False)
+    assert misses(SCAN) == (["eiscong", "eiscong.cli", "eiscong.commands", "eiscong.errors",
+                             "eiscong.exact", "eiscong.hecke1"], False)
 
 
 def test_selmer_aux_char_and_build_h_misses_do_not_load_hecke1():
