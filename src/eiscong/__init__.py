@@ -9,8 +9,8 @@ Library layout:
   congruence bound eta, and Kummer congruence utilities.
 - ``qexp``: truncated q-expansions, Eisenstein series, Hecke operators, and
   the constructive cuspidal congruence.
-- ``hecke1``: the level-1 Hecke engine (echelon basis, eigensystems mod p^s,
-  congruence-depth scans).
+- ``hecke1``: the level-1 Hecke engine on residues mod p^s (echelon basis,
+  eigensystems, congruence-depth scans).
 - ``criteria``: Selmer bound calculators, the auxiliary-character search, and
   the non-principality criterion with external-record ingestion.
 - ``cli``: the ``eiscong`` command-line front end and its on-disk cache;
@@ -31,8 +31,7 @@ _EXPORTS = {
                     "characters"),
     **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "sturm_bound", "teichmuller",
                      "valp_cyc", "valp_rational"), "exact"),
-    **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod", "miller_basis"),
-                    "hecke1"),
+    **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod"), "hecke1"),
     **dict.fromkeys(("EtaValue", "bernoulli", "eta", "gen_bernoulli", "kummer_check",
                      "l_nonpositive"), "lfunc"),
     **dict.fromkeys(("QExpansion", "build_fm", "build_g", "build_h", "eisenstein_qexp",

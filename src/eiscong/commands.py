@@ -55,20 +55,15 @@ def eisenstein(l, phi, prec):
 
 
 def build_h(p, k, psi, ell, m, sigma, s, prec):
-    from math import lcm
     from .characters import parse_char, primitive_char
-    from .criteria import aux_char_search
-    from .exact import padic_context
-    from .qexp import build_h as construct_h
+    from .criteria import aux_char_and_h
     psi = primitive_char(parse_char(psi))
-    sigma = _parse_sigma(sigma)
-    aux = aux_char_search(p, k, psi, ell, m, s=s)
-    if not aux.found:
+    aux, built = aux_char_and_h(p, k, psi, ell, m, _parse_sigma(sigma), s, prec)
+    if built is None:
         raise ComputationError(
             f"no auxiliary character of conductor {ell}^m (m <= {m}) satisfies "
             "the p-unit condition")
-    ctx = padic_context(p, lcm(psi.order, aux.char.order), s)
-    h, rep = construct_h(psi, k, ell, m, aux.char, sigma, ctx, prec)
+    h, rep = built
     return {"aux_char": aux.as_dict(), "report": rep.as_dict(), "h": h.as_dict()}
 
 

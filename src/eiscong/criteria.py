@@ -8,9 +8,9 @@ the valuation of the congruence-module bound eta(psi, k): when
 sum(depths)/e exceeds f_res * e * val_p(eta) and the opposite-direction
 Selmer group is one-dimensional, the Eisenstein ideal cannot be principal.
 
-``hecke1`` and ``qexp`` are imported by ``ingest_records`` and
-``full_report``, the only functions that use them, so the Selmer and
-auxiliary-character commands load neither.
+``hecke1`` and ``qexp`` are imported by the functions that use them
+(``ingest_records``, ``full_report``, ``aux_char_and_h``), so the Selmer
+and auxiliary-character commands load neither.
 """
 
 from __future__ import annotations
@@ -107,12 +107,10 @@ class SelmerBoundReport(namedtuple(
 def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
     """Upper bound on dim H^1_Sigma(Q, F(k-1)): at most 1 from the class
     group eigenspace (when Herbrand applies) plus min(val_p(1-l^(k-2)), 1)
-    per extra prime; combined with the lower bound for F(1-k)."""
-    if k % 2 != 0 or not 2 <= k <= p - 1:
-        raise ParameterError("need even k with 2 <= k <= p-1")
+    per extra prime; combined with the lower bound for F(1-k), which also
+    checks k and Sigma."""
     sigma_t = tuple(sorted(set(int(x) for x in sigma)))
-    if p not in sigma_t:
-        raise ParameterError("Sigma must contain p")
+    lower = selmer_lower_1mk(p, k, sigma_t, f_res)
     if k - 1 > 1:
         status = herbrand_eigenspace(p, k - 1)
     else:
@@ -123,7 +121,6 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
             continue
         terms.append((ell, local_factor(ell, 1 - k, p)))
     dim_upper = (1 + sum(t for _, t in terms)) if status == "trivial" else None
-    lower = selmer_lower_1mk(p, k, sigma_t, f_res)
     return SelmerBoundReport(
         p=p, k=k, sigma=sigma_t, residue_field_degree=f_res,
         lower_bound_1mk=lower, dim_chi_inverse_lower=lower // f_res,
@@ -209,6 +206,21 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
         val_l_psi_phi=None, val_l_phi_inv=None,
         context_conductor=ctx_m.f, context_precision=ctx_m.s,
         searched_m_max=m_max)
+
+
+def aux_char_and_h(p: int, k: int, psi: DirichletChar, ell: int, m_max: int, sigma,
+                   s: int, prec: int):
+    """Search phi by ``aux_char_search`` up to conductor ell^m_max and, when
+    one is found, build H at the exponent m of its conductor ell^m, so that
+    F_m and G have constant terms on the same cusps.  psi must be primitive.
+
+    Returns (AuxCharCertificate, (H, HConstructionReport) or None)."""
+    from .qexp import build_h
+    aux = aux_char_search(p, k, psi, ell, m_max, s=s)
+    if not aux.found:
+        return aux, None
+    ctx = padic_context(p, lcm(psi.order, aux.char.order), s)
+    return aux, build_h(psi, k, ell, valp_int(aux.conductor, ell), aux.char, sigma, ctx, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +383,6 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     """Assemble the full pipeline into one JSON-ready report with sections
     parameters, eta, selmer, aux_char, h_construction, depths, criterion."""
     from .hecke1 import depth_scan, scan_prime_bound
-    from .qexp import build_h
     sigma = sorted(set(int(x) for x in sigma))
     if p not in sigma:
         raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
@@ -400,20 +411,11 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     if ell is None:
         candidates = [q for q in sigma if q != p and psi.modulus % q != 0]
         ell = candidates[0] if candidates else None
-    aux = None
+    aux = built = None
     if ell is not None:
-        aux = aux_char_search(p, k, psi, ell, m_max, s=s)
-        report["aux_char"] = aux.as_dict()
-    else:
-        report["aux_char"] = None
-
-    if aux is not None and aux.found:
-        work_f = lcm(psi.order, aux.char.order)
-        ctx_h = padic_context(p, work_f, s)
-        _, h_rep = build_h(psi, k, ell, 1, aux.char, sigma, ctx_h, prec)
-        report["h_construction"] = h_rep.as_dict()
-    else:
-        report["h_construction"] = None
+        aux, built = aux_char_and_h(p, k, psi, ell, m_max, sigma, s, prec)
+    report["aux_char"] = aux.as_dict() if aux else None
+    report["h_construction"] = built[1].as_dict() if built else None
 
     depths_section: dict = {}
     internal_records = []

@@ -622,8 +622,7 @@ class CycElem(_Frozen):
 # p-adic contexts
 # ---------------------------------------------------------------------------
 
-class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree all_factors e",
-                               defaults=(1,))):
+class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree all_factors")):
     """A fixed prime above p in Q(zeta_f) (p coprime to f), with working
     precision p^s.
 
@@ -631,8 +630,8 @@ class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree a
     factor of the f-th cyclotomic polynomial mod p, as a tuple of ints; the
     quotient Z[x]/(p^s, prime_poly) is the length-s truncation of the
     unramified extension of Z_p of degree ``residue_degree``.
-    ``all_factors`` holds the lifts of every factor.  Ramification index
-    e = 1.
+    ``all_factors`` holds the lifts of every factor.  The ramification index
+    is 1, since p does not divide f.
     """
 
     __slots__ = ()

@@ -1,46 +1,45 @@
-"""Level-1 Hecke engine: the echelonized (Victor Miller) basis of
-M_k(SL2(Z)), Hecke matrices on the cuspidal subspace, eigensystem extraction
-mod p^s, and congruence-depth scans.
+"""Level-1 Hecke engine: the eigensystems of S_k(SL2(Z)) mod p^s, read off
+the echelonized (Victor Miller) basis, and congruence-depth scans.
 
-The whole extraction runs on residues mod p^s: charpoly(T_2) comes from
-Berkowitz's division-free recurrence in Z/p^s, never over Q.  Extraction is
-restricted to simple roots of charpoly(T_2) mod p that lie in the prime
-field.  They are the linear factors of the gcd of charpoly(T_2) with x^p - x
-over F_p, split by equal-degree factorization; repeated division gives each
-root's multiplicity and the degree left over outside the prime field.  Each
-simple root is Hensel-lifted to alpha mod p^s together with its cofactor h.
-The local Hecke algebra at a simple root is Z_p, so the alpha-eigenline is
-spanned by the normalised eigenform: a column v of h(T_2) with a unit first
-coordinate v_0 = a_1 is a unit multiple of it, and every eigenvalue is read
-off its q-expansion, a_q = a_q(v) / v_0, through the pairing
-(T, f) -> a_1(T f) of the Hecke algebra with integral cusp forms (Stein,
-*Modular Forms: A Computational Approach*).  No Hecke matrix but T_2 is
-built, and the Miller basis only to precision max(2 dim + 1, largest
-recorded prime).  Roots of larger residue degree or with repeated reduction
-are reported as skipped; such eigensystems enter through the external-record
-ingestion path instead.
+The whole extraction runs on residues mod p^s.  The Miller rows are built
+once per scan, mod p^s, to precision max(2 dim + 1, largest recorded prime);
+Delta = (E4^3 - E6^2)/1728 is computed in integers and reduced after the
+division, since 1728 has no inverse mod 3.  T_2 is read off those rows by the
+divisor-sum formula, and charpoly(T_2) comes from Berkowitz's division-free
+recurrence in Z/p^s.  Extraction is restricted to simple roots of
+charpoly(T_2) mod p that lie in the prime field.  They are the linear factors
+of the gcd of charpoly(T_2) with x^p - x over F_p, split by equal-degree
+factorization; repeated division gives each root's multiplicity and the
+degree left over outside the prime field.  Each simple root is Hensel-lifted
+to alpha mod p^s together with its cofactor h.  The local Hecke algebra at a
+simple root is Z_p, so the alpha-eigenline is spanned by the normalised
+eigenform: a column v of h(T_2) with a unit first coordinate v_0 = a_1 is a
+unit multiple of it, and every eigenvalue is read off its q-expansion,
+a_q = a_q(v) / v_0, through the pairing (T, f) -> a_1(T f) of the Hecke algebra
+with integral cusp forms (Stein, *Modular Forms: A Computational Approach*).
+Roots of larger residue degree or with repeated reduction are reported as
+skipped; such eigensystems enter through the external-record ingestion path
+instead.  The exact basis and Hecke matrices T_n are test oracles only
+(``tests/level1_oracle.py``).
 
 Depths are certified over the primes q up to max(Sturm bound, 13)
 (``scan_prime_bound``); the Sturm bound alone can name no prime at all in
 low weight (it is 1 for weight 12 at level 1), so the floor keeps the scan
 meaningful.
 
-The engine works on integer lists and needs only ``errors`` and ``exact`` at
-module level, so a scan loads no q-series, character or L-function code:
-``miller_basis``, the one function that returns q-expansions, imports
-``QExpansion`` and ``trivial_char`` when it is called.  The records are
-``namedtuple`` subclasses.
+The engine works on integer lists and imports only ``errors`` and
+``exact``, so a scan loads no q-series, character or L-function code.  The
+records are ``namedtuple`` subclasses.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 from operator import mul
 
 from .errors import ComputationError, ParameterError
-from .exact import (CycElem, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
-                    _ppow_mod, _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sturm_bound, valp_int)
+from .exact import (_equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod,
+                    _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sturm_bound, valp_int)
 
 MIN_SCAN_PRIME_BOUND = 13
 
@@ -65,87 +64,46 @@ def dim_cusp(k: int) -> int:
     return max(dim_modular(k) - 1, 0)
 
 
-def _build_miller_rows(k: int, P: int) -> list[list[int]]:
-    """Echelonized Miller basis of M_k to precision P, in integers.
+def _miller_rows(k: int, P: int, m: int) -> list[list[int]]:
+    """Echelonized Miller basis of M_k to precision P, as residues mod m.
 
     Row j starts as E4^a E6^b Delta^j with 4a + 6b = k - 12j: b is fixed by
     k mod 4 and a falls by 3 per row.  Delta = (E4^3 - E6^2)/1728 is integral
-    and row j leads with q^j, so back-substitution stays in Z."""
+    and is reduced only after the division, since 1728 is not a unit mod 3.
+    Row j leads with q^j, so back-substitution needs no division either; the
+    echelon form needs P >= dim M_k - 1."""
+    if k % 2 or k < 4:
+        raise ParameterError("weight must be even and >= 4")
     dim = dim_modular(k)
+    if P < dim - 1:
+        raise ParameterError(f"precision P = {P} is below dim M_{k} - 1 = {dim - 1}")
+
+    def times(f, g):
+        return [x % m for x in _pmul(f, g, P + 1)]
+
     one = [1] + [0] * P
     E4 = [1] + [240 * _sigma(n, 3) for n in range(1, P + 1)]
     E6 = [1] + [-504 * _sigma(n, 5) for n in range(1, P + 1)]
     E4_3 = _pmul(_pmul(E4, E4, P + 1), E4, P + 1)
-    delta = [(x - y) // 1728 for x, y in zip(E4_3, _pmul(E6, E6, P + 1))]
+    delta = [(x - y) // 1728 % m for x, y in zip(E4_3, _pmul(E6, E6, P + 1))]
+    E4, E6, E4_3 = ([x % m for x in f] for f in (E4, E6, E4_3))
     b = k // 2 % 2
     g = E6 if b else one  # E4^a E6^b of the last row, a in {0, 1, 2}
     for _ in range((k - 6 * b) // 4 - 3 * (dim - 1)):
-        g = _pmul(g, E4, P + 1)
+        g = times(g, E4)
     rows = [g]
     for _ in range(dim - 1):  # E4^(a + 3) E6^b of the row above
-        rows.insert(0, _pmul(rows[0], E4_3, P + 1))
+        rows.insert(0, times(rows[0], E4_3))
     dj = one
     for j in range(1, dim):
-        dj = _pmul(dj, delta, P + 1)
-        rows[j] = _pmul(rows[j], dj, P + 1)
+        dj = times(dj, delta)
+        rows[j] = times(rows[j], dj)
     for j in range(dim - 1, -1, -1):
         for i in range(j + 1, dim):
             c = rows[j][i]
             if c:
-                rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
+                rows[j] = [(x - c * y) % m for x, y in zip(rows[j], rows[i])]
     return rows
-
-
-# weight -> integer Miller rows at the largest precision built so far.  A
-# truncated q-series product does not depend on P, so a smaller request is
-# served by the same rows.
-_MILLER_ROWS: dict[int, list[list[int]]] = {}
-
-
-def _miller_rows(k: int, P: int) -> list[list[int]]:
-    """Integer Miller rows of M_k with at least P + 1 coefficients each;
-    the echelon form needs P >= dim M_k - 1."""
-    if k % 2 or k < 4:
-        raise ParameterError("weight must be even and >= 4")
-    if P < dim_modular(k) - 1:
-        raise ParameterError(f"precision P = {P} is below dim M_{k} - 1 = {dim_modular(k) - 1}")
-    rows = _MILLER_ROWS.get(k)
-    if rows is None or len(rows[0]) <= P:
-        rows = _MILLER_ROWS[k] = _build_miller_rows(k, P)
-    return rows
-
-
-def miller_basis(k: int, P: int) -> list:
-    """Echelonized basis of M_k(SL2(Z)) as QExpansions to precision P:
-    element i has a_j = delta_ij for j < dim.  Elements 1..dim-1 (those with
-    a_0 = 0) span the cusp forms."""
-    from .characters import trivial_char
-    from .qexp import QExpansion
-    return [QExpansion(coefficients=tuple(CycElem.from_rational(c) for c in row[:P + 1]),
-                       weight=k, level=1, character=trivial_char(1), label=f"M_{k}[{i}]")
-            for i, row in enumerate(_miller_rows(k, P))]
-
-
-def hecke_matrix(k: int, n: int, P: int | None = None) -> list[list[int]]:
-    """Matrix of T_n on the cuspidal echelon basis of S_k(SL2(Z)), via
-    a_m(T_n f) = sum_{d | gcd(m,n)} d^(k-1) a_(mn/d^2)(f).
-
-    Entry [i][j] is the f_(i+1)-coordinate of T_n f_(j+1).  Precision P must
-    reach dim * n (defaulted when omitted).  The entries are integers,
-    computed on the integer Miller basis (built once per weight and process).
-    """
-    if n < 1:
-        raise ParameterError(f"Hecke index n = {n} must be >= 1")
-    ds = dim_cusp(k)
-    need = ds * n + 1
-    if P is None:
-        P = need
-    if P < need:
-        raise ParameterError(f"precision {P} is below the required {need}")
-    cusp = _miller_rows(k, P)[1:]
-    return [[sum(d ** (k - 1) * f[m * n // (d * d)]
-                 for d in range(1, gcd(m, n) + 1) if m % d == 0 and n % d == 0)
-             for f in cusp] for m in range(1, ds + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +200,13 @@ def eigensystems_mod(k: int, p: int, s: int):
     if dim == 0:
         return records, skipped
     primes = _primes_upto(scan_prime_bound(k))
-    # one basis build: T_2 needs a_1..a_(2 dim), the read-off a_q for q <= primes[-1]
-    cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]))[1:]
     mod = p**s
-    T2 = [[x % mod for x in row] for row in hecke_matrix(k, 2)]
+    # one basis build: T_2 needs a_1..a_(2 dim), the read-off a_q for q <= primes[-1]
+    cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]), mod)[1:]
+    # a_n(T_2 f) = a_(2n)(f) + 2^(k-1) a_(n/2)(f), the second term for even n only
+    two = pow(2, k - 1, mod)
+    T2 = [[(f[2 * n] + (two * f[n // 2] if n % 2 == 0 else 0)) % mod for f in cusp]
+          for n in range(1, dim + 1)]
     f = charpoly(T2, mod)
     fb = _trim_mod(f, p)
     # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)

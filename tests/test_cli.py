@@ -349,6 +349,18 @@ def test_build_h_m_below_one_is_a_parameter_error(capsys):
     _assert_m_max_rejected(capsys, "build-h", "--ell", "101", "--sigma", "37,101", "--m", "0")
 
 
+def test_build_h_builds_f_at_the_exponent_of_the_conductor_found(capsys):
+    # before: phi of conductor 19 (m = 1) with F built at --m 2, so F and G had
+    # constant terms on different cusps and the report said cusps_vanish: false
+    code, out, _ = run_cli(capsys, "--no-cache", "build-h", "--p", "37", "--k", "32",
+                           "--ell", "19", "--m", "2", "--sigma", "19,37", "--prec", "30")
+    payload = json.loads(out)
+    assert code == 0 and payload["aux_char"]["conductor"] == 19
+    report = payload["report"]
+    assert (report["m"], report["cusp_count"], report["cusps_vanish"]) == (1, 2, True)
+    assert report["passed"] is True
+
+
 def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
     args = ("bernoulli", "--n", "12")
     _, expected, _ = run_cli(capsys, "--no-cache", *args)

@@ -284,6 +284,20 @@ def test_full_report_691_inconclusive():
     assert len(recs) == 1 and recs[0]["depth"] == 1
 
 
+def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch):
+    # no character of conductor 5 is offered, so the search finds one of
+    # conductor 25; before, H was still built from F_1 and failed at the cusps
+    from eiscong import criteria
+    enumerate_chars = criteria.enumerate_chars
+    monkeypatch.setattr(criteria, "enumerate_chars",
+                        lambda f, **kw: [] if f == 5 else enumerate_chars(f, **kw))
+    rep = full_report(37, 32, trivial_char(1), [5, 37], s=4, prec=20, ell=5, m_max=2,
+                      s_max=2)
+    assert rep["aux_char"]["conductor"] == 25
+    h = rep["h_construction"]
+    assert (h["m"], h["cusp_count"], h["cusps_vanish"], h["passed"]) == (2, 6, True, True)
+
+
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
         full_report(37, 32, trivial_char(1), [31], s=6)

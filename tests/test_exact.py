@@ -233,7 +233,6 @@ def test_padic_context_factor_product():
             phi.pop()
         assert prod == phi
         assert len(ctx.all_factors) == euler_phi(f) // ctx.residue_degree
-        assert ctx.e == 1
 
 
 def test_hensel_lift_returns_the_lifted_cofactor():

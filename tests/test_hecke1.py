@@ -1,5 +1,6 @@
-"""Level-1 Hecke engine: echelon basis, Hecke matrices, eigensystems mod p^s,
-and depth scans."""
+"""Level-1 Hecke engine: echelon basis mod m, eigensystems mod p^s and depth
+scans, checked against the exact basis and Hecke matrices of
+``level1_oracle``."""
 
 import hashlib
 import json
@@ -10,17 +11,17 @@ import pytest
 from eiscong import hecke1
 from eiscong.errors import ComputationError, ParameterError
 from eiscong.hecke1 import (
+    _miller_rows,
     charpoly,
     depth_scan,
     dim_cusp,
     dim_modular,
     eigensystems_mod,
-    hecke_matrix,
-    miller_basis,
     residue_valuation,
     scan_prime_bound,
 )
 from eiscong.qexp import sturm_bound
+from level1_oracle import hecke_matrix, miller_basis, miller_rows
 
 
 def delta_eta_product(P):
@@ -49,7 +50,7 @@ def test_miller_dims_and_delta():
     assert dim_cusp(32) == 2
     assert dim_cusp(4) == 0
     with pytest.raises(ParameterError):
-        miller_basis(5, 10)
+        _miller_rows(5, 10, 37)
 
 
 def test_delta_to_precision_200_matches_the_eta_product():
@@ -277,47 +278,19 @@ def test_record_serialization():
 
 
 def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
-    builds, heckes = [], []
+    builds = []
 
-    def counting(k, P):
-        builds.append((k, P))
-        return build(k, P)
+    def counting(k, P, m):
+        builds.append((k, P, m))
+        return build(k, P, m)
 
-    def counting_hecke(k, n, P=None):
-        heckes.append(n)
-        return hecke(k, n, P)
-
-    build, hecke = hecke1._build_miller_rows, hecke1.hecke_matrix
-    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
-    monkeypatch.setattr(hecke1, "_build_miller_rows", counting)
-    monkeypatch.setattr(hecke1, "hecke_matrix", counting_hecke)
+    build = hecke1._miller_rows
+    monkeypatch.setattr(hecke1, "_miller_rows", counting)
     recs, skipped = depth_scan(110, 157, {157}, 3)
     # max(2 dim + 1, largest recorded prime) = max(2 * 8 + 1, 13)
-    assert builds == [(110, 17)]
-    assert heckes == [2]
+    assert builds == [(110, 17, 157**3)]
     assert [r.depth for r in recs] == [0, 1, 0]
     assert len(skipped) == 1
-
-
-@pytest.mark.parametrize("k", [12, 36, 50])
-def test_basis_and_hecke_do_not_depend_on_build_order(monkeypatch, k):
-    def results():
-        return (miller_basis(k, 20), hecke_matrix(k, 3, 3 * dim_cusp(k) + 1),
-                hecke_matrix(k, 5, 80), miller_basis(k, 80))
-
-    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
-    small_first = results()
-    hecke1._MILLER_ROWS.clear()
-    miller_basis(k, 80)
-    large_first = results()
-    assert large_first == small_first
-    assert [f.precision for f in large_first[0]] == [20] * dim_modular(k)
-
-
-def test_precision_guard_after_a_larger_build():
-    miller_basis(12, 100)
-    with pytest.raises(ParameterError):
-        hecke_matrix(12, 5, P=3)
 
 
 @pytest.mark.parametrize("k", [24, 48, 84, 110])
@@ -532,13 +505,16 @@ def test_hecke_index_below_one_is_a_parameter_error(n):
 
 
 @pytest.mark.parametrize("k, P", [(12, 0), (24, 1), (24, -3)])
-def test_miller_precision_below_dim_minus_one_is_a_parameter_error(monkeypatch, k, P):
-    monkeypatch.setattr(hecke1, "_MILLER_ROWS", {})
-    with pytest.raises(ParameterError, match=f"precision P = {P} is below dim M_{k} - 1"):
-        miller_basis(k, P)
-    miller_basis(k, 40)  # the rows are now cached at a larger precision
-    with pytest.raises(ParameterError, match="precision"):
-        miller_basis(k, P)
-    basis = miller_basis(k, dim_modular(k) - 1)
-    assert [[c.as_rational() for c in f.coefficients] for f in basis] == [
-        [int(i == j) for j in range(dim_modular(k))] for i in range(dim_modular(k))]
+def test_miller_precision_below_dim_minus_one_is_a_parameter_error(k, P):
+    for m in (3, 37**2):
+        with pytest.raises(ParameterError, match=f"precision P = {P} is below dim M_{k} - 1"):
+            _miller_rows(k, P, m)
+        assert _miller_rows(k, dim_modular(k) - 1, m) == [
+            [int(i == j) for j in range(dim_modular(k))] for i in range(dim_modular(k))]
+
+
+@pytest.mark.parametrize("m", [3**3, 37**2, 691**3])
+def test_miller_rows_mod_m_are_the_exact_rows_reduced(m):
+    for k in (*range(4, 64, 2), 84, 110, 146, 170, 520):
+        P = max(2 * dim_modular(k) + 1, 13)
+        assert _miller_rows(k, P, m) == [[c % m for c in row] for row in miller_rows(k, P)], k

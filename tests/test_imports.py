@@ -92,7 +92,7 @@ print(json.dumps({{"loaded": loaded, "homes": homes, "dir": sorted(dir(eiscong))
     (line,) = fresh(code)
     got = json.loads(line)
     assert got["loaded"] == ["eiscong"]
-    assert len(got["all"]) == 36
+    assert len(got["all"]) == 35
     for name, (home, same) in got["homes"].items():
         assert home.startswith("eiscong.") and home != "eiscong.cli" and same, name
     assert got["star"] == sorted(got["all"])
@@ -119,6 +119,21 @@ def misses(*commands: str):
     codes, loaded, dataclasses = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     return loaded, dataclasses
+
+
+def test_hecke1_imports_no_qexp_or_characters_even_lazily():
+    with open(os.path.join(SRC, "eiscong", "hecke1.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert {".errors", ".exact"} <= imported
+    assert not [name for name in imported if {"qexp", "characters"} & set(name.split("."))]
 
 
 def test_a_scan_miss_loads_exact_and_hecke1_alone():
