@@ -110,12 +110,10 @@ def criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
     explicit = dim_chi_upper is not None
     if not explicit:
         dim_chi_upper = selmer_upper_km1(p, k, sigma, fres).dim_chi_upper
-    established = dim_chi_hypothesis(
-        dim_chi_upper, assumed=assume_nontrivial_extension)["dim_chi_equals_1"]
-    source = ("explicit" if explicit else "selmer-upper-plus-assertion" if established
-              else "selmer-upper-only")
-    crit = nonprincipality_verdict(eta_value, records, e=e, f_res=fres,
-                                   dim_chi_upper=1 if established else None)
+    hypothesis = dim_chi_hypothesis(dim_chi_upper, assumed=assume_nontrivial_extension)
+    source = ("explicit" if explicit else "selmer-upper-plus-assertion"
+              if hypothesis["dim_chi_equals_1"] else "selmer-upper-only")
+    crit = nonprincipality_verdict(eta_value, records, e=e, f_res=fres, hypothesis=hypothesis)
     return {"p": p, "k": k, "sigma": sigma, "dim_chi_upper": dim_chi_upper,
             "hypothesis_source": source} | crit.as_dict()
 

@@ -7,6 +7,8 @@ The criterion compares the congruence depths of Hecke eigensystems against
 the valuation of the congruence-module bound eta(psi, k): when
 sum(depths)/e exceeds f_res * e * val_p(eta) and the opposite-direction
 Selmer group is one-dimensional, the Eisenstein ideal cannot be principal.
+Depths are decided by ``hecke1.congruence_depth``, dim H^1_Sigma(Q, chi) = 1
+by ``dim_chi_hypothesis`` and p in Sigma by ``exact.sigma_with_p``, once each.
 
 ``hecke1`` and ``qexp`` are imported by the functions that use them
 (``ingest_records``, ``full_report``, ``aux_char_and_h``), so the Selmer
@@ -22,8 +24,8 @@ from math import lcm
 
 from .characters import DirichletChar, char_inverse, char_product, enumerate_chars, primitive_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import (INF, euler_phi, factorize, is_prime, padic_context, valp_cyc, valp_int,
-                    valp_rational)
+from .exact import (INF, euler_phi, factorize, is_prime, padic_context, sigma_with_p, valp_cyc,
+                    valp_int, valp_rational)
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
 
 
@@ -44,9 +46,7 @@ def selmer_lower_1mk(p: int, k: int, sigma, f_res: int) -> int:
         raise ParameterError("need even k with 2 <= k <= p-1")
     if f_res < 1:
         raise ParameterError(f"residue field degree f_res = {f_res} must be >= 1")
-    sigma = sorted(set(int(x) for x in sigma))
-    if p not in sigma:
-        raise ParameterError("Sigma must contain p")
+    sigma = sigma_with_p(p, sigma)
     total = b1_omega_min_valuation(k - 1, p)
     for ell in sigma:
         if ell != p:
@@ -109,7 +109,7 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
     group eigenspace (when Herbrand applies) plus min(val_p(1-l^(k-2)), 1)
     per extra prime; combined with the lower bound for F(1-k), which also
     checks k and Sigma."""
-    sigma_t = tuple(sorted(set(int(x) for x in sigma)))
+    sigma_t = tuple(sigma_with_p(p, sigma))
     lower = selmer_lower_1mk(p, k, sigma_t, f_res)
     if k - 1 > 1:
         status = herbrand_eigenspace(p, k - 1)
@@ -255,7 +255,8 @@ def dim_chi_hypothesis(dim_chi_upper: int | None, *, congruence_certificate: boo
     """Decide whether dim H^1_Sigma(Q, chi) = 1 is established.  An upper
     bound of 1 alone leaves dimension 0 open; a nontrivial extension must
     also be known, certified by a level-1 congruence or asserted by the
-    user.  Both the criterion command and the full report decide here."""
+    user.  The criterion command and the full report decide here, and pass
+    the returned dict to ``nonprincipality_verdict``."""
     certificate = ("level1-congruence" if congruence_certificate
                    else "user-assertion" if assumed else None)
     return {"dim_chi_upper_bound": dim_chi_upper,
@@ -263,12 +264,12 @@ def dim_chi_hypothesis(dim_chi_upper: int | None, *, congruence_certificate: boo
             "dim_chi_equals_1": dim_chi_upper == 1 and certificate is not None}
 
 
-def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int,
-                            dim_chi_upper: int | None) -> CriterionReport:
+def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int, *,
+                            hypothesis: dict) -> CriterionReport:
     """Decide the criterion: non-principal iff sum(depths)/e exceeds
-    f_res * e * val_p(eta) and the opposite Selmer group is known to be
-    one-dimensional (dim_chi_upper == 1); otherwise inconclusive, naming
-    the failing condition.
+    f_res * e * val_p(eta) and ``hypothesis``, the decision of
+    ``dim_chi_hypothesis``, establishes dim H^1_Sigma(Q, chi) = 1; otherwise
+    inconclusive, naming the failing condition.
     """
     records = tuple(records)
     if e < 1 or f_res < 1:
@@ -284,14 +285,15 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int,
         raise ComputationError("eta vanishes; the congruence module is infinite")
     depth_sum = Fraction(sum(r.depth for r in records), e)
     rhs = Fraction(f_res * e * eta_value.valuation_vpi)
-    if dim_chi_upper == 1 and depth_sum > rhs:
+    established = hypothesis["dim_chi_equals_1"]
+    if established and depth_sum > rhs:
         verdict = "non-principal"
         conclusion = ("the Eisenstein ideal is not principal and "
                       "#T_mod > dim H^1_Sigma(Q, chi^{-1})")
     else:
         verdict = "inconclusive"
         reasons = []
-        if dim_chi_upper != 1:
+        if not established:
             reasons.append("dim H^1_Sigma(Q, chi) = 1 is not established")
         if depth_sum <= rhs:
             reasons.append(
@@ -312,10 +314,13 @@ _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth",
 
 def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> list:
     """Load externally computed eigensystem records (JSON array, or an object
-    with a "records" array) as EigensystemRecords.  Depths are re-checked
-    against the supplied eigenvalue residues, and each record's p and weight
-    against the given ones; source is forced to "external"."""
-    from .hecke1 import EigensystemRecord
+    with a "records" array) as EigensystemRecords.  Each stated depth d must
+    be the ``congruence_depth`` of the record's eigenvalue residues read mod
+    p^(d+1), with Sigma = {p} and the primes of the level: a record with no
+    prime outside Sigma, or whose residuals all vanish, is rejected.  Each
+    record's p and weight must match the given ones; source is forced to
+    "external"."""
+    from .hecke1 import EigensystemRecord, congruence_depth
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -354,18 +359,12 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
                 f"p = {p}, k = {weight}")
         if not is_prime(rec_p):
             raise ParameterError(f"{where}: p = {rec_p} is not prime")
-        sigma = {rec_p} | {q for q, _ in factorize(level)}
-        residual_vals = []
-        for q, aq in evs.items():
-            if q in sigma:
-                continue
-            r = aq - (1 + q ** (rec_weight - 1))
-            if r != 0:
-                residual_vals.append(valp_int(r, rec_p))
-        if residual_vals and min(residual_vals) != depth:
-            raise SchemaError(
-                f"{where}: depth {depth} inconsistent with eigenvalues "
-                f"(computed {min(residual_vals)})")
+        sigma = sorted({rec_p} | {q for q, _ in factorize(level)})
+        computed = congruence_depth(evs, rec_weight, rec_p, sigma, depth + 1)
+        if computed != depth:
+            detail = (f"no recorded prime lies outside Sigma = {sigma}" if computed is None
+                      else f"computed {computed} mod {rec_p}^{depth + 1}")
+            raise SchemaError(f"{where}: depth {depth} inconsistent with eigenvalues ({detail})")
         out.append(EigensystemRecord(
             weight=rec_weight, level=level, p=rec_p, prime_label=label,
             eigenvalues=evs, depth=depth, source="external"))
@@ -383,9 +382,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     """Assemble the full pipeline into one JSON-ready report with sections
     parameters, eta, selmer, aux_char, h_construction, depths, criterion."""
     from .hecke1 import depth_scan, scan_prime_bound
-    sigma = sorted(set(int(x) for x in sigma))
-    if p not in sigma:
-        raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
+    sigma = sigma_with_p(p, sigma)
     if m_max < 1:
         raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
     psi = primitive_char(psi)
@@ -397,10 +394,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
         "assume_nontrivial_extension": bool(assume_nontrivial_extension),
     }
 
-    eta_f = psi.order
-    if eta_f % p == 0:
-        raise ParameterError("value field of psi is ramified at p")
-    ctx_eta = padic_context(p, eta_f, s)
+    ctx_eta = padic_context(p, psi.order, s)
     eta_value = eta(psi, k, sigma, ctx_eta)
     report["eta"] = eta_value.as_dict()
 
@@ -409,7 +403,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     report["selmer"] = selmer.as_dict()
 
     if ell is None:
-        candidates = [q for q in sigma if q != p and psi.modulus % q != 0]
+        candidates = [q for q in sigma if q not in (2, p) and psi.modulus % q != 0]
         ell = candidates[0] if candidates else None
     aux = built = None
     if ell is not None:
@@ -444,9 +438,8 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
 
     criterion_records = external_records if external_records else internal_records
     if criterion_records:
-        crit = nonprincipality_verdict(
-            eta_value, criterion_records, e=1, f_res=f_res,
-            dim_chi_upper=1 if hypothesis["dim_chi_equals_1"] else None)
+        crit = nonprincipality_verdict(eta_value, criterion_records, e=1, f_res=f_res,
+                                       hypothesis=hypothesis)
         report["criterion"] = {"hypothesis": hypothesis, **crit.as_dict()}
     else:
         report["criterion"] = {"hypothesis": hypothesis, "verdict": "inconclusive",

@@ -18,8 +18,9 @@ normalized into [0, p)).  The extension is unramified, so e = 1 and the
 pi-adic valuation of an element equals the minimum p-valuation of its
 coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)).
 
-The Sturm bound lives here, with the other elementary number theory, so that
-the level-1 engine (``hecke1``) needs no module but this one and ``errors``.
+The Sturm bound and the check that p lies in Sigma live here, with the other
+elementary number theory, so that the level-1 engine (``hecke1``) needs no
+module but this one and ``errors``.
 The module imports no ``dataclasses``: its plain records are ``namedtuple``
 subclasses, and ``CycElem``, which carries arithmetic and so must not be a
 tuple, is a ``__slots__`` class on ``_Frozen``.
@@ -107,6 +108,15 @@ def sturm_bound(k: int, N: int) -> int:
     for p, _ in factorize(N):
         idx = idx // p * (p + 1)
     return -(-k * idx // 12)
+
+
+def sigma_with_p(p: int, sigma) -> list[int]:
+    """The ramification set Sigma as a sorted list of distinct ints; a
+    ParameterError unless p belongs to it."""
+    sigma = sorted({int(x) for x in sigma})
+    if p not in sigma:
+        raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
+    return sigma
 
 
 def mult_order(a: int, n: int) -> int:

@@ -25,7 +25,9 @@ instead.  The exact basis and Hecke matrices T_n are test oracles only
 Depths are certified over the primes q up to max(Sturm bound, 13)
 (``scan_prime_bound``); the Sturm bound alone can name no prime at all in
 low weight (it is 1 for weight 12 at level 1), so the floor keeps the scan
-meaningful.
+meaningful.  ``congruence_depth`` is the one depth rule in the package: the
+scan applies it at s = s_max, and record ingestion (``criteria``) at one
+more power of p than the depth a record states.
 
 The engine works on integer lists and imports only ``errors`` and
 ``exact``, so a scan loads no q-series, character or L-function code.  The
@@ -39,7 +41,8 @@ from operator import mul
 
 from .errors import ComputationError, ParameterError
 from .exact import (_equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod,
-                    _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sturm_bound, valp_int)
+                    _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sigma_with_p, sturm_bound,
+                    valp_int)
 
 MIN_SCAN_PRIME_BOUND = 13
 
@@ -245,35 +248,32 @@ def eigensystems_mod(k: int, p: int, s: int):
 
 
 def residue_valuation(r: int, p: int, s: int) -> int:
-    """val_p of a residue known mod p^s, capped at s (0 residue reports s)."""
-    r %= p**s
-    if r == 0:
-        return s
-    return min(valp_int(r, p), s)
+    """val_p of a residue known mod p^s, capped at s (0 residue reports s).
+    min(val_p(r), s) does not change when r moves by a multiple of p^s, so r
+    needs no reduction."""
+    return s if r == 0 else min(valp_int(r, p), s)
+
+
+def congruence_depth(eigenvalues, k: int, p: int, sigma, s: int) -> int | None:
+    """The congruence depth of an eigensystem with the weight-k Eisenstein
+    series: min over the recorded primes q not in Sigma of
+    val_p(a_q - 1 - q^(k-1)), read mod p^s and so capped at s.  None when no
+    recorded prime lies outside Sigma."""
+    return min((residue_valuation(aq - 1 - q ** (k - 1), p, s)
+                for q, aq in eigenvalues.items() if q not in sigma), default=None)
 
 
 def depth_scan(k: int, p: int, sigma, s_max: int):
     """Scan the level-1 eigensystems of weight k for congruence depth with
-    the Eisenstein eigenvalues 1 + q^(k-1).
-
-    depth = min over recorded primes q not in Sigma of
-    val_p(a_q - (1 + q^(k-1))), computed mod p^(s_max) and capped there
-    (``capped`` marks records whose depth reached the cap).
+    the Eisenstein eigenvalues 1 + q^(k-1), by ``congruence_depth`` at
+    s = s_max (``capped`` marks records whose depth reached the cap).
     """
-    sigma = set(int(x) for x in sigma)
-    if p not in sigma:
-        raise ParameterError(f"p = {p} must belong to Sigma")
+    sigma = sigma_with_p(p, sigma)
     records, skipped = eigensystems_mod(k, p, s_max)
     out = []
     for rec in records:
-        vals = []
-        for q, aq in rec.eigenvalues.items():
-            if q in sigma:
-                continue
-            target = (1 + q ** (k - 1)) % p**s_max
-            vals.append(residue_valuation(aq - target, p, s_max))
-        if not vals:
+        depth = congruence_depth(rec.eigenvalues, k, p, sigma, s_max)
+        if depth is None:
             raise ComputationError("no primes outside Sigma were recorded")
-        depth = min(vals)
         out.append(rec._replace(depth=depth, capped=depth >= s_max))
     return out, skipped

@@ -24,8 +24,8 @@ from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
-from .exact import (INF, CycElem, PadicContext, _over_common, _val_json, is_prime, teichmuller,
-                    valp_cyc)
+from .exact import (INF, CycElem, PadicContext, _over_common, _val_json, is_prime, sigma_with_p,
+                    teichmuller, valp_cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,7 @@ def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:
     context must match the value field of psi (conductor 1 for trivial psi).
     """
     p = ctx.p
-    sigma = sorted(set(int(x) for x in sigma))
-    if p not in sigma:
-        raise ParameterError(f"p = {p} must belong to Sigma = {sigma}")
+    sigma = sigma_with_p(p, sigma)
     if k < 2:
         raise ParameterError("weight must be >= 2")
     psi0 = primitive_char(psi)

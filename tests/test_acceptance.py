@@ -17,6 +17,7 @@ from eiscong.characters import (
 from eiscong.cli import fixture_path, main
 from eiscong.criteria import (
     aux_char_search,
+    dim_chi_hypothesis,
     herbrand_eigenspace,
     ingest_records,
     nonprincipality_verdict,
@@ -154,7 +155,8 @@ def test_criterion_09_example37_criterion():
         assert len(records) == 19
         assert all(r.depth == 1 for r in records)
         ev = eta(trivial_char(1), 32, [31, 37], padic_context(37, 1, 6))
-        crit = nonprincipality_verdict(ev, records, e=1, f_res=1, dim_chi_upper=1)
+        crit = nonprincipality_verdict(ev, records, e=1, f_res=1,
+                                       hypothesis=dim_chi_hypothesis(1, assumed=True))
         assert crit.verdict == "non-principal"
         assert crit.depth_sum_over_e == 19 > 2 == crit.valp_congruence_module
         assert "#T_mod" in crit.conclusion_text

@@ -361,6 +361,43 @@ def test_build_h_builds_f_at_the_exponent_of_the_conductor_found(capsys):
     assert report["passed"] is True
 
 
+def test_report_skips_2_when_choosing_the_auxiliary_prime(capsys):
+    # before: ell = 2 was taken from Sigma and the search refused it, exit 1
+    code, out, err = run_cli(capsys, "--no-cache", "report", "--p", "37", "--k", "32",
+                             "--sigma", "2,31,37")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["aux_char"]["conductor"] == 31
+
+
+def test_criterion_rejects_a_depth_no_residual_checks(tmp_path, capsys):
+    # before: both records gave verdict non-principal
+    path = tmp_path / "rec.json"
+    for level, eigenvalues, depth in ((1, {"2": str(1 + 2 ** 31)}, 7), (31, {"31": "5"}, 9)):
+        path.write_text(json.dumps([{"weight": 32, "level": level, "p": 37,
+                                     "prime_label": "X", "eigenvalues": eigenvalues,
+                                     "depth": depth}]))
+        code, out, err = run_cli(capsys, "--no-cache", "criterion", "--p", "37", "--k", "32",
+                                 "--sigma", "37", "--records", str(path),
+                                 "--assume-nontrivial-extension")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parameter"
+        assert "inconsistent" in json.loads(err)["message"]
+
+
+def test_criterion_and_example37_reach_the_same_verdict(capsys):
+    # one verdict layer: the criterion command and the full report agree
+    _, out, _ = run_cli(capsys, "--no-cache", "criterion", "--p", "37", "--k", "32",
+                        "--sigma", "31,37", "--records", fixture_path("example37.json"),
+                        "--assume-nontrivial-extension")
+    criterion = json.loads(out)
+    _, out, _ = run_cli(capsys, "--no-cache", "example37", "--prec", "10")
+    report = json.loads(out)
+    keys = ("depths", "depth_sum_over_e", "valp_congruence_module", "verdict", "conclusion")
+    assert criterion["eta"] == report["eta"] == report["criterion"]["eta"]
+    assert {k: criterion[k] for k in keys} == {k: report["criterion"][k] for k in keys}
+    assert criterion["verdict"] == "non-principal"
+
+
 def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
     args = ("bernoulli", "--n", "12")
     _, expected, _ = run_cli(capsys, "--no-cache", *args)

@@ -1,10 +1,12 @@
 """Golden stdout of the CLI: the sha256 of what one cheap call of each
 subcommand prints, so that a refactor of the front end is caught by the
 first changed byte.  Also pins the exit code and the stderr JSON of one
-parameter error and one computation error."""
+parameter error and one computation error, and replays every command of the
+benchmark's ``perfbench/digests.json``."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +130,18 @@ def test_golden_errors(capsys):
     assert json.loads(err) == {
         "error": "computation",
         "message": "image vanishes mod 37^1; rerun with a larger precision s"}
+
+
+def test_benchmark_digests_replay(capsys):
+    # the benchmark checks each command's stdout against these digests; a
+    # change that moves one should fail here first, not in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))
+    assert len(digests) == 32
+    moved = []
+    for command, digest in sorted(digests.items()):
+        argv = [RECORDS if a == "@fixture/example37.json" else a for a in command.split()]
+        code, out, err = run_cli(capsys, "--no-cache", *argv)
+        if (code, err, sha(out)) != (0, "", digest):
+            moved.append(command)
+    assert moved == []

@@ -9,6 +9,7 @@ import pytest
 from eiscong.characters import trivial_char
 from eiscong.criteria import (
     aux_char_search,
+    dim_chi_hypothesis,
     full_report,
     herbrand_eigenspace,
     ingest_records,
@@ -27,6 +28,10 @@ FIXTURE = fixture_path("example37.json")
 
 def eta37():
     return eta(trivial_char(1), 32, [31, 37], padic_context(37, 1, 6))
+
+
+# dim H^1_Sigma(Q, chi) = 1: the upper bound 1 with an asserted extension
+DIM_ONE = dim_chi_hypothesis(1, assumed=True)
 
 
 def test_selmer_lower_examples():
@@ -146,7 +151,7 @@ def test_verdict_example37():
     assert all(r.depth == 1 for r in records)
     assert all(r.prime_label == "P1" for r in records)
     assert all(r.source == "external" for r in records)
-    crit = nonprincipality_verdict(eta37(), records, e=1, f_res=1, dim_chi_upper=1)
+    crit = nonprincipality_verdict(eta37(), records, e=1, f_res=1, hypothesis=DIM_ONE)
     assert crit.verdict == "non-principal"
     assert crit.depth_sum_over_e == 19
     assert crit.valp_congruence_module == 2
@@ -156,11 +161,12 @@ def test_verdict_example37():
 
 def test_verdict_inconclusive_cases():
     records = ingest_records(FIXTURE)
-    single = nonprincipality_verdict(eta37(), records[:1], 1, 1, 1)
+    single = nonprincipality_verdict(eta37(), records[:1], 1, 1, hypothesis=DIM_ONE)
     assert single.verdict == "inconclusive"
-    empty = nonprincipality_verdict(eta37(), [], 1, 1, 1)
+    empty = nonprincipality_verdict(eta37(), [], 1, 1, hypothesis=DIM_ONE)
     assert empty.verdict == "inconclusive"
-    no_dim = nonprincipality_verdict(eta37(), records, 1, 1, dim_chi_upper=None)
+    no_dim = nonprincipality_verdict(eta37(), records, 1, 1,
+                                     hypothesis=dim_chi_hypothesis(None, assumed=True))
     assert no_dim.verdict == "inconclusive"
     assert "dim" in no_dim.conclusion_text
 
@@ -170,7 +176,7 @@ def test_verdict_monotone_in_records():
     ev = eta37()
     last = None
     for n in range(len(records) + 1):
-        v = nonprincipality_verdict(ev, records[:n], 1, 1, 1).verdict
+        v = nonprincipality_verdict(ev, records[:n], 1, 1, hypothesis=DIM_ONE).verdict
         if last == "non-principal":
             assert v == "non-principal"
         last = v
@@ -180,17 +186,31 @@ def test_verdict_scaling_with_e():
     records = ingest_records(FIXTURE)
     ev = eta37()
     # e = 2: sum/e = 9.5 vs rhs = 1*2*2 = 4 -> still non-principal
-    crit = nonprincipality_verdict(ev, records, e=2, f_res=1, dim_chi_upper=1)
+    crit = nonprincipality_verdict(ev, records, e=2, f_res=1, hypothesis=DIM_ONE)
     assert crit.depth_sum_over_e == Fraction(19, 2)
     assert crit.valp_congruence_module == 4
     assert crit.verdict == "non-principal"
+
+
+def test_verdict_needs_more_than_an_upper_bound():
+    # an upper bound of 1 leaves dimension 0 open; before, dim_chi_upper=1
+    # alone gave non-principal
+    records = ingest_records(FIXTURE)
+    bound_only = nonprincipality_verdict(eta37(), records, 1, 1,
+                                         hypothesis=dim_chi_hypothesis(1))
+    assert bound_only.verdict == "inconclusive"
+    assert bound_only.conclusion_text == "dim H^1_Sigma(Q, chi) = 1 is not established"
+    with pytest.raises(TypeError):
+        nonprincipality_verdict(eta37(), records, e=1, f_res=1, dim_chi_upper=1)
+    with pytest.raises(TypeError):
+        nonprincipality_verdict(eta37(), records, 1, 1, 1)
 
 
 def test_verdict_mixed_records_rejected():
     records = ingest_records(FIXTURE)
     bad = records[0]._replace(weight=12)
     with pytest.raises(ParameterError):
-        nonprincipality_verdict(eta37(), [records[1], bad], 1, 1, 1)
+        nonprincipality_verdict(eta37(), [records[1], bad], 1, 1, hypothesis=DIM_ONE)
 
 
 def test_ingest_errors(tmp_path):
@@ -222,6 +242,38 @@ def test_ingest_errors(tmp_path):
         "eigenvalues": {"2": "5"}, "depth": 0, "source": "external"}]))
     with pytest.raises(ParameterError, match="p = 1 is not prime"):
         ingest_records(not_prime, p=1)
+
+
+# Two records whose stated depth no residual checks: a level-1 residual of
+# zero (a_2 = 1 + 2^31 exactly), and a level-31 record that lists only a_31.
+UNCHECKED_RECORDS = {
+    "zero-residual": {"weight": 32, "level": 1, "p": 37, "prime_label": "X",
+                      "eigenvalues": {"2": str(1 + 2 ** 31)}, "depth": 7},
+    "no-prime-outside-sigma": {"weight": 32, "level": 31, "p": 37, "prime_label": "X",
+                               "eigenvalues": {"31": "5"}, "depth": 9},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED_RECORDS))
+def test_ingest_rejects_a_depth_no_residual_checks(tmp_path, name):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps([UNCHECKED_RECORDS[name]]))
+    with pytest.raises(SchemaError, match="inconsistent"):
+        ingest_records(path, p=37, weight=32)
+
+
+def test_ingest_checks_the_depth_to_one_more_power_of_p(tmp_path):
+    # a_2 - 1 - 2^31 = 37^2: depth 2 holds mod 37^3, depths 1 and 3 do not
+    rec = {"weight": 32, "level": 1, "p": 37, "prime_label": "X",
+           "eigenvalues": {"2": str(1 + 2 ** 31 + 37 ** 2)}}
+    path = tmp_path / "rec.json"
+    for depth, ok in ((1, False), (2, True), (3, False)):
+        path.write_text(json.dumps([rec | {"depth": depth}]))
+        if ok:
+            assert ingest_records(path)[0].depth == 2
+        else:
+            with pytest.raises(SchemaError, match="inconsistent"):
+                ingest_records(path)
 
 
 def test_kummer_sweep_consistency():
@@ -348,7 +400,7 @@ def _record_samples():
         "SelmerBoundReport": lambda: selmer_upper_km1(37, 32, [31, 37], 1),
         "AuxCharCertificate": lambda: aux_char_search(37, 32, psi, 31, 1),
         "CriterionReport": lambda: nonprincipality_verdict(
-            eta37(), ingest_records(FIXTURE), 1, 1, 1),
+            eta37(), ingest_records(FIXTURE), 1, 1, hypothesis=DIM_ONE),
         "HConstructionReport": lambda: build_h(
             psi, 32, 31, 1, phi, [31, 37], padic_context(37, 30, 6), 12)[1],
         "CuspClass": lambda: CuspClass(1, 31, 31),
