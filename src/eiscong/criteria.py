@@ -176,24 +176,20 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     for m in range(1, m_max + 1):
         # per-conductor context; first-found stability keeps the result
         # independent of m_max
-        f_work = lcm(psi.order, euler_phi(ell**m))
-        if f_work % p == 0:
-            raise ParameterError(
-                f"value field conductor {f_work} is divisible by p = {p}")
-        ctx_m = padic_context(p, f_work, s)
+        ctx_m = padic_context(p, lcm(psi.order, euler_phi(ell**m)), s)
         for phi in enumerate_chars(ell**m, parity=parity, exact_conductor=ell**m):
             chi1 = primitive_char(char_product(psi, phi))
             l1 = l_nonpositive(chi1, 0)
             if l1.is_zero():
                 continue
-            v1 = valp_cyc(l1.lift(ctx_m.f), ctx_m)
+            v1 = valp_cyc(l1, ctx_m)
             if v1 != 0:
                 continue
             chi2 = primitive_char(char_inverse(phi))
             l2 = l_nonpositive(chi2, 2 - k)
             if l2.is_zero():
                 continue
-            v2 = valp_cyc(l2.lift(ctx_m.f), ctx_m)
+            v2 = valp_cyc(l2, ctx_m)
             if v2 != 0:
                 continue
             return AuxCharCertificate(
@@ -314,7 +310,8 @@ _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth",
 
 def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> list:
     """Load externally computed eigensystem records (JSON array, or an object
-    with a "records" array) as EigensystemRecords.  Each stated depth d must
+    with a "records" array) as EigensystemRecords: weight >= 2, and an
+    eigenvalue a_q for primes q only.  Each stated depth d must
     be the ``congruence_depth`` of the record's eigenvalue residues read mod
     p^(d+1), with Sigma = {p} and the primes of the level: a record with no
     prime outside Sigma, or whose residuals all vanish, is rejected.  Each
@@ -353,6 +350,11 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
             raise SchemaError(f"{where}: malformed field: {exc}") from exc
         if depth < 0:
             raise SchemaError(f"{where}: negative depth")
+        if rec_weight < 2:
+            raise SchemaError(f"{where}: weight {rec_weight} must be >= 2")
+        bad = next((q for q in evs if not is_prime(q)), None)
+        if bad is not None:
+            raise SchemaError(f"{where}: eigenvalue key {bad} is not a prime")
         if (p is not None and rec_p != p) or (weight is not None and rec_weight != weight):
             raise ParameterError(
                 f"{where}: p = {rec_p}, weight = {rec_weight} does not match "

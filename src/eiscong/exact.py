@@ -8,7 +8,10 @@ An element of Q(zeta_f) is stored as the integer coefficients of its unique
 representative of degree < phi(f) modulo the f-th cyclotomic polynomial,
 over one positive denominator in lowest terms; every kernel works on those
 integers, and the ``CycElem`` constructor is the one place that reduces mod
-Phi_f.  Conductors are capped at MAX_CONDUCTOR to bound polynomial degrees.
+Phi_f.  Q(zeta_f) lies in Q(zeta_F) for f | F by the embedding zeta_f ->
+zeta_F^(F/f), so arithmetic on two conductors, and a valuation at a prime of
+a larger field, lift through it: no caller lifts by hand.  Conductors are
+capped at MAX_CONDUCTOR to bound polynomial degrees.
 
 A ``PadicContext`` fixes a prime above p in Q(zeta_f) for p not dividing f:
 it factors the f-th cyclotomic polynomial mod p (all factors share degree
@@ -440,8 +443,8 @@ class CycElem(_Frozen):
     vector mod Phi_f, pads it to phi(f) and cancels common factors.
     ``coeffs`` gives the coordinates as ``Fraction``s.
 
-    Arithmetic between two CycElems requires equal conductors; ``lift`` moves
-    an element into a larger field first.  Scalars (int/Fraction) mix freely.
+    Arithmetic between two CycElems of conductors f and g lifts both into
+    Q(zeta_lcm(f, g)) by ``lift``.  Scalars (int/Fraction) mix freely.
     """
 
     __slots__ = ("conductor", "nums", "den")
@@ -540,20 +543,22 @@ class CycElem(_Frozen):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same(self, other: "CycElem"):
-        if self.conductor != other.conductor:
-            raise ParameterError(
-                f"conductor mismatch: {self.conductor} vs {other.conductor}; lift first")
+    def _common(self, other: "CycElem") -> tuple["CycElem", "CycElem"]:
+        """Both operands in Q(zeta_F), F the lcm of their conductors."""
+        if self.conductor == other.conductor:
+            return self, other
+        f = lcm(self.conductor, other.conductor)
+        return self.lift(f), other.lift(f)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycElem.from_rational(other, self.conductor)
         if not isinstance(other, CycElem):
             return NotImplemented
-        self._check_same(other)
-        den = lcm(self.den, other.den)
-        ma, mb = den // self.den, den // other.den
-        return CycElem(self.conductor, [a * ma + b * mb for a, b in zip(self.nums, other.nums)], den)
+        a, b = self._common(other)
+        den = lcm(a.den, b.den)
+        ma, mb = den // a.den, den // b.den
+        return CycElem(a.conductor, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
@@ -576,8 +581,8 @@ class CycElem(_Frozen):
                            self.den * other.denominator)
         if not isinstance(other, CycElem):
             return NotImplemented
-        self._check_same(other)
-        return CycElem(self.conductor, _pmul(self.nums, other.nums), self.den * other.den)
+        a, b = self._common(other)
+        return CycElem(a.conductor, _pmul(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -595,7 +600,6 @@ class CycElem(_Frozen):
                            self.den * other.numerator)
         if not isinstance(other, CycElem):
             return NotImplemented
-        self._check_same(other)
         return self * other.inverse()
 
     def __pow__(self, e: int):
@@ -681,16 +685,15 @@ def padic_context(p: int, f: int, s: int) -> PadicContext:
 
 
 def valp_cyc(x: CycElem, ctx: PadicContext):
-    """Valuation of x at the context's chosen prime; INF for zero.
+    """Valuation of x at the context's chosen prime; INF for zero.  x is
+    lifted to the context's conductor, which its own conductor must divide.
 
     Since e = 1 this equals the p-adic valuation of the image of x in the
     unramified extension of degree ``residue_degree``.  Denominators are
     handled by clearing them and subtracting their p-valuation.  Raises
     IndeterminateValuationError when the (nonzero) image vanishes mod p^s.
     """
-    if x.conductor != ctx.f:
-        raise ParameterError(
-            f"element conductor {x.conductor} does not match context conductor {ctx.f}")
+    x = x.lift(ctx.f)
     if x.is_zero():
         return INF
     shift = valp_int(x.den, ctx.p)

@@ -82,7 +82,7 @@ def bernoulli_mod(n: int, p: int) -> int:
     if n % (p - 1) == 0:
         raise ParameterError(f"B_{n} is not p-integral for p = {p}")
     if (n + 1) % p == 0:
-        raise ParameterError(f"power-sum congruence needs p nmid n+1")
+        raise ParameterError("power-sum congruence needs p nmid n+1")
     p2 = p * p
     total = sum(pow(a, n, p2) for a in range(1, p)) % p2
     if total % p != 0:
@@ -151,7 +151,8 @@ def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:
 
     psi is evaluated at its conductor, so correction factors at primes
     outside the conductor use the root-of-unity value (never zero).  The
-    context must match the value field of psi (conductor 1 for trivial psi).
+    context's conductor must be divisible by the order of psi; eta is printed
+    over that conductor.
     """
     p = ctx.p
     sigma = sigma_with_p(p, sigma)
@@ -161,18 +162,13 @@ def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:
     if k == 2 and psi0.is_trivial():
         warnings.warn("k = 2 with trivial character: the congruence-module bound "
                       "does not apply, though eta itself is still defined")
-    work_f = ctx.f
-    if work_f % psi0.order != 0:
-        raise ParameterError(
-            f"context conductor {work_f} cannot hold values of order {psi0.order}")
-
-    bk = gen_bernoulli(k, psi0).lift(work_f)
+    bk = gen_bernoulli(k, psi0).lift(ctx.f)
     breakdown = [(f"B_{k}(psi)", valp_cyc(bk, ctx))]
     value = bk
     for ell in sigma:
         if ell == p:
             continue
-        factor = CycElem.one(work_f) - char_eval(psi0, ell).lift(work_f) * Fraction(ell) ** k
+        factor = 1 - char_eval(psi0, ell).lift(ctx.f) * Fraction(ell) ** k
         breakdown.append((f"1 - psi({ell})*{ell}^{k}", valp_cyc(factor, ctx)))
         value = value * factor
     total = sum(v for _, v in breakdown) if all(v != INF for _, v in breakdown) else INF

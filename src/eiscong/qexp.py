@@ -24,8 +24,7 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import (CycElem, PadicContext, _Frozen, _pmul, _val_json, euler_phi, is_prime,
-                    sturm_bound, valp_cyc)
+from .exact import CycElem, PadicContext, _Frozen, _pmul, _val_json, euler_phi, is_prime, valp_cyc
 from .lfunc import eta, l_nonpositive
 
 
@@ -67,20 +66,14 @@ class QExpansion(_Frozen):
         return self._replace(coefficients=tuple(c.lift(f) for c in self.coefficients))
 
     def scale(self, c) -> "QExpansion":
-        """Multiply every coefficient by a scalar (Fraction or CycElem)."""
-        if isinstance(c, CycElem):
-            f = lcm(self.conductor, c.conductor)
-            self, c = self.lift_conductor(f), c.lift(f)
+        """Multiply every coefficient by a scalar (Fraction or CycElem); the
+        products lie over the lcm of the two conductors."""
         return self._replace(coefficients=tuple(x * c for x in self.coefficients))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ParameterError("weights differ")
-        f = lcm(self.conductor, other.conductor)
-        a = self.lift_conductor(f)
-        b = other.lift_conductor(f)
-        P = min(a.precision, b.precision)
-        coeffs = tuple(a.coefficients[n] - b.coefficients[n] for n in range(P + 1))
+        coeffs = tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
         return QExpansion(coefficients=coeffs, weight=self.weight,
                           level=lcm(self.level, other.level),
                           character=self.character, label="")
@@ -130,7 +123,7 @@ def eisenstein_qexp(l: int, phi: DirichletChar, P: int) -> QExpansion:
             power = d ** (l - 1)
             for n in range(d, P + 1, d):
                 sums[n][t] += power
-    coeffs = [a0.lift(val_f)] + [CycElem(val_f, s) for s in sums[1:]]
+    coeffs = [a0] + [CycElem(val_f, s) for s in sums[1:]]
     return QExpansion(coefficients=tuple(coeffs), weight=l, level=M,
                       character=phi, label=f"E_{l}({phi.canonical_text()})")
 
@@ -309,16 +302,8 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     if ell % p == 0 or psi.modulus % p == 0:
         raise ParameterError("ell and cond(psi) must be coprime to p")
     eta_val = eta(psi, k, sigma, ctx)
-    F = build_fm(psi, k, ell, m, P)
-    G = build_g(psi, k, phi, P)
-
-    work_f = ctx.f
-    if work_f % lcm(F.conductor, G.conductor) != 0:
-        raise ParameterError(
-            f"context conductor {work_f} cannot hold coefficients of conductor "
-            f"{lcm(F.conductor, G.conductor)}")
-    F = F.lift_conductor(work_f)
-    G = G.lift_conductor(work_f)
+    F = build_fm(psi, k, ell, m, P).lift_conductor(ctx.f)
+    G = build_g(psi, k, phi, P).lift_conductor(ctx.f)
 
     a0G = G.coeff(0)
     v0 = valp_cyc(a0G, ctx)
@@ -341,14 +326,8 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     congruent = diff_depth >= eta_val.valuation_vpi
 
     cusps = cusps_gamma0(F.level)
-    scale_lift = scale
-    cusps_ok = True
-    for cusp in cusps:
-        t_f = fm_cusp_constant(psi, k, ell, m, cusp).lift(work_f)
-        t_g = g_cusp_constant(psi, k, phi, cusp).lift(work_f)
-        if not (t_f - scale_lift * t_g).is_zero():
-            cusps_ok = False
-            break
+    cusps_ok = all((fm_cusp_constant(psi, k, ell, m, cusp)
+                    - scale * g_cusp_constant(psi, k, phi, cusp)).is_zero() for cusp in cusps)
 
     report = HConstructionReport(
         weight=k, ell=ell, m=m, precision=P, eta=eta_val,
@@ -400,14 +379,9 @@ def eisenstein_cusp_constant(l: int, phi: DirichletChar, cusp: CuspClass) -> Cyc
     phi = primitive_char(phi)
     if l == 2 and phi.is_trivial():
         raise ParameterError("weight 2 with trivial character is not supported")
-    M = phi.modulus
-    val_f = phi.order
-    if cusp.v % M != 0:
-        return CycElem.zero(val_f)
-    inv_val = char_eval(char_inverse(phi), cusp.u)
-    a0 = l_nonpositive(phi, 1 - l) * Fraction(1, 2)
-    f = lcm(inv_val.conductor, a0.conductor)
-    return inv_val.lift(f) * a0.lift(f)
+    if cusp.v % phi.modulus != 0:
+        return CycElem.zero(phi.order)
+    return char_eval(char_inverse(phi), cusp.u) * l_nonpositive(phi, 1 - l) * Fraction(1, 2)
 
 
 def fm_cusp_constant(psi: DirichletChar, k: int, ell: int, m: int,
@@ -415,15 +389,9 @@ def fm_cusp_constant(psi: DirichletChar, k: int, ell: int, m: int,
     """Constant term of F_m at [u : v]: psi(u)^(-1) (L(psi,1-k)/2)(1 - psi(ell) ell^k)
     when N ell^m | v, zero otherwise."""
     psi = primitive_char(psi)
-    N = psi.modulus
-    val_f = max(psi.order, 1)
-    if cusp.v % (N * ell**m) != 0:
-        return CycElem.zero(val_f)
-    inv_val = char_eval(char_inverse(psi), cusp.u)
-    base = l_nonpositive(psi, 1 - k) * Fraction(1, 2)
-    corr = CycElem.one(val_f) - char_eval(psi, ell) * (Fraction(ell) ** k)
-    f = lcm(lcm(inv_val.conductor, base.conductor), corr.conductor)
-    return inv_val.lift(f) * base.lift(f) * corr.lift(f)
+    if cusp.v % (psi.modulus * ell**m) != 0:
+        return CycElem.zero(psi.order)
+    return eisenstein_cusp_constant(k, psi, cusp) * (1 - char_eval(psi, ell) * Fraction(ell) ** k)
 
 
 def g_cusp_constant(psi: DirichletChar, k: int, phi: DirichletChar,
@@ -432,8 +400,5 @@ def g_cusp_constant(psi: DirichletChar, k: int, phi: DirichletChar,
     product of the factors' constant terms at that cusp."""
     chi1 = primitive_char(char_product(primitive_char(psi), primitive_char(phi)))
     chi2 = primitive_char(char_inverse(primitive_char(phi)))
-    t1 = eisenstein_cusp_constant(1, chi1, cusp)
-    t2 = eisenstein_cusp_constant(k - 1, chi2, cusp)
-    f = lcm(t1.conductor, t2.conductor)
-    return t1.lift(f) * t2.lift(f)
+    return eisenstein_cusp_constant(1, chi1, cusp) * eisenstein_cusp_constant(k - 1, chi2, cusp)
 

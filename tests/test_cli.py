@@ -49,6 +49,16 @@ def test_chars_conductor_must_be_positive_and_divide_the_modulus(capsys):
             "message": f"conductor {conductor} must be >= 1 and divide the modulus 12"}
 
 
+def test_aux_char_rejects_a_value_field_ramified_at_p(capsys):
+    # characters of conductor 7 take values in Q(zeta_6), and p = 3 divides 6
+    code, out, err = run_cli(capsys, "--no-cache", "aux-char", "--p", "3", "--k", "2",
+                             "--ell", "7")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "parameter",
+        "message": "p = 3 divides the conductor 6; ramified primes are unsupported"}
+
+
 def test_eisenstein_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "eisenstein",
                            "--l", "12", "--phi", "trivial", "--prec", "6")

@@ -262,6 +262,27 @@ def test_ingest_rejects_a_depth_no_residual_checks(tmp_path, name):
         ingest_records(path, p=37, weight=32)
 
 
+# 1 + n^(k-1) is the Eisenstein eigenvalue only at primes n; a_74 = 5 gave
+# depth 0 although 74 = 2 * 37.
+@pytest.mark.parametrize("key", ["74", "1", "-3"])
+def test_ingest_rejects_an_eigenvalue_key_that_is_not_prime(tmp_path, key):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps([{"weight": 32, "level": 1, "p": 37, "prime_label": "X",
+                                 "eigenvalues": {key: "5"}, "depth": 0}]))
+    with pytest.raises(SchemaError, match=f"eigenvalue key {key} is not a prime"):
+        ingest_records(path, p=37, weight=32)
+
+
+# At weight 0 the residual 5 - 1 - 2^(-1) = 3.5 was a float read as depth 0.
+@pytest.mark.parametrize("weight", [0, 1])
+def test_ingest_rejects_weight_below_two(tmp_path, weight):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps([{"weight": weight, "level": 1, "p": 37, "prime_label": "X",
+                                 "eigenvalues": {"2": "5"}, "depth": 0}]))
+    with pytest.raises(SchemaError, match=f"weight {weight} must be >= 2"):
+        ingest_records(path)
+
+
 def test_ingest_checks_the_depth_to_one_more_power_of_p(tmp_path):
     # a_2 - 1 - 2^31 = 37^2: depth 2 holds mod 37^3, depths 1 and 3 do not
     rec = {"weight": 32, "level": 1, "p": 37, "prime_label": "X",

@@ -10,6 +10,7 @@ import pytest
 
 from eiscong import hecke1
 from eiscong.errors import ComputationError, ParameterError
+from eiscong.exact import sturm_bound
 from eiscong.hecke1 import (
     _miller_rows,
     charpoly,
@@ -20,7 +21,6 @@ from eiscong.hecke1 import (
     residue_valuation,
     scan_prime_bound,
 )
-from eiscong.qexp import sturm_bound
 from level1_oracle import hecke_matrix, miller_basis, miller_rows
 
 

@@ -16,7 +16,7 @@ from eiscong.characters import (
     trivial_char,
 )
 from eiscong.errors import ComputationError, ParameterError
-from eiscong.exact import CycElem, euler_phi, padic_context, valp_cyc
+from eiscong.exact import CycElem, euler_phi, padic_context, sturm_bound, valp_cyc
 from eiscong.lfunc import bernoulli, l_nonpositive
 from eiscong.qexp import (
     QExpansion,
@@ -31,7 +31,6 @@ from eiscong.qexp import (
     g_cusp_constant,
     hecke_tq,
     multiply,
-    sturm_bound,
     v_operator,
 )
 
@@ -190,6 +189,22 @@ def test_multiply_matches_cauchy_reference_across_conductors(fa, fb):
             assert prod.conductor == lcm(fa, fb)
             assert prod.precision == min(a.precision, b.precision)
             assert prod.coefficients == _cauchy_reference(a, b)
+
+
+def test_every_result_coefficient_has_the_series_conductor():
+    # operands over Q(zeta_3) and Q(zeta_4) meet in Q(zeta_12) coefficient by
+    # coefficient, zero and rational coefficients included
+    rng = random.Random(61)
+    f = _sparse_qexp(rng, 12, 3)
+    g = _sparse_qexp(rng, 10, 4)._replace(weight=f.weight)
+    diff = f - g
+    assert diff.coefficients == (f.lift_conductor(12) - g.lift_conductor(12)).coefficients
+    E = eisenstein_qexp(3, primitive_char(ODD31[0]), 6)
+    H, _ = build_h(trivial_char(1), 32, 31, 1, ODD31[0], [31, 37], padic_context(37, 30, 8), 10)
+    for series in (f.scale(CycElem.zeta(4)), g.scale(Fraction(2, 3)), diff, multiply(f, g),
+                   hecke_tq(f, 2), hecke_tq(E, 2), H):
+        assert {c.conductor for c in series.coefficients} == {series.conductor}
+    assert (diff.conductor, multiply(f, g).conductor, H.conductor) == (12, 12, 30)
 
 
 def test_hecke_eigenproperty_sampled():
