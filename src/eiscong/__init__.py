@@ -2,6 +2,8 @@
 
 Library layout:
 
+- ``poly``: elementary number theory and integer polynomials, over Z and
+  mod p^s (multiply, division, factoring and Hensel lifting).
 - ``exact``: rationals, cyclotomic field arithmetic, p-adic valuations at a
   chosen prime above p.
 - ``characters``: Dirichlet characters: enumeration, evaluation, conductors.
@@ -29,8 +31,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("DirichletChar", "enumerate_chars", "parse_char", "trivial_char"),
                     "characters"),
-    **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "sturm_bound", "teichmuller",
-                     "valp_cyc", "valp_rational"), "exact"),
+    **dict.fromkeys(("CycElem", "PadicContext", "padic_context", "valp_cyc", "valp_rational"),
+                    "exact"),
+    **dict.fromkeys(("sturm_bound", "teichmuller"), "poly"),
     **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod"), "hecke1"),
     **dict.fromkeys(("EtaValue", "bernoulli", "eta", "gen_bernoulli", "kummer_check",
                      "l_nonpositive"), "lfunc"),

@@ -19,7 +19,8 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import ParameterError
-from .exact import CycElem, euler_phi, factorize
+from .exact import CycElem
+from .poly import euler_phi, factorize
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ a repeated flag, and the top-level options only before the command.
 
 Pure computations are cached on disk under --cache-dir (default
 ./.eiscache), one file per key.  The key is the code (``__version__`` and a
-sha256 of the package's sources), the command and every declared flag.  An
-entry holds the key on line 1, a JSON object naming the schema, the command
-and its parameters on line 2 (read only by `verify-cache`), and then the
-command's compact stdout, so a hit compares line 1 with the key and prints
-the rest as stored; `verify-cache` recomputes every entry and checks the
-stored bytes.
+sha256 of the package's sources and packaged fixtures), the command and
+every declared flag.  An entry holds the key on line 1, a JSON object naming
+the schema, the command and its parameters on line 2 (read only by
+`verify-cache`), and then the command's compact stdout, so a hit compares
+line 1 with the key and prints the rest as stored; `verify-cache` recomputes
+every entry and checks the stored bytes.
 
 A cache hit imports nothing beyond this module, ``errors`` and the
 interpreter's builtin sha256: no argparse, no json, no OpenSSL, and not
@@ -55,14 +55,16 @@ CACHE_SCHEMA_VERSION = 3
 
 @functools.cache
 def _code_digest() -> str:
-    """sha256 over the package's *.py sources in sorted name order, read as
-    bytes once per process (the compute modules are not imported)."""
+    """sha256 over the package's *.py sources and fixtures/*.json, by name in
+    sorted order, read once per process (no compute module is imported)."""
     here = os.path.dirname(os.path.abspath(__file__))
+    names = [n for n in os.listdir(here) if n.endswith(".py")]
+    names += [f"fixtures/{n}" for n in os.listdir(os.path.join(here, "fixtures"))
+              if n.endswith(".json")]
     h = sha256()
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as fh:
-                h.update(f"{name} {sha256(fh.read()).hexdigest()}\n".encode())
+    for name in sorted(names):
+        with open(os.path.join(here, name), "rb") as fh:
+            h.update(f"{name} {sha256(fh.read()).hexdigest()}\n".encode())
     return h.hexdigest()
 
 

@@ -8,7 +8,7 @@ from .errors import ComputationError, EiscongError, ParameterError
 
 
 def _parse_sigma(text: str) -> list[int]:
-    from .exact import is_prime
+    from .poly import is_prime
     try:
         out = sorted({int(x) for x in text.split(",") if x.strip() != ""})
     except ValueError as exc:
@@ -68,7 +68,7 @@ def build_h(p, k, psi, ell, m, sigma, s, prec):
 
 
 def scan(k, p, sigma, smax):
-    from .exact import sturm_bound
+    from .poly import sturm_bound
     from .hecke1 import depth_scan
     sigma = _parse_sigma(sigma)
     records, skipped = depth_scan(k, p, sigma, smax)

@@ -8,7 +8,7 @@ the valuation of the congruence-module bound eta(psi, k): when
 sum(depths)/e exceeds f_res * e * val_p(eta) and the opposite-direction
 Selmer group is one-dimensional, the Eisenstein ideal cannot be principal.
 Depths are decided by ``hecke1.congruence_depth``, dim H^1_Sigma(Q, chi) = 1
-by ``dim_chi_hypothesis`` and p in Sigma by ``exact.sigma_with_p``, once each.
+by ``dim_chi_hypothesis`` and p in Sigma by ``poly.sigma_with_p``, once each.
 
 ``hecke1`` and ``qexp`` are imported by the functions that use them
 (``ingest_records``, ``full_report``, ``aux_char_and_h``), so the Selmer
@@ -24,9 +24,9 @@ from math import lcm
 
 from .characters import DirichletChar, char_inverse, char_product, enumerate_chars, primitive_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import (INF, euler_phi, factorize, is_prime, padic_context, sigma_with_p, valp_cyc,
-                    valp_int, valp_rational)
+from .exact import padic_context, valp_cyc, valp_rational
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
+from .poly import INF, euler_phi, factorize, is_prime, sigma_with_p, valp_int
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ meaningful.  ``congruence_depth`` is the one depth rule in the package: the
 scan applies it at s = s_max, and record ingestion (``criteria``) at one
 more power of p than the depth a record states.
 
-The engine works on integer lists and imports only ``errors`` and
-``exact``, so a scan loads no q-series, character or L-function code.  The
-records are ``namedtuple`` subclasses.
+The engine works on integer lists and imports only ``errors`` and ``poly``,
+so a scan loads no rational, cyclotomic, q-series, character or L-function
+code.  The records are ``namedtuple`` subclasses.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import ComputationError, ParameterError
-from .exact import (_equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod,
-                    _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sigma_with_p, sturm_bound,
-                    valp_int)
+from .poly import (_equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod,
+                   _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sigma_with_p, sturm_bound,
+                   valp_int)
 
 MIN_SCAN_PRIME_BOUND = 13
 

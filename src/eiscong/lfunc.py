@@ -24,8 +24,8 @@ from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
 from .errors import ComputationError, ParameterError
-from .exact import (INF, CycElem, PadicContext, _over_common, _val_json, is_prime, sigma_with_p,
-                    teichmuller, valp_cyc)
+from .exact import CycElem, PadicContext, _over_common, _val_json, valp_cyc
+from .poly import INF, is_prime, sigma_with_p, teichmuller
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import CycElem, PadicContext, _Frozen, _pmul, _val_json, euler_phi, is_prime, valp_cyc
+from .exact import CycElem, PadicContext, _Frozen, _val_json, valp_cyc
 from .lfunc import eta, l_nonpositive
+from .poly import _pmul, euler_phi, is_prime
 
 
 # ---------------------------------------------------------------------------

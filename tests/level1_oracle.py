@@ -9,8 +9,9 @@ from math import gcd
 
 from eiscong.characters import trivial_char
 from eiscong.errors import ParameterError
-from eiscong.exact import CycElem, _pmul
+from eiscong.exact import CycElem
 from eiscong.hecke1 import _sigma, dim_cusp, dim_modular
+from eiscong.poly import _pmul
 from eiscong.qexp import QExpansion
 
 

@@ -24,9 +24,10 @@ from eiscong.criteria import (
     selmer_lower_1mk,
     selmer_upper_km1,
 )
-from eiscong.exact import CycElem, euler_phi, padic_context, valp_cyc, valp_rational
+from eiscong.exact import CycElem, padic_context, valp_cyc, valp_rational
 from eiscong.hecke1 import charpoly, depth_scan, dim_cusp
 from eiscong.lfunc import bernoulli, eta, gen_bernoulli, kummer_check, l_nonpositive
+from eiscong.poly import euler_phi
 from eiscong.qexp import build_fm, build_h, eisenstein_qexp, hecke_tq
 from level1_oracle import hecke_matrix
 

@@ -18,7 +18,8 @@ from eiscong.characters import (
     trivial_char,
 )
 from eiscong.errors import ParameterError
-from eiscong.exact import CycElem, euler_phi
+from eiscong.exact import CycElem
+from eiscong.poly import euler_phi
 
 
 def kernel_conductor(chi):

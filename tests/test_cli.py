@@ -489,6 +489,36 @@ def test_entries_from_other_code_are_not_served(tmp_path, monkeypatch, capsys):
                                "ok": True}
 
 
+def test_an_edited_fixture_is_a_cache_miss(tmp_path):
+    # before: the key hashed only the *.py sources, so example37 served the
+    # stdout of the records it read before the fixture was edited
+    import shutil
+    import subprocess
+    import sys
+    import eiscong
+    package = tmp_path / "src" / "eiscong"
+    shutil.copytree(os.path.dirname(eiscong.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def example37(*options):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from eiscong.cli import main; sys.exit(main())",
+             *options, "example37", "--prec", "10"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1"))
+        return run.stdout
+
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    before = example37(*cache)
+    fixture = package / "fixtures" / "example37.json"
+    data = json.loads(fixture.read_text(encoding="utf-8"))
+    data["records"] = data["records"][1:]
+    fixture.write_text(json.dumps(data), encoding="utf-8")
+    after = example37("--no-cache")
+    assert after != before
+    assert example37(*cache) == after
+
+
 # ---------------------------------------------------------------------------
 # the table-driven parser against the argparse parser it replaced
 # ---------------------------------------------------------------------------

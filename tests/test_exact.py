@@ -1,4 +1,6 @@
-"""Base arithmetic: rational valuations, cyclotomic elements, p-adic contexts."""
+"""Base arithmetic: rational valuations, cyclotomic elements, p-adic contexts,
+and the kernels of ``poly`` under them (the multiply, Teichmuller lifts,
+Hensel lifting)."""
 
 import random
 from fractions import Fraction
@@ -13,23 +15,25 @@ from eiscong.errors import (
     RamifiedPrimeError,
 )
 from eiscong.exact import (
+    CycElem,
+    PadicContext,
+    _over_common,
+    cyclotomic_poly,
+    padic_context,
+    valp_cyc,
+    valp_rational,
+)
+from eiscong.poly import (
     INF,
     KRONECKER_MIN_LEN,
     KRONECKER_SMALL_BITS,
-    CycElem,
-    PadicContext,
     _hensel_lift_factor,
     _kronecker,
-    _over_common,
     _pmul,
     _pmul_mod,
-    cyclotomic_poly,
     euler_phi,
     mult_order,
-    padic_context,
     teichmuller,
-    valp_cyc,
-    valp_rational,
 )
 
 
@@ -349,15 +353,6 @@ def test_galois_conjugation_composes_and_commutes_with_lifting():
             a, b, c = rng.choice(units_f), rng.choice(units_f), rng.choice(units_F)
             assert x.galois_conjugate(a).galois_conjugate(b) == x.galois_conjugate(a * b % f)
             assert x.lift(F).galois_conjugate(c) == x.galois_conjugate(c % f).lift(F)
-
-
-def test_sturm_bound_checks_weight_and_level():
-    from eiscong.exact import sturm_bound
-    assert [sturm_bound(0, 1), sturm_bound(12, 1), sturm_bound(32, 31)] == [0, 1, 86]
-    with pytest.raises(ParameterError, match=r"weight k = -12 must be >= 0"):
-        sturm_bound(-12, 1)
-    with pytest.raises(ParameterError, match=r"level N = 0 must be >= 1"):
-        sturm_bound(12, 0)
 
 
 def test_cycelem_is_a_frozen_value():

@@ -10,7 +10,6 @@ import pytest
 
 from eiscong import hecke1
 from eiscong.errors import ComputationError, ParameterError
-from eiscong.exact import sturm_bound
 from eiscong.hecke1 import (
     _miller_rows,
     charpoly,
@@ -260,12 +259,6 @@ def test_depth_scan_3617():
 def test_depth_scan_requires_p_in_sigma():
     with pytest.raises(ParameterError):
         depth_scan(12, 691, {5}, 2)
-
-
-def test_sturm_bound_values():
-    assert sturm_bound(12, 1) == 1
-    assert sturm_bound(32, 1) == 3
-    assert sturm_bound(32, 31) == 86
 
 
 def test_record_serialization():

@@ -60,11 +60,14 @@ def test_a_hit_loads_no_argparse_json_or_openssl(tmp_path, capsys):
     out, result = run.stdout.rsplit("\n", 2)[:2]
     assert out + "\n" == miss
     here = os.path.join(SRC, "eiscong")
+    names = [n for n in os.listdir(here) if n.endswith(".py")]
+    names += [f"fixtures/{n}" for n in os.listdir(os.path.join(here, "fixtures"))
+              if n.endswith(".json")]
+    assert "fixtures/example37.json" in names
     reference = hashlib.sha256()
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as fh:
-                reference.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    for name in sorted(names):
+        with open(os.path.join(here, name), "rb") as fh:
+            reference.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
     assert ast.literal_eval(result) == [[], 0, [], reference.hexdigest()]
 
 
@@ -102,10 +105,11 @@ print(json.dumps({{"loaded": loaded, "homes": homes, "dir": sorted(dir(eiscong))
 
 # One cache miss per argument string, in one fresh interpreter started with -S
 # so that no site hook (a .pth file) preloads modules: the exit codes, the
-# eiscong modules loaded and whether `dataclasses` was loaded.
+# eiscong modules loaded and which of `dataclasses` and `fractions` were loaded.
 MISSES = ("import json, sys; from eiscong.cli import main; "
           "codes = [main(['--no-cache', *argv.split()]) for argv in sys.argv[1:]]; "
-          f"print(json.dumps([codes, {LOADED}, 'dataclasses' in sys.modules]))")
+          f"print(json.dumps([codes, {LOADED}, "
+          "[m for m in ('dataclasses', 'fractions') if m in sys.modules]]))")
 
 SCAN = "scan --k 84 --p 233 --sigma 233"
 BUILD_H = "build-h --p 37 --k 32 --ell 31 --sigma 31,37 --prec 20"
@@ -114,11 +118,12 @@ AUX_CHAR = "aux-char --p 37 --k 32 --ell 31"
 
 
 def misses(*commands: str):
+    """(eiscong modules, stdlib modules of the two checked) loaded by the misses."""
     run = subprocess.run([sys.executable, "-S", "-c", MISSES, *commands], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
-    codes, loaded, dataclasses = json.loads(run.stdout.splitlines()[-1])
+    codes, loaded, stdlib = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
-    return loaded, dataclasses
+    return loaded, stdlib
 
 
 def test_hecke1_imports_no_qexp_or_characters_even_lazily():
@@ -132,38 +137,65 @@ def test_hecke1_imports_no_qexp_or_characters_even_lazily():
             module = "." * node.level + (node.module or "")
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
-    assert {".errors", ".exact"} <= imported
-    assert not [name for name in imported if {"qexp", "characters"} & set(name.split("."))]
+    assert {".errors", ".poly"} <= imported
+    assert not [name for name in imported
+                if {"exact", "qexp", "characters"} & set(name.split("."))]
 
 
-def test_a_scan_miss_loads_exact_and_hecke1_alone():
+def test_a_scan_miss_loads_poly_and_hecke1_alone():
     assert misses(SCAN) == (["eiscong", "eiscong.cli", "eiscong.commands", "eiscong.errors",
-                             "eiscong.exact", "eiscong.hecke1"], False)
+                             "eiscong.hecke1", "eiscong.poly"], [])
 
 
-def test_selmer_aux_char_and_build_h_misses_do_not_load_hecke1():
-    for command in (SELMER, AUX_CHAR):
-        loaded, _ = misses(command)
-        assert "eiscong.criteria" in loaded and "eiscong.hecke1" not in loaded, command
-        assert "eiscong.qexp" not in loaded, command
-    loaded, _ = misses(BUILD_H)
-    assert "eiscong.qexp" in loaded and "eiscong.hecke1" not in loaded
-
-
-def test_no_command_loads_dataclasses(tmp_path):
-    from eiscong.cli import COMMANDS, fixture_path
-    commands = {
+def command_lines(cache_dir) -> dict[str, str]:
+    """One miss per command, verify-cache on the cache in cache_dir."""
+    from eiscong.cli import fixture_path
+    return {
         "bernoulli": "bernoulli --n 12", "eta": "eta --p 37 --k 32 --sigma 31,37",
         "chars": "chars --f 31", "eisenstein": "eisenstein --l 12 --prec 5",
         "build-h": BUILD_H, "scan": SCAN, "selmer": SELMER, "aux-char": AUX_CHAR,
         "kummer": "kummer --p 37 --k 32",
         "criterion": f"criterion --p 37 --k 32 --sigma 31,37 --records "
                      f"{fixture_path('example37.json')} --assume-nontrivial-extension",
-        "report": "report --p 691 --k 12 --sigma 691 --prec 10",
+        "report": "report --p 37 --k 32 --sigma 31,37 --prec 10",
         "example37": "example37 --prec 10",
-        "verify-cache": f"--cache-dir {tmp_path} verify-cache",
+        "verify-cache": f"--cache-dir {cache_dir} verify-cache",
     }
+
+
+# README's table: the modules a miss of each command loads besides eiscong,
+# cli, errors and commands.  report runs with an auxiliary prime (31), and
+# verify-cache on a cache holding one scan.
+ALL = ("poly", "exact", "characters", "lfunc", "qexp", "hecke1", "criteria")
+MISS_TABLE = {
+    "scan": ("poly", "hecke1"),
+    "chars": ("poly", "exact", "characters"),
+    **dict.fromkeys(("bernoulli", "eta", "kummer"), ("poly", "exact", "characters", "lfunc")),
+    **dict.fromkeys(("selmer", "aux-char"),
+                    ("poly", "exact", "characters", "lfunc", "criteria")),
+    "eisenstein": ("poly", "exact", "characters", "lfunc", "qexp"),
+    "build-h": ("poly", "exact", "characters", "lfunc", "qexp", "criteria"),
+    "criterion": ("poly", "exact", "characters", "lfunc", "criteria", "hecke1"),
+    **dict.fromkeys(("report", "example37"), ALL),
+    "verify-cache": ("poly", "hecke1"),
+}
+
+
+def test_every_miss_loads_the_modules_of_its_readme_row(tmp_path):
+    from eiscong.cli import COMMANDS
+    assert main(["--cache-dir", str(tmp_path), *SCAN.split()]) == 0
+    lines = command_lines(tmp_path)
+    assert MISS_TABLE.keys() == lines.keys() == COMMANDS.keys()
+    base = ["eiscong", "eiscong.cli", "eiscong.commands", "eiscong.errors"]
+    for command, modules in MISS_TABLE.items():
+        loaded, _ = misses(lines[command])
+        assert loaded == sorted(base + [f"eiscong.{m}" for m in modules]), command
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    from eiscong.cli import COMMANDS
+    commands = command_lines(tmp_path)
     assert commands.keys() == COMMANDS.keys()
-    loaded, dataclasses = misses(*commands.values())
+    loaded, stdlib = misses(*commands.values())
     assert "eiscong.qexp" in loaded and "eiscong.hecke1" in loaded
-    assert not dataclasses
+    assert "dataclasses" not in stdlib

@@ -1,6 +1,8 @@
-"""Two lint rules over the package sources, checked on their syntax trees
-with the standard library alone: every imported name is used, and every
-f-string has a placeholder."""
+"""Lint rules over the package sources, checked on their syntax trees with
+the standard library alone: every imported name is used, every f-string has
+a placeholder, and every name imported from a package module, in the sources
+and in the tests, is defined by that module rather than imported into it, so
+no module re-exports another's names."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "eiscong").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -38,6 +41,35 @@ def empty_fstrings(tree: ast.Module) -> list[int]:
                   and not any(isinstance(v, ast.FormattedValue) for v in node.values))
 
 
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level other than by an import."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)}
+    return out
+
+
+def reexported_imports(tree: ast.Module, homes: dict[str, set[str]]) -> list[tuple[int, str]]:
+    """(line, "module.name") of each name imported from a package module,
+    as ``.module`` or ``eiscong.module``, that the module does not define."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            module = (parts[0] if node.level == 1 else
+                      parts[1] if node.level == 0 and parts[0] == "eiscong" and len(parts) == 2
+                      else None)
+            if module in homes:
+                out += [(node.lineno, f"{module}.{a.name}") for a in node.names
+                        if a.name not in homes[module]]
+    return out
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_is_lint_clean(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -45,8 +77,20 @@ def test_source_is_lint_clean(path):
     assert empty_fstrings(tree) == []
 
 
+def test_names_are_imported_from_the_module_that_defines_them():
+    homes = {p.stem: defined_names(ast.parse(p.read_text(encoding="utf-8")))
+             for p in SOURCES if p.stem != "__init__"}
+    found = {p.name: reexported_imports(ast.parse(p.read_text(encoding="utf-8")), homes)
+             for p in SOURCES + TESTS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_the_rules_catch_what_they_name():
     tree = ast.parse("from math import gcd, lcm\nimport os.path\nx = f'{lcm(1, 2):>4}'\n"
                      "y = f'plain'\n")
     assert unused_imports(tree) == [(1, "gcd"), (2, "os")]
     assert empty_fstrings(tree) == [4]
+    homes = {"poly": {"INF", "is_prime"}, "exact": {"CycElem"}}
+    tree = ast.parse("from .exact import CycElem, is_prime\nfrom eiscong.poly import INF\n"
+                     "from eiscong.exact import INF\nfrom . import poly\n")
+    assert reexported_imports(tree, homes) == [(1, "exact.is_prime"), (3, "exact.INF")]

@@ -10,8 +10,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from eiscong.exact import MAX_CONDUCTOR, CycElem, cyclotomic_poly, euler_phi, padic_context
+from eiscong.exact import MAX_CONDUCTOR, CycElem, cyclotomic_poly, padic_context
 from eiscong.lfunc import bernoulli
+from eiscong.poly import euler_phi
 
 X = sympy.Symbol("x")
 

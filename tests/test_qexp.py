@@ -16,8 +16,9 @@ from eiscong.characters import (
     trivial_char,
 )
 from eiscong.errors import ComputationError, ParameterError
-from eiscong.exact import CycElem, euler_phi, padic_context, sturm_bound, valp_cyc
+from eiscong.exact import CycElem, padic_context, valp_cyc
 from eiscong.lfunc import bernoulli, l_nonpositive
+from eiscong.poly import euler_phi
 from eiscong.qexp import (
     QExpansion,
     build_fm,
@@ -359,12 +360,6 @@ def test_h_vanishes_at_every_cusp():
         t_f = fm_cusp_constant(trivial_char(1), 32, 31, 1, cusp).lift(30)
         t_g = g_cusp_constant(trivial_char(1), 32, phi, cusp).lift(30)
         assert (t_f - scale * t_g).is_zero()
-
-
-def test_sturm_bound():
-    assert sturm_bound(12, 1) == 1
-    assert sturm_bound(32, 1) == 3
-    assert sturm_bound(32, 31) == 86
 
 
 def test_qexpansion_is_a_frozen_value_not_a_sequence():
