@@ -9,6 +9,10 @@ chi(g_i) = zeta_{n_i}^{e_i}.
 Values are exact elements of Q(zeta_N) where N is the order of the character;
 evaluation returns 0 for arguments sharing a factor with the modulus.  The
 canonical text form is ``"f:[e1,e2,...]"``.
+
+The conductor is the least f' | f with chi trivial on the units that are
+1 mod f'.  Conductors, induction and products only read chi's values at
+generators, never at every unit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import functools
 from collections import namedtuple
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ParameterError
 from .exact import CycElem
@@ -39,37 +44,45 @@ def _smallest_primitive_root(q: int) -> int:
     raise AssertionError(f"no primitive root mod {q}")
 
 
-@functools.lru_cache(maxsize=None)
-def unit_group_generators(f: int) -> tuple[tuple[int, int], ...]:
-    """Generators of (Z/f)^* as ((g, order), ...), CRT-lifted to mod f.
+def _crt_lift(a: int, q: int, f: int) -> int:
+    """The residue mod f that is a mod q and 1 mod f/q (q a prime power, q || f)."""
+    m = f // q
+    return (a * m * pow(m, -1, q) + q * pow(q, -1, m)) % f
 
-    Ordering follows the ascending prime-power factorization of f, with the
-    two-part <-1, 5> split listed sign generator first.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _prime_power_parts(f: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """unit_group_generators(f) grouped by p^e || f as ((p, e, ((g, order), ...)), ...);
+    the local generators are none mod 2, -1 mod 4 and <-1, 5> from 8 up."""
     if f < 1:
         raise ParameterError("modulus must be positive")
-    if f == 1:
-        return ()
-    gens = []
+    parts = []
     for p, e in factorize(f):
         q = p**e
-        m = f // q
         if p == 2:
-            if e == 1:
-                continue
-            locals_ = [(q - 1, 2)] if e == 2 else [(q - 1, 2), (5, 2 ** (e - 2))]
+            local = [(q - 1, 2), (5, 2 ** (e - 2))][:min(e - 1, 2)]
         else:
-            locals_ = [(_smallest_primitive_root(q), euler_phi(q))]
-        for g_local, order in locals_:
-            if m == 1:
-                gens.append((g_local % f, order))
-            else:
-                # g = g_local mod q, 1 mod m
-                inv_m = pow(m, -1, q)
-                inv_q = pow(q, -1, m)
-                g = (g_local * m * inv_m + 1 * q * inv_q) % f
-                gens.append((g, order))
-    return tuple(gens)
+            local = [(_smallest_primitive_root(q), euler_phi(q))]
+        parts.append((p, e, tuple((_crt_lift(g, q, f), n) for g, n in local)))
+    return tuple(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_group_generators(f: int) -> tuple[tuple[int, int], ...]:
+    """Generators of (Z/f)^* as ((g, order), ...), CRT-lifted to mod f, in the
+    ascending prime-power factorization of f; the two-part <-1, 5> lists -1 first."""
+    return tuple(gen for _, _, local in _prime_power_parts(f) for gen in local)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_generators(f: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Per p^e || f, (p, (G_0, ..., G_(e-1))) with G_j generating the units that
+    are 1 mod p^j and 1 mod f/p^e: the local generators for j = 0 (and for
+    j = 1 at p = 2), the CRT lift of 1 + p^j otherwise."""
+    return tuple(
+        (p, tuple(tuple(g for g, _ in local) if j == 0 or (p, j) == (2, 1)
+                  else (_crt_lift(1 + p**j, p**e, f),) for j in range(e)))
+        for p, e, local in _prime_power_parts(f))
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,17 +113,13 @@ class DirichletChar(namedtuple("DirichletChar", "modulus exponents")):
         for e, (_, n) in zip(exponents, gens):
             if not 0 <= e < n:
                 raise ParameterError("exponents must be reduced mod generator orders")
-        return super().__new__(cls, modulus, exponents)
+        return super().__new__(cls, modulus, tuple(exponents))
 
     # -- invariants ----------------------------------------------------------
 
     @property
     def order(self) -> int:
-        gens = unit_group_generators(self.modulus)
-        o = 1
-        for e, (_, n) in zip(self.exponents, gens):
-            o = lcm(o, n // gcd(n, e))
-        return o
+        return _value_weights(self.modulus, self.exponents)[0]
 
     @property
     def parity(self) -> int:
@@ -138,15 +147,8 @@ class DirichletChar(namedtuple("DirichletChar", "modulus exponents")):
         a %= f
         if gcd(a, f) != 1:
             return None
-        dl = _dlog_table(f)[a]
-        o = self.order
-        gens = unit_group_generators(f)
-        t = 0
-        for e, d, (_, n) in zip(self.exponents, dl, gens):
-            # chi(g) = zeta_n^e = zeta_o^(e*o/n); e*o/n is exact because the
-            # value order n/gcd(n,e) divides o
-            t += (e * o // n) * d
-        return t % o
+        o, weights = _value_weights(f, self.exponents)
+        return sum(map(mul, weights, _dlog_table(f)[a])) % o
 
     def __call__(self, a: int) -> CycElem:
         return char_eval(self, a)
@@ -158,6 +160,16 @@ class DirichletChar(namedtuple("DirichletChar", "modulus exponents")):
 
     def __str__(self):
         return self.canonical_text()
+
+
+@functools.lru_cache(maxsize=None)
+def _value_weights(modulus: int, exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(o, (w_1, ...)): the order o and chi(g_i) = zeta_n^e = zeta_o^w with
+    w = e*o/n, exact because the value order n/gcd(n, e) divides o; kept
+    since every value_exponent call reads both."""
+    gens = unit_group_generators(modulus)
+    o = lcm(*(n // gcd(n, e) for e, (_, n) in zip(exponents, gens)))
+    return o, tuple(e * o // n for e, (_, n) in zip(exponents, gens))
 
 
 def trivial_char(modulus: int = 1) -> DirichletChar:
@@ -206,56 +218,15 @@ def enumerate_chars(f: int, parity: int | None = None,
 
 
 def conductor(chi: DirichletChar) -> int:
-    """Smallest f' dividing the modulus through which chi factors.
+    """Least f' dividing the modulus f with chi trivial on the units that are 1 mod f'.
 
-    Computed from the local orders: an odd prime power component of order o
-    contributes p^(1 + v_p(o)) when nontrivial; the two-part contributes 4
-    for a nontrivial sign and 2^(t+2) when the <5>-component has order 2^t.
+    Per p^e || f that is the least p^j with chi trivial on the units that are
+    1 mod p^j and 1 mod f/p^e, read only at that group's generators.
     """
-    f = chi.modulus
-    if f == 1:
-        return 1
-    gens = unit_group_generators(f)
-    pieces = {}
-    idx = 0
-    for p, e in factorize(f):
-        q = p**e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                sign = chi.exponents[idx]
-                idx += 1
-                pieces[2] = 4 if sign else 1
-            else:
-                sign = chi.exponents[idx]
-                e5 = chi.exponents[idx + 1]
-                idx += 2
-                n5 = 2 ** (e - 2)
-                o5 = n5 // gcd(n5, e5)
-                if o5 > 1:
-                    pieces[2] = 4 * o5
-                elif sign:
-                    pieces[2] = 4
-                else:
-                    pieces[2] = 1
-        else:
-            exp = chi.exponents[idx]
-            idx += 1
-            n = euler_phi(q)
-            o = n // gcd(n, exp)
-            if o == 1:
-                pieces[p] = 1
-            else:
-                vp = 0
-                oo = o
-                while oo % p == 0:
-                    oo //= p
-                    vp += 1
-                pieces[p] = p ** (1 + vp)
     cond = 1
-    for val in pieces.values():
-        cond *= val
+    for p, kernels in _kernel_generators(chi.modulus):
+        cond *= p ** next((j for j, gens in enumerate(kernels)
+                           if all(chi.value_exponent(g) == 0 for g in gens)), len(kernels))
     return cond
 
 
@@ -267,53 +238,36 @@ def primitive_char(chi: DirichletChar) -> DirichletChar:
     return induce_char(chi, f2)
 
 
-def induce_char(chi: DirichletChar, modulus: int) -> DirichletChar:
-    """Express chi as a character mod ``modulus``.
+def _char_at_generators(modulus: int, chis) -> DirichletChar:
+    """The character mod ``modulus`` equal on units to the product of ``chis``,
+    each of which factors through ``modulus``: the product's value at each
+    generator g, read at a unit that is g mod ``modulus``, gives its exponent."""
+    o = lcm(*(chi.order for chi in chis))
+    wide = lcm(modulus, *(chi.modulus for chi in chis))
+    exps = []
+    for g, n in unit_group_generators(modulus):
+        while gcd(g, wide) != 1:
+            g += modulus
+        t = sum(chi.value_exponent(g) * (o // chi.order) for chi in chis)
+        # zeta_o^t is an n-th root of unity (g^n = 1 mod modulus): t*n/o is exact
+        if t * n % o:
+            raise AssertionError("value at a generator is not an n-th root of unity")
+        exps.append(t * n // o % n)
+    return DirichletChar(modulus, tuple(exps))
 
-    Valid when chi factors through mod gcd-compatible residues: the new
-    modulus must be a multiple of the conductor, and every value is matched
-    on units; raising or lowering the modulus are both supported.
-    """
-    f = chi.modulus
+
+def induce_char(chi: DirichletChar, modulus: int) -> DirichletChar:
+    """Express chi as a character mod ``modulus``, a multiple of its conductor
+    (raising or lowering the modulus), matching every value on units."""
     if modulus % conductor(chi) != 0:
         raise ParameterError(
             f"character of conductor {conductor(chi)} cannot live mod {modulus}")
-    gens = unit_group_generators(modulus)
-    o = chi.order
-    new_exps = []
-    for g, n in gens:
-        # pick a unit mod lcm(f, modulus) congruent to g mod modulus
-        big = lcm(f, modulus)
-        a = g
-        while gcd(a, big) != 1:
-            a += modulus
-        t = chi.value_exponent(a)
-        if t is None:
-            raise AssertionError("failed to reach a unit representative")
-        # chi'(g) = zeta_o^t must be an n-th root of unity: e = t*n/o
-        if (t * n) % o != 0:
-            raise ParameterError("character does not descend to the requested modulus")
-        new_exps.append((t * n // o) % n)
-    return DirichletChar(modulus, tuple(new_exps))
+    return _char_at_generators(modulus, (chi,))
 
 
 def char_product(chi1: DirichletChar, chi2: DirichletChar) -> DirichletChar:
     """Pointwise product, as a character mod lcm of the moduli."""
-    m = lcm(chi1.modulus, chi2.modulus)
-    gens = unit_group_generators(m)
-    o1, o2 = chi1.order, chi2.order
-    o = lcm(o1, o2)
-    exps = []
-    for g, n in gens:
-        t1 = chi1.value_exponent(g)
-        t2 = chi2.value_exponent(g)
-        if t1 is None or t2 is None:
-            raise AssertionError("generator not a unit for a factor modulus")
-        t = (t1 * (o // o1) + t2 * (o // o2)) % o
-        if (t * n) % o != 0:
-            raise AssertionError("product value is not an n-th root of unity")
-        exps.append((t * n // o) % n)
-    return DirichletChar(m, tuple(exps))
+    return _char_at_generators(lcm(chi1.modulus, chi2.modulus), (chi1, chi2))
 
 
 def char_inverse(chi: DirichletChar) -> DirichletChar:

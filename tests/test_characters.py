@@ -56,7 +56,9 @@ def test_conductor_examples_and_kernel_oracle():
     assert conductor(odd4) == 4
     through3 = [c for c in enumerate_chars(9) if conductor(c) == 3]
     assert through3 and all(kernel_conductor(c) == 3 for c in through3)
-    for f in (1, 2, 3, 4, 8, 9, 12, 16, 24, 30, 36, 40):
+    # odd p with j >= 2, the 2-part with e >= 5, and mixed moduli
+    for f in (1, 2, 3, 4, 8, 9, 12, 16, 24, 30, 36, 40, 27, 81, 125, 243,
+              32, 64, 96, 128, 160, 72, 120, 200):
         for chi in enumerate_chars(f):
             assert conductor(chi) == kernel_conductor(chi), (f, chi)
 
@@ -113,6 +115,39 @@ def test_products():
         c1 = rng.choice(enumerate_chars(rng.choice([3, 4, 5, 8, 12])))
         c2 = rng.choice(enumerate_chars(rng.choice([3, 4, 5, 8, 12])))
         assert char_product(c1, c2).parity == c1.parity * c2.parity
+
+
+def test_product_values_and_induction_to_new_primes():
+    rng = random.Random(22)
+    # moduli sharing every prime (72 with 12, 5 with 25), some (16 with 40)
+    # or none (9 with 20)
+    for f1, f2 in ((72, 12), (5, 25), (16, 40), (9, 20)):
+        chars1, chars2 = enumerate_chars(f1), enumerate_chars(f2)
+        for _ in range(30):
+            c1, c2 = rng.choice(chars1), rng.choice(chars2)
+            a = rng.choice([a for a in range(1, 2 * f1 * f2) if gcd(a, f1 * f2) == 1])
+            # compared by difference: == also compares the fields' conductors
+            value = char_eval(char_product(c1, c2), a)
+            assert (value - char_eval(c1, a) * char_eval(c2, a)).is_zero(), (c1, c2, a)
+    for f, new_primes in ((9, 10), (12, 35), (40, 3)):
+        M = f * new_primes
+        for chi in enumerate_chars(f):
+            lifted = induce_char(primitive_char(chi), M)
+            assert lifted.modulus == M
+            for a in range(1, M):
+                if gcd(a, M) == 1:
+                    assert char_eval(lifted, a) == char_eval(chi, a), (chi, M, a)
+
+
+def test_induce_to_a_modulus_off_the_conductor_fails():
+    odd4 = [c for c in enumerate_chars(4) if not c.is_trivial()][0]
+    with pytest.raises(ParameterError):
+        induce_char(odd4, 6)
+    prim9 = enumerate_chars(9, exact_conductor=9)[0]
+    with pytest.raises(ParameterError):
+        induce_char(prim9, 3)
+    with pytest.raises(ParameterError):
+        induce_char(prim9, 3 * 5 * 7)
 
 
 def test_canonical_text():
