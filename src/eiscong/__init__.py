@@ -9,12 +9,12 @@ Library layout:
 - ``characters``: Dirichlet characters: enumeration, evaluation, conductors.
 - ``lfunc``: Bernoulli numbers, L-values at non-positive integers, the
   congruence bound eta, and Kummer congruence utilities.
-- ``qexp``: truncated q-expansions, Eisenstein series, Hecke operators, and
-  the constructive cuspidal congruence.
+- ``qexp``: truncated q-expansions, Eisenstein series, Hecke operators, the
+  constructive cuspidal congruence, and the auxiliary-character search.
 - ``hecke1``: the level-1 Hecke engine on residues mod p^s (echelon basis,
   eigensystems, congruence-depth scans).
-- ``criteria``: Selmer bound calculators, the auxiliary-character search, and
-  the non-principality criterion with external-record ingestion.
+- ``criteria``: Selmer bound calculators and the non-principality criterion
+  with external-record ingestion.
 - ``cli``: the ``eiscong`` command-line front end and its on-disk cache;
   ``commands``: what each of its subcommands computes.
 
@@ -37,9 +37,9 @@ _EXPORTS = {
     **dict.fromkeys(("EigensystemRecord", "depth_scan", "eigensystems_mod"), "hecke1"),
     **dict.fromkeys(("EtaValue", "bernoulli", "eta", "gen_bernoulli", "kummer_check",
                      "l_nonpositive"), "lfunc"),
-    **dict.fromkeys(("QExpansion", "build_fm", "build_g", "build_h", "eisenstein_qexp",
-                     "hecke_tq", "multiply", "v_operator"), "qexp"),
-    **dict.fromkeys(("aux_char_search", "full_report", "herbrand_eigenspace", "ingest_records",
+    **dict.fromkeys(("QExpansion", "aux_char_search", "build_fm", "build_g", "build_h",
+                     "eisenstein_qexp", "hecke_tq", "multiply", "v_operator"), "qexp"),
+    **dict.fromkeys(("full_report", "herbrand_eigenspace", "ingest_records",
                      "nonprincipality_verdict", "selmer_lower_1mk", "selmer_upper_km1"),
                     "criteria"),
 }

@@ -56,7 +56,7 @@ def eisenstein(l, phi, prec):
 
 def build_h(p, k, psi, ell, m, sigma, s, prec):
     from .characters import parse_char, primitive_char
-    from .criteria import aux_char_and_h
+    from .qexp import aux_char_and_h
     psi = primitive_char(parse_char(psi))
     aux, built = aux_char_and_h(p, k, psi, ell, m, _parse_sigma(sigma), s, prec)
     if built is None:
@@ -87,7 +87,7 @@ def selmer(p, k, sigma, fres):
 
 def aux_char(p, k, psi, ell, mmax, s):
     from .characters import parse_char, primitive_char
-    from .criteria import aux_char_search
+    from .qexp import aux_char_search
     return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax, s=s).as_dict()
 
 

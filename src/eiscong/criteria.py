@@ -1,5 +1,4 @@
-"""Decision procedures: Selmer-group bound calculators, the auxiliary
-character search certifying the p-unit condition, the congruence-counting
+"""Decision procedures: Selmer-group bound calculators, the congruence-counting
 non-principality criterion for the Eisenstein ideal, and ingestion of
 externally computed eigensystem records.
 
@@ -11,8 +10,9 @@ Depths are decided by ``hecke1.congruence_depth``, dim H^1_Sigma(Q, chi) = 1
 by ``dim_chi_hypothesis`` and p in Sigma by ``poly.sigma_with_p``, once each.
 
 ``hecke1`` and ``qexp`` are imported by the functions that use them
-(``ingest_records``, ``full_report``, ``aux_char_and_h``), so the Selmer
-and auxiliary-character commands load neither.
+(``ingest_records``, ``full_report``), so the Selmer command loads neither,
+and ``build-h`` and ``aux-char``, whose search lives in ``qexp``, load no
+``criteria``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
-from .characters import DirichletChar, char_inverse, char_product, enumerate_chars, primitive_char
+from .characters import DirichletChar, primitive_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import padic_context, valp_cyc, valp_rational
-from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta, l_nonpositive
-from .poly import INF, euler_phi, factorize, is_prime, sigma_with_p, valp_int
+from .exact import padic_context, valp_rational
+from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta
+from .poly import INF, factorize, is_prime, sigma_with_p
 
 
 # ---------------------------------------------------------------------------
@@ -126,97 +125,6 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
         lower_bound_1mk=lower, dim_chi_inverse_lower=lower // f_res,
         upper_bound_km1_terms=tuple(terms), herbrand_status=status,
         dim_chi_upper=dim_upper)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary character search
-# ---------------------------------------------------------------------------
-
-class AuxCharCertificate(namedtuple(
-        "AuxCharCertificate",
-        "found char conductor val_l_psi_phi val_l_phi_inv context_conductor context_precision"
-        " searched_m_max")):
-    """Outcome of the p-unit auxiliary-character search at conductor ell^m;
-    ``char`` (a DirichletChar), ``conductor`` and the two valuations are None
-    when none was found."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "char": self.char.canonical_text() if self.char else None,
-            "conductor": self.conductor,
-            "val_L_psi_phi_0": self.val_l_psi_phi,
-            "val_L_phi_inv_2mk": self.val_l_phi_inv,
-            "context_conductor": self.context_conductor,
-            "context_precision": self.context_precision,
-            "searched_m_max": self.searched_m_max,
-        }
-
-
-def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
-                    s: int = 6) -> AuxCharCertificate:
-    """First character phi of conductor ell^m (m <= m_max) with
-    phi(-1) = (-1)^(k-1) and both L(psi*phi, 0) and L(phi^(-1), 2-k) of
-    valuation zero at the chosen prime above p.
-
-    Enumeration is lexicographic in exponent vectors, so reruns (and reruns
-    with a larger m_max) return the same certificate.  A not-found outcome
-    reports the exhausted search range rather than failing.
-    """
-    if not is_prime(ell) or ell == p or ell == 2:
-        raise ParameterError("ell must be an odd prime different from p")
-    if k < 2:
-        raise ParameterError("weight must be >= 2")
-    if m_max < 1:
-        raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
-    psi = primitive_char(psi)
-    parity = (-1) ** (k - 1)
-    for m in range(1, m_max + 1):
-        # per-conductor context; first-found stability keeps the result
-        # independent of m_max
-        ctx_m = padic_context(p, lcm(psi.order, euler_phi(ell**m)), s)
-        for phi in enumerate_chars(ell**m, parity=parity, exact_conductor=ell**m):
-            chi1 = primitive_char(char_product(psi, phi))
-            l1 = l_nonpositive(chi1, 0)
-            if l1.is_zero():
-                continue
-            v1 = valp_cyc(l1, ctx_m)
-            if v1 != 0:
-                continue
-            chi2 = primitive_char(char_inverse(phi))
-            l2 = l_nonpositive(chi2, 2 - k)
-            if l2.is_zero():
-                continue
-            v2 = valp_cyc(l2, ctx_m)
-            if v2 != 0:
-                continue
-            return AuxCharCertificate(
-                found=True, char=phi, conductor=ell**m,
-                val_l_psi_phi=v1, val_l_phi_inv=v2,
-                context_conductor=ctx_m.f, context_precision=ctx_m.s,
-                searched_m_max=m_max)
-    return AuxCharCertificate(
-        found=False, char=None, conductor=None,
-        val_l_psi_phi=None, val_l_phi_inv=None,
-        context_conductor=ctx_m.f, context_precision=ctx_m.s,
-        searched_m_max=m_max)
-
-
-def aux_char_and_h(p: int, k: int, psi: DirichletChar, ell: int, m_max: int, sigma,
-                   s: int, prec: int):
-    """Search phi by ``aux_char_search`` up to conductor ell^m_max and, when
-    one is found, build H at the exponent m of its conductor ell^m, so that
-    F_m and G have constant terms on the same cusps.  psi must be primitive.
-
-    Returns (AuxCharCertificate, (H, HConstructionReport) or None)."""
-    from .qexp import build_h
-    aux = aux_char_search(p, k, psi, ell, m_max, s=s)
-    if not aux.found:
-        return aux, None
-    ctx = padic_context(p, lcm(psi.order, aux.char.order), s)
-    return aux, build_h(psi, k, ell, valp_int(aux.conductor, ell), aux.char, sigma, ctx, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +317,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
         ell = candidates[0] if candidates else None
     aux = built = None
     if ell is not None:
+        from .qexp import aux_char_and_h
         aux, built = aux_char_and_h(p, k, psi, ell, m_max, sigma, s, prec)
     report["aux_char"] = aux.as_dict() if aux else None
     report["h_construction"] = built[1].as_dict() if built else None

@@ -15,9 +15,10 @@ capped at MAX_CONDUCTOR to bound polynomial degrees.
 
 A ``PadicContext`` fixes a prime above p in Q(zeta_f) for p not dividing f:
 it factors the f-th cyclotomic polynomial mod p (all factors share degree
-d = ord of p in (Z/f)^*), Hensel-lifts every factor to mod p^s, and selects
-the lexicographically smallest one (ascending coefficient sequence, entries
-normalized into [0, p)).  The extension is unramified, so e = 1 and the
+d = ord of p in (Z/f)^*) by roots of unity mod p when d = 1 and by Gauss
+periods otherwise, selects the lexicographically smallest factor (ascending
+coefficient sequence, entries normalized into [0, p)) and Hensel-lifts it
+alone to mod p^s.  The extension is unramified, so e = 1 and the
 pi-adic valuation of an element equals the minimum p-valuation of its
 coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)).
 
@@ -35,6 +36,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     ConductorTooLargeError,
@@ -43,7 +45,8 @@ from .errors import (
     RamifiedPrimeError,
 )
 from .poly import (INF, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
-                   _poly_divmod_q, _trim_mod, euler_phi, is_prime, mult_order, valp_int)
+                   _poly_divmod_q, _ppow_mod, _psub_mod, _pxgcd_mod, euler_phi, factorize,
+                   is_prime, mult_order, valp_int)
 
 MAX_CONDUCTOR = 512
 
@@ -89,6 +92,19 @@ def cyclotomic_poly(f: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_weights(f: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_f^i) / phi(f) for i < phi(f): mu(m) / phi(m) with m = f / gcd(i, f)
+    the order of zeta_f^i (a Ramanujan sum over phi(f))."""
+    out = []
+    for i in range(euler_phi(f)):
+        m = f // gcd(i, f)
+        primes = factorize(m)
+        mu = 0 if any(e > 1 for _, e in primes) else (-1) ** len(primes)
+        out.append(Fraction(mu, euler_phi(m)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
@@ -97,8 +113,8 @@ class _Frozen:
     """Base of the immutable value classes that carry arithmetic, and so must
     not be tuples (a tuple's ``+`` and ``*`` would concatenate and repeat
     them).  Subclasses list their fields in ``__slots__`` and set them once,
-    in ``__init__``, through ``object.__setattr__``.  Instances compare and
-    hash as (class, fields), like frozen records."""
+    in ``__init__``, through ``object.__setattr__``.  By default instances
+    compare and hash as (class, fields), like frozen records."""
 
     __slots__ = ()
 
@@ -136,14 +152,16 @@ class CycElem(_Frozen):
 
     ``nums`` holds phi(f) integers, the coordinates of the unique
     representative of degree < phi(f) modulo Phi_f, and ``den`` is a positive
-    integer coprime to them all (1 for zero), so equal elements have equal
-    fields.  The constructor is the one normalisation: it takes an integer or
-    rational vector of any length and a nonzero integer ``den``, reduces the
-    vector mod Phi_f, pads it to phi(f) and cancels common factors.
+    integer coprime to them all (1 for zero), so equal elements of one
+    conductor have equal fields.  The constructor is the one normalisation:
+    it takes an integer or rational vector of any length and a nonzero
+    integer ``den``, reduces the vector mod Phi_f, pads it to phi(f) and
+    cancels common factors.
     ``coeffs`` gives the coordinates as ``Fraction``s.
 
-    Arithmetic between two CycElems of conductors f and g lifts both into
-    Q(zeta_lcm(f, g)) by ``lift``.  Scalars (int/Fraction) mix freely.
+    Arithmetic and ``==`` between two CycElems of conductors f and g lift
+    both into Q(zeta_lcm(f, g)) by ``lift``, and the hash does not depend on
+    the conductor.  Scalars (int/Fraction) mix freely in arithmetic.
     """
 
     __slots__ = ("conductor", "nums", "den")
@@ -240,6 +258,23 @@ class CycElem(_Frozen):
         """Field norm to Q: product over all Galois conjugates."""
         return (self * self._adjugate()).as_rational()
 
+    def __eq__(self, other):
+        """Equality of numbers.  A rational number is a constant in every
+        conductor, so it compares without a lift; two other elements of two
+        conductors compare in Q(zeta_lcm), as in arithmetic."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.is_rational() or other.is_rational():
+            return (self.is_rational(), self.nums[0], self.den) == (
+                other.is_rational(), other.nums[0], other.den)
+        a, b = self._common(other)
+        return a.nums == b.nums and a.den == b.den
+
+    def __hash__(self):
+        """The hash of the normalised trace Tr(x) / phi(f), which does not
+        depend on the conductor, so equal numbers of two conductors agree."""
+        return hash(sum(map(mul, self.nums, _trace_weights(self.conductor))) / self.den)
+
     # -- arithmetic --------------------------------------------------------
 
     def _common(self, other: "CycElem") -> tuple["CycElem", "CycElem"]:
@@ -249,15 +284,19 @@ class CycElem(_Frozen):
         f = lcm(self.conductor, other.conductor)
         return self.lift(f), other.lift(f)
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign * other, normalised once."""
         if isinstance(other, (int, Fraction)):
             other = CycElem.from_rational(other, self.conductor)
         if not isinstance(other, CycElem):
             return NotImplemented
         a, b = self._common(other)
         den = lcm(a.den, b.den)
-        ma, mb = den // a.den, den // b.den
+        ma, mb = den // a.den, sign * (den // b.den)
         return CycElem(a.conductor, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -265,11 +304,7 @@ class CycElem(_Frozen):
         return CycElem(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElem.from_rational(other, self.conductor)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -335,19 +370,71 @@ class CycElem(_Frozen):
 # p-adic contexts
 # ---------------------------------------------------------------------------
 
-class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree all_factors")):
+class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree")):
     """A fixed prime above p in Q(zeta_f) (p coprime to f), with working
     precision p^s.
 
     ``prime_poly`` is the Hensel lift mod p^s of the selected irreducible
     factor of the f-th cyclotomic polynomial mod p, as a tuple of ints; the
     quotient Z[x]/(p^s, prime_poly) is the length-s truncation of the
-    unramified extension of Z_p of degree ``residue_degree``.
-    ``all_factors`` holds the lifts of every factor.  The ramification index
-    is 1, since p does not divide f.
+    unramified extension of Z_p of degree ``residue_degree``.  Only that
+    factor is lifted when the context is built; ``all_factors`` lifts every
+    factor, in the same order, on each access.  The ramification index is 1,
+    since p does not divide f.
     """
 
     __slots__ = ()
+
+    @property
+    def all_factors(self) -> tuple[tuple[int, ...], ...]:
+        phi = list(cyclotomic_poly(self.f))
+        return tuple(tuple(_hensel_lift_factor(phi, g0, self.p, self.s)[0])
+                     for g0 in _cyclotomic_factors_mod_p(self.p, self.f))
+
+
+def _cyclotomic_factors_mod_p(p: int, f: int) -> list[list[int]]:
+    """The monic irreducible factors of Phi_f mod p (p not dividing f), of
+    degree d = ord of p mod f, sorted: x - zeta^j (j a unit mod f) for a
+    primitive f-th root of unity zeta mod p when d = 1.  Otherwise the Gauss
+    period T_j = sum_{h in <p> mod f} x^(jh mod f) is the constant
+    Tr(zeta^(ja)) of F_p modulo the factor with root zeta^a, so a part G
+    splits by gcd(G, (T_j - c)^((p-1)/2) - 1) for some c unless T_j is
+    constant modulo G (at (691, 36) every T_1 is 0); the T_j, 0 < j < f,
+    separate any two factors, and Cantor-Zassenhaus is the fallback."""
+    F = [c % p for c in cyclotomic_poly(f)]
+    d = mult_order(p, f)
+    if len(F) - 1 == d:
+        return [F]
+    if p == 2:
+        raise ParameterError("p = 2 with a split cyclotomic polynomial is unsupported")
+    if d == 1:
+        for a in range(2, p):
+            zeta = pow(a, (p - 1) // f, p)
+            if all(pow(zeta, f // q, p) != 1 for q, _ in factorize(f)):
+                break
+        return sorted([-pow(zeta, j, p) % p, 1] for j in range(f) if gcd(j, f) == 1)
+    coset = {pow(p, i, f) for i in range(d)}
+
+    def split(G: list[int], first: int) -> list[list[int]]:
+        if len(G) - 1 == d:
+            return [G]
+        for j in range(first, f):
+            period = [0] * f
+            for h in coset:
+                period[j * h % f] += 1
+            T = _pdivmod_mod(period, G, p)[1]
+            if len(T) > 1:
+                break
+        else:
+            return _equal_degree_split(G, d, p)
+        for c in range(p):
+            w = _psub_mod(_ppow_mod(_psub_mod(T, [c], p), (p - 1) // 2, G, p), [1], p)
+            g = _pxgcd_mod(G, w, p)[0]
+            if 0 < len(g) - 1 < len(G) - 1:
+                return split(g, j) + split(_pdivmod_mod(G, g, p)[0], j)
+        raise AssertionError("a non-constant Gauss period split no factor")
+
+    return sorted(split(F, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,20 +454,9 @@ def padic_context(p: int, f: int, s: int) -> PadicContext:
     if f % p == 0:
         raise RamifiedPrimeError(
             f"p = {p} divides the conductor {f}; ramified primes are unsupported")
-    d = mult_order(p, f)
-    phi_int = list(cyclotomic_poly(f))
-    F = _trim_mod([c % p for c in phi_int], p)
-    inv = pow(F[-1], -1, p)
-    F = [c * inv % p for c in F]
-    if len(F) - 1 == 0:
-        raise AssertionError("cyclotomic polynomial vanished mod p")
-    factors = _equal_degree_split(F, d, p) if p > 2 else [F]
-    if p == 2 and len(F) - 1 != d:
-        raise ParameterError("p = 2 with a split cyclotomic polynomial is unsupported")
-    factors.sort(key=tuple)
-    lifted = tuple(tuple(_hensel_lift_factor(phi_int, g0, p, s)[0]) for g0 in factors)
-    return PadicContext(p=p, f=f, s=s, prime_poly=lifted[0],
-                        residue_degree=d, all_factors=lifted)
+    g0 = _cyclotomic_factors_mod_p(p, f)[0]
+    g = _hensel_lift_factor(list(cyclotomic_poly(f)), g0, p, s)[0]
+    return PadicContext(p=p, f=f, s=s, prime_poly=tuple(g), residue_degree=len(g0) - 1)
 
 
 def valp_cyc(x: CycElem, ctx: PadicContext):

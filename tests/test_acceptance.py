@@ -16,7 +16,6 @@ from eiscong.characters import (
 )
 from eiscong.cli import fixture_path, main
 from eiscong.criteria import (
-    aux_char_search,
     dim_chi_hypothesis,
     herbrand_eigenspace,
     ingest_records,
@@ -28,7 +27,7 @@ from eiscong.exact import CycElem, padic_context, valp_cyc, valp_rational
 from eiscong.hecke1 import charpoly, depth_scan, dim_cusp
 from eiscong.lfunc import bernoulli, eta, gen_bernoulli, kummer_check, l_nonpositive
 from eiscong.poly import euler_phi
-from eiscong.qexp import build_fm, build_h, eisenstein_qexp, hecke_tq
+from eiscong.qexp import aux_char_search, build_fm, build_h, eisenstein_qexp, hecke_tq
 from level1_oracle import hecke_matrix
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from eiscong.characters import trivial_char
 from eiscong.criteria import (
-    aux_char_search,
     dim_chi_hypothesis,
     full_report,
     herbrand_eigenspace,
@@ -21,6 +20,7 @@ from eiscong.criteria import (
 from eiscong.errors import ParameterError, SchemaError
 from eiscong.exact import padic_context, valp_rational
 from eiscong.lfunc import b1_omega_mod, bernoulli, bernoulli_mod, eta
+from eiscong.qexp import aux_char_search
 from eiscong.cli import fixture_path
 
 FIXTURE = fixture_path("example37.json")
@@ -360,9 +360,9 @@ def test_full_report_691_inconclusive():
 def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch):
     # no character of conductor 5 is offered, so the search finds one of
     # conductor 25; before, H was still built from F_1 and failed at the cusps
-    from eiscong import criteria
-    enumerate_chars = criteria.enumerate_chars
-    monkeypatch.setattr(criteria, "enumerate_chars",
+    from eiscong import qexp
+    enumerate_chars = qexp.enumerate_chars
+    monkeypatch.setattr(qexp, "enumerate_chars",
                         lambda f, **kw: [] if f == 5 else enumerate_chars(f, **kw))
     rep = full_report(37, 32, trivial_char(1), [5, 37], s=4, prec=20, ell=5, m_max=2,
                       s_max=2)

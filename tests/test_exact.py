@@ -14,9 +14,12 @@ from eiscong.errors import (
     ParameterError,
     RamifiedPrimeError,
 )
+from eiscong import poly
+from eiscong.characters import char_eval, char_product, parse_char
 from eiscong.exact import (
     CycElem,
     PadicContext,
+    _cyclotomic_factors_mod_p,
     _over_common,
     cyclotomic_poly,
     padic_context,
@@ -27,11 +30,13 @@ from eiscong.poly import (
     INF,
     KRONECKER_MIN_LEN,
     KRONECKER_SMALL_BITS,
+    _equal_degree_split,
     _hensel_lift_factor,
     _kronecker,
     _pmul,
     _pmul_mod,
     euler_phi,
+    is_prime,
     mult_order,
     teichmuller,
 )
@@ -159,6 +164,31 @@ def test_pmul_matches_schoolbook():
                 assert _pmul(a, b, n) == _schoolbook(a, b, n), (la, ba, lb, bb, zeros, n)
 
 
+def test_pmul_on_skewed_operands_matches_schoolbook_on_both_branches(monkeypatch):
+    # coefficients of 1-8 bits against 50-600 bits, as in E_1 * E_(k-1)
+    calls = []
+    monkeypatch.setattr(poly, "_kronecker", lambda *args: calls.append(1) or _kronecker(*args))
+    rng = random.Random(23)
+    branches = set()
+    for _ in range(80):
+        la, lb = rng.randrange(KRONECKER_MIN_LEN, 90), rng.randrange(KRONECKER_MIN_LEN, 90)
+        zeros = 1 - rng.choice((0.1, 0.25, 0.5, 0.75, 1.0))
+        a = _signed(rng, la, rng.randint(1, 8), zeros)
+        b = _signed(rng, lb, rng.randint(50, 600), zeros)
+        if rng.random() < 0.5:
+            a, b = b, a
+        for n in (None, rng.randrange(1, la + lb)):
+            before = len(calls)
+            assert _pmul(a, b, n) == _schoolbook(a, b, n), (la, lb, zeros, n)
+            branches.add(len(calls) > before)
+    assert branches == {True, False}
+    # the crossover: 6 bits against 54 packs, against 177 or 406 loops
+    for bits, packed in ((54, True), (177, False), (406, False)):
+        calls.clear()
+        _pmul([2**6 - 1] * 100, [2**bits - 1] * 100)
+        assert bool(calls) == packed, bits
+
+
 def test_kronecker_recovers_signed_coefficients():
     rng = random.Random(8)
     for la, lb, bits in ((1, 1, 1), (2, 7, 5), (KRONECKER_MIN_LEN, 90, 64), (50, 50, 3000)):
@@ -243,6 +273,34 @@ def test_padic_context_factor_product():
             phi.pop()
         assert prod == phi
         assert len(ctx.all_factors) == euler_phi(f) // ctx.residue_degree
+
+
+# padic_context(p, ell - 1, 6) of the six `construct` benchmark items
+CONSTRUCT_CONTEXTS = ((691, 28), (691, 36), (37, 18), (59, 18), (101, 10), (37, 22))
+
+
+def test_gauss_period_factors_are_the_cantor_zassenhaus_factors():
+    # Every root of Phi_f mod p has degree d = ord_f(p), so monic degree-d
+    # factors whose product is Phi_f mod p are its irreducible factors: that
+    # is checked on the whole grid, and equality with Cantor-Zassenhaus where
+    # it is cheap and at the benchmark's contexts.
+    for p in filter(is_prime, range(3, 60)):
+        for f in range(1, 40):
+            if f % p == 0:
+                continue
+            F, d = [c % p for c in cyclotomic_poly(f)], mult_order(p, f)
+            factors = _cyclotomic_factors_mod_p(p, f)
+            product = [1]
+            for g in factors:
+                assert len(g) - 1 == d and g[-1] == 1, (p, f)
+                product = _pmul_mod(product, g, p)
+            assert product == F and factors == sorted(factors), (p, f)
+            if f < 16:
+                assert factors == sorted(_equal_degree_split(F, d, p)), (p, f)
+    for p, f in CONSTRUCT_CONTEXTS:
+        F = [c % p for c in cyclotomic_poly(f)]
+        assert _cyclotomic_factors_mod_p(p, f) == sorted(
+            _equal_degree_split(F, mult_order(p, f), p)), (p, f)
 
 
 def test_hensel_lift_returns_the_lifted_cofactor():
@@ -375,6 +433,25 @@ def test_cycelem_is_a_frozen_value():
     assert a == b and repr(a) == "CycElem(cyc5:1,2,0,0)"
     import copy
     assert copy.deepcopy(a) == a and copy.copy(a) == a
+
+
+def test_equal_numbers_of_two_conductors_compare_and_hash_alike():
+    c1, c2 = parse_char("72:[1,0,5]"), parse_char("12:[1,1]")
+    u, v = char_eval(char_product(c1, c2), 149), char_eval(c1, 149) * char_eval(c2, 149)
+    assert (u.conductor, v.conductor) == (3, 6)
+    assert u == v and hash(u) == hash(v) and u != v + 1
+    assert CycElem.zeta(3, 2) == -CycElem.zeta(6) != CycElem.zeta(6)
+    # rationals compare without a lift, also where Q(zeta_lcm) is out of range
+    assert CycElem.one(256) == CycElem.one(3) != CycElem.from_rational(2, 256)
+    assert CycElem.zeta(256) != CycElem.one(3) and CycElem.one(3) != CycElem.zeta(256)
+    rng = random.Random(31)
+    for f, F in ((1, 7), (3, 12), (4, 20), (6, 18), (9, 45), (10, 30), (12, 60)):
+        for _ in range(5):
+            x = _random_elem(rng, f)
+            y = x.lift(F)
+            assert x == y and y == x and hash(x) == hash(y)
+            assert x != y + CycElem.zeta(F) and x != y * 2 + 1
+            assert x.lift(F) * 3 == x * 3 and hash(y * 3) == hash(x * 3)
 
 
 def test_cycelem_is_not_a_tuple():

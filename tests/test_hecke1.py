@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong import hecke1
+from eiscong import hecke1, poly
 from eiscong.errors import ComputationError, ParameterError
 from eiscong.hecke1 import (
     _miller_rows,
@@ -20,6 +20,7 @@ from eiscong.hecke1 import (
     residue_valuation,
     scan_prime_bound,
 )
+from eiscong.poly import KRONECKER_MIN_LEN
 from level1_oracle import hecke_matrix, miller_basis, miller_rows
 
 
@@ -284,6 +285,24 @@ def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
     assert builds == [(110, 17, 157**3)]
     assert [r.depth for r in recs] == [0, 1, 0]
     assert len(skipped) == 1
+
+
+def test_scan_items_multiply_their_miller_rows_by_kronecker(monkeypatch):
+    # the items of the `scan` benchmark workload: the skew gate of `_pmul`
+    # must leave every product long enough for Kronecker substitution there
+    packed, long_enough = [], []
+    kronecker, pmul = poly._kronecker, poly._pmul
+
+    def counting(a, b, n=None):
+        if min(len(a), len(b), len(a) + len(b) if n is None else n) >= KRONECKER_MIN_LEN:
+            long_enough.append(1)
+        return pmul(a, b, n)
+
+    monkeypatch.setattr(poly, "_kronecker", lambda *args: packed.append(1) or kronecker(*args))
+    monkeypatch.setattr(hecke1, "_pmul", counting)
+    for k, p in ((84, 233), (84, 271), (92, 587), (100, 263), (100, 379), (110, 157)):
+        eigensystems_mod(k, p, 3)
+    assert long_enough and len(packed) == len(long_enough)
 
 
 @pytest.mark.parametrize("k", [24, 48, 84, 110])

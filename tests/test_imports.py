@@ -171,10 +171,9 @@ MISS_TABLE = {
     "scan": ("poly", "hecke1"),
     "chars": ("poly", "exact", "characters"),
     **dict.fromkeys(("bernoulli", "eta", "kummer"), ("poly", "exact", "characters", "lfunc")),
-    **dict.fromkeys(("selmer", "aux-char"),
-                    ("poly", "exact", "characters", "lfunc", "criteria")),
-    "eisenstein": ("poly", "exact", "characters", "lfunc", "qexp"),
-    "build-h": ("poly", "exact", "characters", "lfunc", "qexp", "criteria"),
+    "selmer": ("poly", "exact", "characters", "lfunc", "criteria"),
+    **dict.fromkeys(("eisenstein", "build-h", "aux-char"),
+                    ("poly", "exact", "characters", "lfunc", "qexp")),
     "criterion": ("poly", "exact", "characters", "lfunc", "criteria", "hecke1"),
     **dict.fromkeys(("report", "example37"), ALL),
     "verify-cache": ("poly", "hecke1"),
