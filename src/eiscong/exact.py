@@ -44,7 +44,7 @@ from .errors import (
     ParameterError,
     RamifiedPrimeError,
 )
-from .poly import (INF, _equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul,
+from .poly import (INF, _hensel_lift_factor, _pdivmod_mod, _pmul,
                    _poly_divmod_q, _ppow_mod, _psub_mod, _pxgcd_mod, euler_phi, factorize,
                    is_prime, mult_order, valp_int)
 
@@ -105,6 +105,28 @@ def _trace_weights(f: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _is_zero_sum(terms: dict[int, int], L: int) -> bool:
+    """Whether sum_k terms[k] zeta_L^k = 0.  For each prime power Q = q^e || L,
+    zeta_L^k is zeta_Q^(k mod Q) times a root of unity of order prime to q,
+    with zeta_Q = zeta_L^u (u = 1 mod Q, 0 mod L/Q); Phi_Q(zeta_Q) = 0
+    rewrites each exponent r >= (q-1)q^(e-1) mod Q by lower ones.  What is
+    left lies on the products of the power bases of the Q(zeta_Q), a basis
+    of Q(zeta_L)."""
+    for q, e in factorize(L):
+        Q = q ** e
+        step, u = Q // q, L // Q * pow(L // Q, -1, Q)
+        out = {}
+        for k, c in terms.items():
+            if k % Q < (q - 1) * step:
+                out[k] = out.get(k, 0) + c
+            else:
+                for t in range(1, q):
+                    j = (k - t * step * u) % L
+                    out[j] = out.get(j, 0) - c
+        terms = out
+    return not any(terms.values())
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
@@ -159,9 +181,10 @@ class CycElem(_Frozen):
     cancels common factors.
     ``coeffs`` gives the coordinates as ``Fraction``s.
 
-    Arithmetic and ``==`` between two CycElems of conductors f and g lift
-    both into Q(zeta_lcm(f, g)) by ``lift``, and the hash does not depend on
-    the conductor.  Scalars (int/Fraction) mix freely in arithmetic.
+    Arithmetic between two CycElems of conductors f and g lifts both into
+    Q(zeta_lcm(f, g)) by ``lift``.  ``==`` compares the numbers across
+    conductors, with no cap on the lcm, and the hash does not depend on the
+    conductor.  Scalars (int/Fraction) mix freely in arithmetic.
     """
 
     __slots__ = ("conductor", "nums", "den")
@@ -259,16 +282,19 @@ class CycElem(_Frozen):
         return (self * self._adjugate()).as_rational()
 
     def __eq__(self, other):
-        """Equality of numbers.  A rational number is a constant in every
-        conductor, so it compares without a lift; two other elements of two
-        conductors compare in Q(zeta_lcm), as in arithmetic."""
+        """Equality of numbers.  Two conductors compare by whether the
+        difference vanishes in Q(zeta_lcm), which ``_is_zero_sum`` decides
+        without Phi_lcm, so the lcm may pass MAX_CONDUCTOR."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.is_rational() or other.is_rational():
-            return (self.is_rational(), self.nums[0], self.den) == (
-                other.is_rational(), other.nums[0], other.den)
-        a, b = self._common(other)
-        return a.nums == b.nums and a.den == b.den
+        if self.conductor == other.conductor:
+            return self.nums == other.nums and self.den == other.den
+        L, terms = lcm(self.conductor, other.conductor), {}
+        for x, scale in ((self, other.den), (other, -self.den)):
+            step = L // x.conductor
+            for i, c in enumerate(x.nums):
+                terms[i * step] = terms.get(i * step, 0) + c * scale
+        return _is_zero_sum(terms, L)
 
     def __hash__(self):
         """The hash of the normalised trace Tr(x) / phi(f), which does not
@@ -400,7 +426,7 @@ def _cyclotomic_factors_mod_p(p: int, f: int) -> list[list[int]]:
     Tr(zeta^(ja)) of F_p modulo the factor with root zeta^a, so a part G
     splits by gcd(G, (T_j - c)^((p-1)/2) - 1) for some c unless T_j is
     constant modulo G (at (691, 36) every T_1 is 0); the T_j, 0 < j < f,
-    separate any two factors, and Cantor-Zassenhaus is the fallback."""
+    separate any two factors."""
     F = [c % p for c in cyclotomic_poly(f)]
     d = mult_order(p, f)
     if len(F) - 1 == d:
@@ -425,8 +451,6 @@ def _cyclotomic_factors_mod_p(p: int, f: int) -> list[list[int]]:
             T = _pdivmod_mod(period, G, p)[1]
             if len(T) > 1:
                 break
-        else:
-            return _equal_degree_split(G, d, p)
         for c in range(p):
             w = _psub_mod(_ppow_mod(_psub_mod(T, [c], p), (p - 1) // 2, G, p), [1], p)
             g = _pxgcd_mod(G, w, p)[0]

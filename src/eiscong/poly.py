@@ -130,13 +130,15 @@ def teichmuller(a: int, p: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Crossovers of the multiply, measured on CPython 3.11 with dense random
-# operands, the level-1 Miller rows and E_1 * E_(k-1).  One big-int product
-# (Kronecker substitution) beats the schoolbook loop once the shorter operand
-# has KRONECKER_MIN_LEN terms, unless the coefficients of one operand are more
+# operands and the level-1 Miller rows.  One big-int product (Kronecker
+# substitution) beats the schoolbook loop once the shorter operand has
+# KRONECKER_MIN_LEN terms, unless the coefficients of one operand are more
 # than KRONECKER_MAX_SKEW times longer than the other's and longer than
 # KRONECKER_SMALL_BITS: every packed slot is as wide as the largest product,
-# while the loop pays only for the actual sizes (6 against 177-406 bits in
-# E_1 * E_(k-1): the loop takes 0.5-0.8 of the packed time; 6 against 54: 1.3).
+# while the loop pays only for the actual sizes.  KRONECKER_SMALL_BITS is
+# not a measured crossover but a value between two measured points of
+# E_1 * E_(k-1): against 6-bit coefficients, 54 bits packs faster (the loop
+# takes 1.3 of the packed time) and 177-406 bits loop faster (0.5-0.8).
 KRONECKER_MIN_LEN = 16
 KRONECKER_SMALL_BITS = 128
 KRONECKER_MAX_SKEW = 4

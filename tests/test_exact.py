@@ -4,7 +4,7 @@ Hensel lifting)."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -441,9 +441,11 @@ def test_equal_numbers_of_two_conductors_compare_and_hash_alike():
     assert (u.conductor, v.conductor) == (3, 6)
     assert u == v and hash(u) == hash(v) and u != v + 1
     assert CycElem.zeta(3, 2) == -CycElem.zeta(6) != CycElem.zeta(6)
-    # rationals compare without a lift, also where Q(zeta_lcm) is out of range
+    # conductors whose lcm is above MAX_CONDUCTOR still compare
     assert CycElem.one(256) == CycElem.one(3) != CycElem.from_rational(2, 256)
     assert CycElem.zeta(256) != CycElem.one(3) and CycElem.one(3) != CycElem.zeta(256)
+    assert CycElem.zeta(256) != CycElem.zeta(3) and CycElem.zeta(3) != CycElem.zeta(256)
+    assert CycElem.zeta(256, 64) == CycElem.zeta(12, 3) != CycElem.zeta(12, 9)
     rng = random.Random(31)
     for f, F in ((1, 7), (3, 12), (4, 20), (6, 18), (9, 45), (10, 30), (12, 60)):
         for _ in range(5):
@@ -452,6 +454,25 @@ def test_equal_numbers_of_two_conductors_compare_and_hash_alike():
             assert x == y and y == x and hash(x) == hash(y)
             assert x != y + CycElem.zeta(F) and x != y * 2 + 1
             assert x.lift(F) * 3 == x * 3 and hash(y * 3) == hash(x * 3)
+    # one number of Q(zeta_g) in two fields that do not contain each other,
+    # the lcm of the two conductors in range (first four) and above it
+    for g, F1, F2 in ((3, 6, 12), (4, 12, 20), (9, 18, 45), (5, 20, 15),
+                      (4, 256, 12), (9, 288, 45), (7, 49, 35), (8, 128, 40)):
+        for _ in range(3):
+            x = _random_elem(rng, g)
+            y, z = x.lift(F1), x.lift(F2)
+            assert y == z and z == y and hash(y) == hash(z), (g, F1, F2)
+            w = z + CycElem.zeta(F2, rng.randrange(F2)) * Fraction(1, 7)
+            assert y != w and w != y, (g, F1, F2)
+    # == agrees with the difference on random pairs of small conductors
+    for _ in range(300):
+        f1, f2 = rng.randrange(1, 40), rng.randrange(1, 40)
+        if lcm(f1, f2) > 400:
+            continue
+        a = _random_elem(rng, f1)
+        b = _random_elem(rng, f2) if rng.random() < 0.5 else a.lift(lcm(f1, f2)) + rng.choice(
+            (0, 0, Fraction(1, 7)))
+        assert (a == b) == (a - b).is_zero() == (b == a), (a, b)
 
 
 def test_cycelem_is_not_a_tuple():
