@@ -202,10 +202,8 @@ def _required(name, type=int):
 
 P, K, ELL, SIGMA = _required("p"), _required("k"), _required("ell"), _required("sigma", str)
 PSI = Flag("psi", str, "trivial")
-S = Flag("s", default=6)
 SMAX = Flag("smax", default=3)
 MMAX = Flag("mmax", default=1)
-FRES = Flag("fres", default=1)
 NONTRIVIAL = Flag("assume-nontrivial-extension", bool, False)
 REPORT_PREC = Flag("prec", default=40)
 
@@ -213,29 +211,28 @@ REPORT_PREC = Flag("prec", default=40)
 COMMANDS = {
     "bernoulli": Command("bernoulli", "exact Bernoulli number", (_required("n"),)),
     "eta": Command("eta", "congruence-module bound and its valuation",
-                   (P, K, PSI, SIGMA, S)),
+                   (P, K, PSI, SIGMA)),
     "chars": Command("chars", "enumerate Dirichlet characters",
                      (_required("f"), Flag("parity", choices=(-1, 1)), Flag("conductor"))),
     "eisenstein": Command("eisenstein", "Eisenstein series q-expansion",
                           (_required("l"), Flag("phi", str, "trivial"),
                            Flag("prec", default=50))),
     "build-h": Command("build_h", "construct and verify the cuspidal combination H",
-                       (P, K, PSI, ELL, Flag("m", default=1), SIGMA, S,
-                        Flag("prec", default=100))),
+                       (P, K, PSI, ELL, Flag("m", default=1), SIGMA, Flag("prec", default=100))),
     "scan": Command("scan", "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
-    "selmer": Command("selmer", "Selmer group bounds", (P, K, SIGMA, FRES)),
+    "selmer": Command("selmer", "Selmer group bounds", (P, K, SIGMA, Flag("fres", default=1))),
     "aux-char": Command("aux_char", "search for a p-unit auxiliary character",
-                        (P, K, PSI, ELL, MMAX, S)),
+                        (P, K, PSI, ELL, MMAX)),
     "kummer": Command("kummer", "Kummer congruence check", (P, K)),
     "criterion": Command("criterion", "non-principality verdict from eigensystem records",
-                         (P, K, PSI, SIGMA, _required("records", str), S,
-                          Flag("e", default=1), FRES, Flag("dim-chi-upper"), NONTRIVIAL),
+                         (P, K, SIGMA, _required("records", str), Flag("dim-chi-upper"),
+                          NONTRIVIAL),
                          cached=False),
     "report": Command("report", "full composite report",
-                      (P, K, PSI, SIGMA, S, REPORT_PREC, Flag("ell"), MMAX,
+                      (P, K, PSI, SIGMA, REPORT_PREC, Flag("ell"), MMAX,
                        Flag("records", str), SMAX, NONTRIVIAL), cached=False),
     "example37": Command("example37", "preset: the full p=37, k=32, level-31 example",
-                         (S, REPORT_PREC, SMAX)),
+                         (REPORT_PREC, SMAX)),
     "verify-cache": Command("verify_cache", "recompute every cache entry and compare bytes",
                             cached=False, reads_cache=True),
 }

@@ -26,13 +26,13 @@ def bernoulli(n):
     return {"n": n, "value": str(bernoulli_number(n))}
 
 
-def eta(p, k, psi, sigma, s):
+def eta(p, k, psi, sigma):
     from .characters import parse_char, primitive_char
     from .exact import padic_context
     from .lfunc import eta as eta_bound
     psi0 = primitive_char(parse_char(psi))
     sigma = _parse_sigma(sigma)
-    value = eta_bound(psi0, k, sigma, padic_context(p, psi0.order, s))
+    value = eta_bound(psi0, k, sigma, padic_context(p, psi0.order))
     return {"p": p, "k": k, "psi": psi0.canonical_text(), "sigma": sigma} | value.as_dict()
 
 
@@ -54,11 +54,11 @@ def eisenstein(l, phi, prec):
     return eisenstein_qexp(l, parse_char(phi), prec).as_dict()
 
 
-def build_h(p, k, psi, ell, m, sigma, s, prec):
+def build_h(p, k, psi, ell, m, sigma, prec):
     from .characters import parse_char, primitive_char
     from .qexp import aux_char_and_h
     psi = primitive_char(parse_char(psi))
-    aux, built = aux_char_and_h(p, k, psi, ell, m, _parse_sigma(sigma), s, prec)
+    aux, built = aux_char_and_h(p, k, psi, ell, m, _parse_sigma(sigma), prec)
     if built is None:
         raise ComputationError(
             f"no auxiliary character of conductor {ell}^m (m <= {m}) satisfies "
@@ -85,10 +85,10 @@ def selmer(p, k, sigma, fres):
     return selmer_upper_km1(p, k, _parse_sigma(sigma), fres).as_dict()
 
 
-def aux_char(p, k, psi, ell, mmax, s):
+def aux_char(p, k, psi, ell, mmax):
     from .characters import parse_char, primitive_char
     from .qexp import aux_char_search
-    return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax, s=s).as_dict()
+    return aux_char_search(p, k, primitive_char(parse_char(psi)), ell, mmax).as_dict()
 
 
 def kummer(p, k):
@@ -96,42 +96,42 @@ def kummer(p, k):
     return kummer_check(p, k)
 
 
-def criterion(p, k, psi, sigma, records, s, e, fres, dim_chi_upper,
-               assume_nontrivial_extension):
-    from .characters import parse_char, primitive_char
+def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
+    """The records fix psi, f_res and e: ingestion checks each depth on
+    integer residues against 1 + q^(k-1), so psi is trivial, eta lies in
+    Q and f_res = e = 1."""
+    from .characters import parse_char
     from .criteria import (dim_chi_hypothesis, ingest_records, nonprincipality_verdict,
                            selmer_upper_km1)
     from .exact import padic_context
     from .lfunc import eta
     records = ingest_records(records, p=p, weight=k)
-    psi = primitive_char(parse_char(psi))
     sigma = _parse_sigma(sigma)
-    eta_value = eta(psi, k, sigma, padic_context(p, psi.order, s))
+    eta_value = eta(parse_char("trivial"), k, sigma, padic_context(p, 1))
     explicit = dim_chi_upper is not None
     if not explicit:
-        dim_chi_upper = selmer_upper_km1(p, k, sigma, fres).dim_chi_upper
+        dim_chi_upper = selmer_upper_km1(p, k, sigma, 1).dim_chi_upper
     hypothesis = dim_chi_hypothesis(dim_chi_upper, assumed=assume_nontrivial_extension)
     source = ("explicit" if explicit else "selmer-upper-plus-assertion"
               if hypothesis["dim_chi_equals_1"] else "selmer-upper-only")
-    crit = nonprincipality_verdict(eta_value, records, e=e, f_res=fres, hypothesis=hypothesis)
+    crit = nonprincipality_verdict(eta_value, records, e=1, f_res=1, hypothesis=hypothesis)
     return {"p": p, "k": k, "sigma": sigma, "dim_chi_upper": dim_chi_upper,
             "hypothesis_source": source} | crit.as_dict()
 
 
-def report(p, k, psi, sigma, s, prec, ell, mmax, records, smax,
-            assume_nontrivial_extension):
+def report(p, k, psi, sigma, prec, ell, mmax, records, smax, assume_nontrivial_extension):
     from .characters import parse_char, primitive_char
     from .criteria import full_report
     return full_report(
-        p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), s=s, prec=prec,
+        p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), prec=prec,
         ell=ell, m_max=mmax, records_path=records,
         assume_nontrivial_extension=assume_nontrivial_extension, s_max=smax)
 
 
-def example37(s, prec, smax):
+def example37(prec, smax):
     from .characters import parse_char
     from .criteria import full_report
-    return full_report(37, 32, parse_char("trivial"), [31, 37], s=s, prec=prec,
+    return full_report(37, 32, parse_char("trivial"), [31, 37], prec=prec,
                        records_path=fixture_path("example37.json"), s_max=smax)
 
 

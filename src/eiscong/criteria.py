@@ -161,6 +161,8 @@ def dim_chi_hypothesis(dim_chi_upper: int | None, *, congruence_certificate: boo
     also be known, certified by a level-1 congruence or asserted by the
     user.  The criterion command and the full report decide here, and pass
     the returned dict to ``nonprincipality_verdict``."""
+    if dim_chi_upper is not None and dim_chi_upper < 0:
+        raise ParameterError(f"dimension bound dim_chi_upper = {dim_chi_upper} must be >= 0")
     certificate = ("level1-congruence" if congruence_certificate
                    else "user-assertion" if assumed else None)
     return {"dim_chi_upper_bound": dim_chi_upper,
@@ -286,7 +288,7 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
-                s: int = 6, prec: int = 40, ell: int | None = None,
+                prec: int = 40, ell: int | None = None,
                 m_max: int = 1, records_path=None,
                 assume_nontrivial_extension: bool = False, s_max: int = 3) -> dict:
     """Assemble the full pipeline into one JSON-ready report with sections
@@ -296,15 +298,15 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     if m_max < 1:
         raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
     psi = primitive_char(psi)
+    ctx_eta = padic_context(p, psi.order)
 
     report: dict = {}
     report["parameters"] = {
         "p": p, "k": k, "psi": psi.canonical_text(), "sigma": sigma,
-        "s": s, "precision": prec, "s_max": s_max,
+        "s": ctx_eta.s, "precision": prec, "s_max": s_max,
         "assume_nontrivial_extension": bool(assume_nontrivial_extension),
     }
 
-    ctx_eta = padic_context(p, psi.order, s)
     eta_value = eta(psi, k, sigma, ctx_eta)
     report["eta"] = eta_value.as_dict()
 
@@ -318,7 +320,7 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     aux = built = None
     if ell is not None:
         from .qexp import aux_char_and_h
-        aux, built = aux_char_and_h(p, k, psi, ell, m_max, sigma, s, prec)
+        aux, built = aux_char_and_h(p, k, psi, ell, m_max, sigma, prec)
     report["aux_char"] = aux.as_dict() if aux else None
     report["h_construction"] = built[1].as_dict() if built else None
 
@@ -342,8 +344,9 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
         depths_section["external"] = None
     report["depths"] = depths_section
 
+    # selmer_upper_km1 bounds the Selmer group of the trivial character only
     hypothesis = dim_chi_hypothesis(
-        selmer.dim_chi_upper,
+        selmer.dim_chi_upper if psi.is_trivial() else None,
         congruence_certificate=any(r.depth and r.depth >= 1 for r in internal_records),
         assumed=assume_nontrivial_extension)
 

@@ -24,14 +24,5 @@ class ConductorTooLargeError(ParameterError):
     """Conductor exceeds the hard guard on cyclotomic polynomial degrees."""
 
 
-class IndeterminateValuationError(ComputationError):
-    """The image of a nonzero element vanishes mod p^s; a larger working
-    precision s is needed to pin down the valuation."""
-
-    def __init__(self, message, precision):
-        super().__init__(message)
-        self.precision = precision
-
-
 class SchemaError(ParameterError):
     """An external eigensystem record file violates the JSON schema."""

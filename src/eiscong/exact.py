@@ -20,7 +20,8 @@ periods otherwise, selects the lexicographically smallest factor (ascending
 coefficient sequence, entries normalized into [0, p)) and Hensel-lifts it
 alone to mod p^s.  The extension is unramified, so e = 1 and the
 pi-adic valuation of an element equals the minimum p-valuation of its
-coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)).
+coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)); where
+those all vanish, ``valp_cyc`` lifts g further, so no caller chooses s.
 
 The integer kernels underneath (the dense multiply, exact division by a
 monic polynomial, and factoring and Hensel lifting mod p^s) and the
@@ -38,15 +39,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import (
-    ConductorTooLargeError,
-    IndeterminateValuationError,
-    ParameterError,
-    RamifiedPrimeError,
-)
-from .poly import (INF, _hensel_lift_factor, _pdivmod_mod, _pmul,
-                   _poly_divmod_q, _ppow_mod, _psub_mod, _pxgcd_mod, euler_phi, factorize,
-                   is_prime, mult_order, valp_int)
+from .errors import ConductorTooLargeError, ParameterError, RamifiedPrimeError
+from .poly import (INF, _hensel_lift_factor, _pdivmod_mod, _pmul, _poly_divmod_q,
+                   _split_by_periods, euler_phi, factorize, is_prime, mult_order, valp_int)
 
 MAX_CONDUCTOR = 512
 
@@ -397,77 +392,69 @@ class CycElem(_Frozen):
 # ---------------------------------------------------------------------------
 
 class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree")):
-    """A fixed prime above p in Q(zeta_f) (p coprime to f), with working
-    precision p^s.
+    """A fixed prime above p in Q(zeta_f) (p coprime to f), with starting
+    working precision p^s.
 
     ``prime_poly`` is the Hensel lift mod p^s of the selected irreducible
     factor of the f-th cyclotomic polynomial mod p, as a tuple of ints; the
     quotient Z[x]/(p^s, prime_poly) is the length-s truncation of the
     unramified extension of Z_p of degree ``residue_degree``.  Only that
     factor is lifted when the context is built; ``all_factors`` lifts every
-    factor, in the same order, on each access.  The ramification index is 1,
-    since p does not divide f.
+    factor, in the same order.  ``valp_cyc`` lifts the factor further when
+    p^s does not pin a valuation down, so s sets where the work starts, not
+    what the answer is.  The ramification index is 1, since p does not
+    divide f.
     """
 
     __slots__ = ()
 
     @property
     def all_factors(self) -> tuple[tuple[int, ...], ...]:
-        phi = list(cyclotomic_poly(self.f))
-        return tuple(tuple(_hensel_lift_factor(phi, g0, self.p, self.s)[0])
+        return tuple(_lifted_factor(self.p, self.f, tuple(g0), self.s)
                      for g0 in _cyclotomic_factors_mod_p(self.p, self.f))
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_factor(p: int, f: int, g0: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The Hensel lift mod p^s of the monic factor g0 of Phi_f mod p."""
+    return tuple(_hensel_lift_factor(list(cyclotomic_poly(f)), list(g0), p, s)[0])
 
 
 def _cyclotomic_factors_mod_p(p: int, f: int) -> list[list[int]]:
     """The monic irreducible factors of Phi_f mod p (p not dividing f), of
     degree d = ord of p mod f, sorted: x - zeta^j (j a unit mod f) for a
-    primitive f-th root of unity zeta mod p when d = 1.  Otherwise the Gauss
-    period T_j = sum_{h in <p> mod f} x^(jh mod f) is the constant
-    Tr(zeta^(ja)) of F_p modulo the factor with root zeta^a, so a part G
-    splits by gcd(G, (T_j - c)^((p-1)/2) - 1) for some c unless T_j is
-    constant modulo G (at (691, 36) every T_1 is 0); the T_j, 0 < j < f,
-    separate any two factors."""
+    primitive f-th root of unity zeta mod p when d = 1.  Otherwise
+    ``_split_by_periods`` splits Phi_f by the Gauss periods
+    T_j = sum_{h in <p> mod f} x^(jh mod f), 0 < j < f: T_j is the constant
+    Tr(zeta^(ja)) of F_p modulo the factor with root zeta^a, and the T_j
+    separate any two factors (at (691, 36) every T_1 is 0)."""
     F = [c % p for c in cyclotomic_poly(f)]
     d = mult_order(p, f)
     if len(F) - 1 == d:
         return [F]
-    if p == 2:
-        raise ParameterError("p = 2 with a split cyclotomic polynomial is unsupported")
     if d == 1:
         for a in range(2, p):
             zeta = pow(a, (p - 1) // f, p)
             if all(pow(zeta, f // q, p) != 1 for q, _ in factorize(f)):
                 break
         return sorted([-pow(zeta, j, p) % p, 1] for j in range(f) if gcd(j, f) == 1)
-    coset = {pow(p, i, f) for i in range(d)}
-
-    def split(G: list[int], first: int) -> list[list[int]]:
-        if len(G) - 1 == d:
-            return [G]
-        for j in range(first, f):
-            period = [0] * f
-            for h in coset:
-                period[j * h % f] += 1
-            T = _pdivmod_mod(period, G, p)[1]
-            if len(T) > 1:
-                break
-        for c in range(p):
-            w = _psub_mod(_ppow_mod(_psub_mod(T, [c], p), (p - 1) // 2, G, p), [1], p)
-            g = _pxgcd_mod(G, w, p)[0]
-            if 0 < len(g) - 1 < len(G) - 1:
-                return split(g, j) + split(_pdivmod_mod(G, g, p)[0], j)
-        raise AssertionError("a non-constant Gauss period split no factor")
-
-    return sorted(split(F, 1))
+    coset = [pow(p, i, f) for i in range(d)]
+    periods = []
+    for j in range(1, f):
+        T = [0] * f
+        for h in coset:
+            T[j * h % f] += 1
+        periods.append(T)
+    return sorted(_split_by_periods(F, d, p, periods))
 
 
 @functools.lru_cache(maxsize=None)
-def padic_context(p: int, f: int, s: int) -> PadicContext:
+def padic_context(p: int, f: int, s: int = 6) -> PadicContext:
     """Build the deterministic PadicContext for (p, f, s).
 
     The prime is chosen as the lexicographically smallest irreducible factor
     of Phi_f mod p (comparing ascending coefficient sequences with entries
-    in [0, p)).
+    in [0, p)).  Every caller in the package starts at the default s = 6.
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
@@ -479,8 +466,8 @@ def padic_context(p: int, f: int, s: int) -> PadicContext:
         raise RamifiedPrimeError(
             f"p = {p} divides the conductor {f}; ramified primes are unsupported")
     g0 = _cyclotomic_factors_mod_p(p, f)[0]
-    g = _hensel_lift_factor(list(cyclotomic_poly(f)), g0, p, s)[0]
-    return PadicContext(p=p, f=f, s=s, prime_poly=tuple(g), residue_degree=len(g0) - 1)
+    return PadicContext(p=p, f=f, s=s, prime_poly=_lifted_factor(p, f, tuple(g0), s),
+                        residue_degree=len(g0) - 1)
 
 
 def valp_cyc(x: CycElem, ctx: PadicContext):
@@ -489,18 +476,21 @@ def valp_cyc(x: CycElem, ctx: PadicContext):
 
     Since e = 1 this equals the p-adic valuation of the image of x in the
     unramified extension of degree ``residue_degree``.  Denominators are
-    handled by clearing them and subtracting their p-valuation.  Raises
-    IndeterminateValuationError when the (nonzero) image vanishes mod p^s.
+    handled by clearing them and subtracting their p-valuation.  When the
+    image of a nonzero x vanishes mod p^s, the chosen factor is lifted to
+    p^(2s) and the image read again, until its valuation is below the
+    precision.  The lift mod p^(2s) reduces to the lift mod p^s, since both
+    lift one factor mod p, so the answer does not depend on ``ctx.s``.
     """
     x = x.lift(ctx.f)
     if x.is_zero():
         return INF
-    shift = valp_int(x.den, ctx.p)
-    mod = ctx.p**ctx.s
-    _, r = _pdivmod_mod([c % mod for c in x.nums], [c % mod for c in ctx.prime_poly], mod)
-    v = min((valp_int(c, ctx.p) for c in r if c), default=INF)
-    if v == INF or v >= ctx.s:
-        raise IndeterminateValuationError(
-            f"image vanishes mod {ctx.p}^{ctx.s}; rerun with a larger precision s",
-            precision=ctx.s)
-    return int(v) - shift
+    p, s, g = ctx.p, ctx.s, ctx.prime_poly
+    while True:
+        mod = p**s
+        _, r = _pdivmod_mod([c % mod for c in x.nums], [c % mod for c in g], mod)
+        v = min((valp_int(c, p) for c in r if c), default=INF)
+        if v < s:
+            return v - valp_int(x.den, p)
+        s *= 2
+        g = _lifted_factor(p, ctx.f, tuple(c % p for c in g), s)

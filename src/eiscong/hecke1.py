@@ -8,15 +8,16 @@ division, since 1728 has no inverse mod 3.  T_2 is read off those rows by the
 divisor-sum formula, and charpoly(T_2) comes from Berkowitz's division-free
 recurrence in Z/p^s.  Extraction is restricted to simple roots of
 charpoly(T_2) mod p that lie in the prime field.  They are the linear factors
-of the gcd of charpoly(T_2) with x^p - x over F_p, split by equal-degree
-factorization; repeated division gives each root's multiplicity and the
-degree left over outside the prime field.  Each simple root is Hensel-lifted
-to alpha mod p^s together with its cofactor h.  The local Hecke algebra at a
-simple root is Z_p, so the alpha-eigenline is spanned by the normalised
-eigenform: a column v of h(T_2) with a unit first coordinate v_0 = a_1 is a
-unit multiple of it, and every eigenvalue is read off its q-expansion,
-a_q = a_q(v) / v_0, through the pairing (T, f) -> a_1(T f) of the Hecke algebra
-with integral cusp forms (Stein, *Modular Forms: A Computational Approach*).
+of the gcd of charpoly(T_2) with x^p - x over F_p, split by
+``poly._split_by_periods`` with the one period x; repeated division gives each
+root's multiplicity and the degree left over outside the prime field.  Each
+simple root is Hensel-lifted to alpha mod p^s together with its cofactor h.
+The local Hecke algebra at a simple root is Z_p, so the alpha-eigenline is
+spanned by the normalised eigenform: a column v of h(T_2) with a unit first
+coordinate v_0 = a_1 is a unit multiple of it, and every eigenvalue is read
+off its q-expansion, a_q = a_q(v) / v_0, through the pairing
+(T, f) -> a_1(T f) of the Hecke algebra with integral cusp forms (Stein,
+*Modular Forms: A Computational Approach*).
 Roots of larger residue degree or with repeated reduction are reported as
 skipped; such eigensystems enter through the external-record ingestion path
 instead.  The exact basis and Hecke matrices T_n are test oracles only
@@ -40,8 +41,8 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import ComputationError, ParameterError
-from .poly import (_equal_degree_split, _hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod,
-                   _psub_mod, _pxgcd_mod, _trim_mod, is_prime, sigma_with_p, sturm_bound,
+from .poly import (_hensel_lift_factor, _pdivmod_mod, _pmul, _ppow_mod, _psub_mod, _pxgcd_mod,
+                   _split_by_periods, _trim_mod, is_prime, sigma_with_p, sturm_bound,
                    valp_int)
 
 MIN_SCAN_PRIME_BOUND = 13
@@ -118,7 +119,7 @@ class EigensystemRecord(namedtuple(
         defaults=(None, False, "internal"))):
     """A Hecke eigensystem with eigenvalue residues mod p^s (``eigenvalues``
     maps each prime q to its residue) and, once a depth scan ran, the
-    congruence depth against 1 + psi(q) q^(k-1) (None before)."""
+    congruence depth against 1 + q^(k-1) (None before)."""
 
     __slots__ = ()
 
@@ -214,7 +215,8 @@ def eigensystems_mod(k: int, p: int, s: int):
     fb = _trim_mod(f, p)
     # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
     lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]
-    roots = sorted(-g[0] % p for g in _equal_degree_split(lin, 1, p)) if len(lin) > 1 else []
+    linear = _split_by_periods(lin, 1, p, [[0, 1]]) if len(lin) > 1 else []
+    roots = sorted(-g[0] % p for g in linear)
     rest, simple = fb, []
     for r in roots:
         mult = 0

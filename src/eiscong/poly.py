@@ -1,8 +1,9 @@
 """Integer arithmetic: elementary number theory (with the Sturm bound and
 the check that p lies in Sigma), and polynomials as ascending lists of ints
 over Z and mod m: the one dense multiply ``_pmul``, exact division by a monic
-polynomial, and the one factoring engine mod p^s (gcds over F_p,
-Cantor-Zassenhaus splitting, Hensel lifting of a factor with its cofactor).
+polynomial, and the one factoring engine mod p^s (gcds over F_p, splitting
+by polynomials constant on each factor, Hensel lifting of a factor with its
+cofactor).
 
 The module imports only ``errors`` and the standard library, and no
 ``fractions``: ``hecke1`` runs a level-1 scan on it alone, on integer
@@ -12,7 +13,7 @@ residues, and ``exact`` builds Q(zeta_f) on it.
 from __future__ import annotations
 
 import functools
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import gcd
 
 from .errors import ParameterError
@@ -274,29 +275,32 @@ def _ppow_mod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int]:
     return r
 
 
-def _equal_degree_split(F: list[int], d: int, p: int) -> list[list[int]]:
-    """Split a squarefree product of degree-d irreducibles over F_p.
-
-    Cantor-Zassenhaus over the monic candidates of degree 1, 2, ... < deg F
-    in a fixed order, so repeated runs factor identically.  Some candidate
-    always splits: by CRT one is a square modulo one factor and not modulo
-    another.
-    """
-    if len(F) - 1 == d:
-        return [F]
+def _split_by_periods(G: list[int], d: int, p: int, periods) -> list[list[int]]:
+    """Split G, a squarefree product of monic irreducibles of degree d over
+    F_p, p odd, into its factors.  Each period T is constant modulo every
+    factor, and any two factors are told apart by the constant of some T.
+    A part G splits by gcd(G, (T - c)^((p-1)/2) - 1) for some c, with T the
+    first period that is not constant modulo G: the gcd collects the factors
+    where T - c is a nonzero square.  T = x splits a product of distinct
+    linear factors; the Gauss periods split a cyclotomic polynomial."""
     if p == 2:
-        raise ParameterError("p = 2 splitting not supported")
-    exp = (p**d - 1) // 2
-    candidates = ([*low, 1] for n in range(1, len(F) - 1) for low in product(range(p), repeat=n))
-    for r in candidates:
-        w = _psub_mod(_ppow_mod(r, exp, F, p), [1], p)
-        g = _pxgcd_mod(F, w, p)[0]
-        if 0 < len(g) - 1 < len(F) - 1:
-            q, rem = _pdivmod_mod(F, g, p)
-            if rem:
-                raise AssertionError("split factor does not divide")
-            return _equal_degree_split(g, d, p) + _equal_degree_split(q, d, p)
-    raise AssertionError("equal-degree splitting exhausted its candidates")
+        raise ParameterError("p = 2 splitting is unsupported")
+
+    def split(G: list[int], first: int) -> list[list[int]]:
+        if len(G) - 1 == d:
+            return [G]
+        for j in range(first, len(periods)):
+            T = _pdivmod_mod(periods[j], G, p)[1]
+            if len(T) > 1:
+                break
+        for c in range(p):
+            w = _psub_mod(_ppow_mod(_psub_mod(T, [c], p), (p - 1) // 2, G, p), [1], p)
+            g = _pxgcd_mod(G, w, p)[0]
+            if 0 < len(g) - 1 < len(G) - 1:
+                return split(g, j) + split(_pdivmod_mod(G, g, p)[0], j)
+        raise AssertionError("a non-constant period split no factor")
+
+    return split(G, 0)
 
 
 def _hensel_lift_factor(full: list[int], g0: list[int], p: int,

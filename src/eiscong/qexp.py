@@ -370,8 +370,8 @@ class AuxCharCertificate(namedtuple(
         }
 
 
-def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
-                    s: int = 6) -> AuxCharCertificate:
+def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int,
+                    m_max: int) -> AuxCharCertificate:
     """First character phi of conductor ell^m (m <= m_max) with
     phi(-1) = (-1)^(k-1) and both L(psi*phi, 0) and L(phi^(-1), 2-k) of
     valuation zero at the chosen prime above p.
@@ -391,7 +391,7 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
     for m in range(1, m_max + 1):
         # per-conductor context; first-found stability keeps the result
         # independent of m_max
-        ctx_m = padic_context(p, lcm(psi.order, euler_phi(ell**m)), s)
+        ctx_m = padic_context(p, lcm(psi.order, euler_phi(ell**m)))
         for phi in enumerate_chars(ell**m, parity=parity, exact_conductor=ell**m):
             chi1 = primitive_char(char_product(psi, phi))
             l1 = l_nonpositive(chi1, 0)
@@ -420,16 +420,20 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int, m_max: int,
 
 
 def aux_char_and_h(p: int, k: int, psi: DirichletChar, ell: int, m_max: int, sigma,
-                   s: int, prec: int):
+                   prec: int):
     """Search phi by ``aux_char_search`` up to conductor ell^m_max and, when
     one is found, build H at the exponent m of its conductor ell^m, so that
-    F_m and G have constant terms on the same cusps.  psi must be primitive.
+    F_m and G have constant terms on the same cusps.  psi must be primitive,
+    and ell must belong to Sigma: a_0(F_m) carries the factor
+    1 - psi(ell) ell^k, which eta counts only for ell in Sigma.
 
     Returns (AuxCharCertificate, (H, HConstructionReport) or None)."""
-    aux = aux_char_search(p, k, psi, ell, m_max, s=s)
+    if ell not in sigma:
+        raise ParameterError(f"ell = {ell} must belong to Sigma = {sorted(sigma)}")
+    aux = aux_char_search(p, k, psi, ell, m_max)
     if not aux.found:
         return aux, None
-    ctx = padic_context(p, lcm(psi.order, aux.char.order), s)
+    ctx = padic_context(p, lcm(psi.order, aux.char.order))
     return aux, build_h(psi, k, ell, valp_int(aux.conductor, ell), aux.char, sigma, ctx, prec)
 
 

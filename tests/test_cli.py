@@ -122,10 +122,9 @@ def test_exit_codes(tmp_path, capsys):
                            "--p", "37")
     assert code == 1
     assert "parameter" in err
-    # computation error (indeterminate valuation) -> 2
-    code, _, err = run_cli(capsys, "--no-cache", "eta", "--psi", "trivial",
-                           "--k", "32", "--sigma", "31,37", "--p", "37",
-                           "--s", "1")
+    # computation error (no recorded prime outside Sigma) -> 2
+    code, _, err = run_cli(capsys, "--no-cache", "scan", "--k", "12", "--p", "691",
+                           "--sigma", "2,3,5,7,11,13,691")
     assert code == 2
     assert "computation" in err
 
@@ -308,9 +307,7 @@ def test_sigma_entries_must_be_primes(capsys):
 
 
 def test_residue_field_degree_below_one_is_a_parameter_error(capsys):
-    records = fixture_path("example37.json")
-    for command in (("selmer", "--fres", "0"), ("selmer", "--fres", "-1"),
-                    ("criterion", "--records", records, "--fres", "0")):
+    for command in (("selmer", "--fres", "0"), ("selmer", "--fres", "-1")):
         code, out, err = run_cli(capsys, "--no-cache", *command, "--p", "37", "--k", "32",
                                  "--sigma", "31,37")
         assert (code, out) == (1, ""), command
@@ -392,6 +389,48 @@ def test_criterion_rejects_a_depth_no_residual_checks(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "parameter"
         assert "inconsistent" in json.loads(err)["message"]
+
+
+def test_report_on_a_nontrivial_psi_is_inconclusive(capsys):
+    # the Selmer upper bound is that of the trivial character, and the
+    # records' depths are taken against 1 + q^(k-1); before, non-principal
+    code, out, err = run_cli(capsys, "--no-cache", "report", "--p", "37", "--k", "32",
+                             "--psi", "11:[2]", "--sigma", "31,37",
+                             "--records", fixture_path("example37.json"),
+                             "--assume-nontrivial-extension", "--prec", "10")
+    assert (code, err) == (0, "")
+    criterion = json.loads(out)["criterion"]
+    assert criterion["hypothesis"] == {"dim_chi_upper_bound": None,
+                                       "nontrivial_extension_certificate": "user-assertion",
+                                       "dim_chi_equals_1": False}
+    assert criterion["verdict"] == "inconclusive"
+    assert criterion["conclusion"] == "dim H^1_Sigma(Q, chi) = 1 is not established"
+
+
+def test_ell_outside_sigma_is_a_parameter_error(capsys):
+    # before, build-h exited 0 with an eta missing the factor 1 - psi(31) 31^32
+    for command, sigma in ((("build-h", "--ell", "31"), "[37]"),
+                           (("report", "--ell", "19"), "[31, 37]")):
+        code, out, err = run_cli(capsys, "--no-cache", *command, "--p", "37", "--k", "32",
+                                 "--sigma", sigma[1:-1].replace(" ", ""), "--prec", "5")
+        assert (code, out) == (1, ""), command
+        assert json.loads(err) == {
+            "error": "parameter",
+            "message": f"ell = {command[-1]} must belong to Sigma = {sigma}"}
+
+
+def test_criterion_checks_its_bound_and_takes_no_field_flags(capsys):
+    args = ("criterion", "--p", "37", "--k", "32", "--sigma", "31,37",
+            "--records", fixture_path("example37.json"))
+    code, out, err = run_cli(capsys, "--no-cache", *args, "--dim-chi-upper", "-3")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "parameter",
+                               "message": "dimension bound dim_chi_upper = -3 must be >= 0"}
+    # the records fix psi, f_res and e, so none of them is a flag
+    for flag, value in (("--psi", "11:[2]"), ("--fres", "4"), ("--e", "2")):
+        code, out, err = run_cli(capsys, "--no-cache", *args, flag, value)
+        assert (code, out) == (1, ""), flag
+        assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_criterion_and_example37_reach_the_same_verdict(capsys):

@@ -124,12 +124,11 @@ def test_golden_errors(capsys):
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "parameter",
                                "message": "p = 37 must belong to Sigma = [31]"}
-    code, out, err = run_cli(capsys, "--no-cache", "eta", "--p", "37", "--k", "32",
-                             "--sigma", "31,37", "--s", "1")
+    code, out, err = run_cli(capsys, "--no-cache", "scan", "--k", "12", "--p", "691",
+                             "--sigma", "2,3,5,7,11,13,691")
     assert (code, out) == (2, "")
-    assert json.loads(err) == {
-        "error": "computation",
-        "message": "image vanishes mod 37^1; rerun with a larger precision s"}
+    assert json.loads(err) == {"error": "computation",
+                               "message": "no primes outside Sigma were recorded"}
 
 
 def test_benchmark_digests_replay(capsys):

@@ -326,7 +326,7 @@ def test_scan_records_round_trip_through_ingestion(tmp_path):
 
 
 def test_full_report_example37():
-    rep = full_report(37, 32, trivial_char(1), [31, 37], s=6, prec=25,
+    rep = full_report(37, 32, trivial_char(1), [31, 37], prec=25,
                       records_path=FIXTURE)
     assert list(rep.keys()) == ["parameters", "eta", "selmer", "aux_char",
                                 "h_construction", "depths", "criterion"]
@@ -350,7 +350,7 @@ def test_full_report_example37():
 
 
 def test_full_report_691_inconclusive():
-    rep = full_report(691, 12, trivial_char(1), [691], s=4, prec=20, s_max=3)
+    rep = full_report(691, 12, trivial_char(1), [691], prec=20, s_max=3)
     assert rep["criterion"]["verdict"] == "inconclusive"
     assert rep["eta"]["valuation"] == 1
     recs = rep["depths"]["level1_scan"]["records"]
@@ -364,7 +364,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
     enumerate_chars = qexp.enumerate_chars
     monkeypatch.setattr(qexp, "enumerate_chars",
                         lambda f, **kw: [] if f == 5 else enumerate_chars(f, **kw))
-    rep = full_report(37, 32, trivial_char(1), [5, 37], s=4, prec=20, ell=5, m_max=2,
+    rep = full_report(37, 32, trivial_char(1), [5, 37], prec=20, ell=5, m_max=2,
                       s_max=2)
     assert rep["aux_char"]["conductor"] == 25
     h = rep["h_construction"]
@@ -373,7 +373,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
 
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
-        full_report(37, 32, trivial_char(1), [31], s=6)
+        full_report(37, 32, trivial_char(1), [31])
 
 
 def test_dim_chi_needs_a_nontrivial_extension():

@@ -8,12 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
-from eiscong.errors import (
-    ConductorTooLargeError,
-    IndeterminateValuationError,
-    ParameterError,
-    RamifiedPrimeError,
-)
+from eiscong.errors import ConductorTooLargeError, ParameterError, RamifiedPrimeError
 from eiscong import poly
 from eiscong.characters import char_eval, char_product, parse_char
 from eiscong.exact import (
@@ -30,7 +25,6 @@ from eiscong.poly import (
     INF,
     KRONECKER_MIN_LEN,
     KRONECKER_SMALL_BITS,
-    _equal_degree_split,
     _hensel_lift_factor,
     _kronecker,
     _pmul,
@@ -40,6 +34,7 @@ from eiscong.poly import (
     mult_order,
     teichmuller,
 )
+from split_oracle import equal_degree_split
 
 
 def test_valp_rational_examples():
@@ -296,11 +291,11 @@ def test_gauss_period_factors_are_the_cantor_zassenhaus_factors():
                 product = _pmul_mod(product, g, p)
             assert product == F and factors == sorted(factors), (p, f)
             if f < 16:
-                assert factors == sorted(_equal_degree_split(F, d, p)), (p, f)
+                assert factors == sorted(equal_degree_split(F, d, p)), (p, f)
     for p, f in CONSTRUCT_CONTEXTS:
         F = [c % p for c in cyclotomic_poly(f)]
         assert _cyclotomic_factors_mod_p(p, f) == sorted(
-            _equal_degree_split(F, mult_order(p, f), p)), (p, f)
+            equal_degree_split(F, mult_order(p, f), p)), (p, f)
 
 
 def test_hensel_lift_returns_the_lifted_cofactor():
@@ -362,12 +357,20 @@ def test_valp_cyc_norm_oracle():
             assert total * d == valp_rational(x.norm(), p)
 
 
-def test_valp_cyc_indeterminate():
-    ctx = padic_context(37, 30, 1)
-    x = CycElem.from_rational(37, 30)
-    with pytest.raises(IndeterminateValuationError) as err:
-        valp_cyc(x, ctx)
-    assert err.value.precision == 1
+def test_valp_cyc_raises_its_own_precision():
+    # where the image vanishes mod p^s, valp_cyc lifts the chosen factor
+    # further, so the starting precision does not change the answer
+    rng = random.Random(23)
+    low, high = padic_context(37, 30, 1), padic_context(37, 30, 12)
+    xs = [CycElem.from_rational(37**3, 30), CycElem.from_rational(Fraction(37**5, 3), 30)]
+    xs += [_random_elem(rng, 30) * 37**rng.randrange(1, 4) for _ in range(8)]
+    for x in xs:
+        assert valp_cyc(x, low) == valp_cyc(x, high) >= 1
+    assert valp_cyc(CycElem.from_rational(37**3, 30), low) == 3
+    # a context on another prime above 37 keeps its prime when it lifts
+    other = _context_with_factor(low, 1)
+    for x in xs:
+        assert valp_cyc(x, other) == valp_cyc(x, _context_with_factor(high, 1))
 
 
 def test_valp_cyc_lifts_subfield_elements():

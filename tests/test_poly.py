@@ -9,11 +9,11 @@ import pytest
 from eiscong.errors import ParameterError
 from eiscong.poly import (
     INF,
-    _equal_degree_split,
     _pdivmod_mod,
     _pmul_mod,
     _psub_mod,
     _pxgcd_mod,
+    _split_by_periods,
     euler_phi,
     factorize,
     is_prime,
@@ -21,6 +21,7 @@ from eiscong.poly import (
     sturm_bound,
     valp_int,
 )
+from split_oracle import equal_degree_split
 
 
 def test_sturm_bound_checks_weight_and_level():
@@ -65,6 +66,23 @@ def test_gcd_division_and_splitting_mod_p():
         assert g[-1] == 1 and _psub_mod(g, vb, p) == ua  # u a + v b = g, g monic
         assert _pdivmod_mod(a, g, p)[1] == [] and _pdivmod_mod(b, g, p)[1] == []
     # x^4 + 1 = Phi_8 splits over F_17 into four distinct linear factors
-    roots = sorted(f[0] for f in _equal_degree_split([1, 0, 0, 0, 1], 1, 17))
+    roots = sorted(f[0] for f in _split_by_periods([1, 0, 0, 0, 1], 1, 17, [[0, 1]]))
     assert roots == sorted((-r) % 17 for r in range(17) if (r**4 + 1) % 17 == 0)
     assert len(roots) == 4
+    with pytest.raises(ParameterError):
+        _split_by_periods([1, 0, 1], 1, 2, [[0, 1]])
+
+
+def test_the_period_x_splits_like_cantor_zassenhaus():
+    # the linear factors of a product of distinct roots mod p, as hecke1
+    # splits gcd(charpoly(T_2), x^p - x)
+    rng = random.Random(400)
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 11, 37, 101, 691])
+        roots = rng.sample(range(p), rng.randrange(2, min(p, 8) + 1))
+        G = [1]
+        for r in roots:
+            G = _pmul_mod(G, [-r % p, 1], p)
+        factors = sorted(_split_by_periods(G, 1, p, [[0, 1]]))
+        assert factors == sorted(equal_degree_split(G, 1, p)), (p, roots)
+        assert sorted(-g[0] % p for g in factors) == sorted(roots)
