@@ -5,9 +5,10 @@ indented with --pretty) whose arithmetic values are exact decimal strings;
 runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
 subcommand and its flags once; the argument parser, the -h/--help text, the
 dispatch and the cache key are built from it.  The parser accepts what
-argparse accepts: ``--flag value`` and ``--flag=value``, a unique prefix of a
-flag (``--no-c``, ``--par -1``), negative numbers as values, the last value of
-a repeated flag, and the top-level options only before the command.
+argparse accepts with abbreviations off: ``--flag value`` and
+``--flag=value`` under the exact flag name, negative numbers as values, the
+last value of a repeated flag, and the top-level options only before the
+command.  A cut or retired name is an unrecognized argument.
 
 Pure computations are cached on disk under --cache-dir (default
 ./.eiscache), one file per key.  The key is the code (``__version__`` and a
@@ -218,9 +219,9 @@ COMMANDS = {
                           (_required("l"), Flag("phi", str, "trivial"),
                            Flag("prec", default=50))),
     "build-h": Command("build_h", "construct and verify the cuspidal combination H",
-                       (P, K, PSI, ELL, Flag("m", default=1), SIGMA, Flag("prec", default=100))),
+                       (P, K, PSI, ELL, MMAX, SIGMA, Flag("prec", default=100))),
     "scan": Command("scan", "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
-    "selmer": Command("selmer", "Selmer group bounds", (P, K, SIGMA, Flag("fres", default=1))),
+    "selmer": Command("selmer", "Selmer group bounds of the trivial character", (P, K, SIGMA)),
     "aux-char": Command("aux_char", "search for a p-unit auxiliary character",
                         (P, K, PSI, ELL, MMAX)),
     "kummer": Command("kummer", "Kummer congruence check", (P, K)),
@@ -228,8 +229,8 @@ COMMANDS = {
                          (P, K, SIGMA, _required("records", str), Flag("dim-chi-upper"),
                           NONTRIVIAL),
                          cached=False),
-    "report": Command("report", "full composite report",
-                      (P, K, PSI, SIGMA, REPORT_PREC, Flag("ell"), MMAX,
+    "report": Command("report", "full composite report for the trivial character",
+                      (P, K, SIGMA, REPORT_PREC, Flag("ell"), MMAX,
                        Flag("records", str), SMAX, NONTRIVIAL), cached=False),
     "example37": Command("example37", "preset: the full p=37, k=32, level-31 example",
                          (REPORT_PREC, SMAX)),
@@ -325,18 +326,15 @@ def _is_negative_number(token: str) -> bool:
 def _option(token: str, names):
     """(option string, attached value or None) that token names among names,
     None if token is a value, or ("", None) for an unknown option.  A long
-    option may be cut to a unique prefix; an ambiguous one raises ValueError."""
+    option matches by its exact name only."""
     if token in names:
         return token, None
     if len(token) < 2 or token[0] != "-":
         return None
-    if token.startswith("--") and token != "--":
-        name, eq, value = token.partition("=")
-        hits = [name] if name in names else [n for n in names if n.startswith(name)]
-        if len(hits) > 1:
-            raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
-        if hits:
-            return hits[0], value if eq else None
+    if token.startswith("--"):
+        name, _, value = token.partition("=")
+        if name in names:
+            return name, value
     elif token.startswith("-h"):
         return "-h", token[2:]
     return None if _is_negative_number(token) or " " in token else ("", None)
@@ -347,12 +345,9 @@ def _parse_flags(prog: str, flags, args: list, description: str):
     args under flags.  Under OPTIONS the first value is the command and ends
     the options; under a command's flags every value is unknown."""
     names = {"--" + f.name: f for f in flags} | {"-h": None, "--help": None}
-    try:
-        kinds = [_option(token, names) for token in args]
-    except ValueError as exc:
-        raise _fail(prog, flags, exc) from None
+    kinds = [_option(token, names) for token in args]
     values = {f.dest: f.default for f in flags}
-    given, unknown, i = set(), [], 0
+    unknown, i = [], 0
     while i < len(args):
         kind, token = kinds[i], args[i]
         i += 1
@@ -381,16 +376,14 @@ def _parse_flags(prog: str, flags, args: list, description: str):
             if flag.choices is not None and value not in flag.choices:
                 raise _fail(prog, flags, f"argument {name}: invalid choice: {value!r}")
         values[flag.dest] = value
-        given.add(flag)
-    missing = ["--" + f.name for f in flags if f.required and f not in given]
-    if missing:
-        raise _fail(prog, flags, f"the following arguments are required: {', '.join(missing)}")
     return values, [], unknown
 
 
 def _parse_args(argv: list):
     """(top-level options, command or None, its parameters); raises _Stop
-    for help and for every rejected command line."""
+    for help and for every rejected command line.  An unknown flag is
+    reported before a missing required one, so that a mistyped name is
+    named as such."""
     options, rest, unknown = _parse_flags("eiscong", OPTIONS, argv, DESCRIPTION)
     command = params = None
     if rest:
@@ -402,6 +395,11 @@ def _parse_args(argv: list):
         unknown += more
     if unknown:
         raise _fail("eiscong", OPTIONS, f"unrecognized arguments: {' '.join(unknown)}")
+    if command is not None:
+        missing = ["--" + f.name for f in spec.flags if f.required and params[f.dest] is None]
+        if missing:
+            raise _fail(f"eiscong {command}", spec.flags,
+                        f"the following arguments are required: {', '.join(missing)}")
     return options, command, params
 
 

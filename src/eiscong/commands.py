@@ -54,14 +54,14 @@ def eisenstein(l, phi, prec):
     return eisenstein_qexp(l, parse_char(phi), prec).as_dict()
 
 
-def build_h(p, k, psi, ell, m, sigma, prec):
+def build_h(p, k, psi, ell, mmax, sigma, prec):
     from .characters import parse_char, primitive_char
     from .qexp import aux_char_and_h
     psi = primitive_char(parse_char(psi))
-    aux, built = aux_char_and_h(p, k, psi, ell, m, _parse_sigma(sigma), prec)
+    aux, built = aux_char_and_h(p, k, psi, ell, mmax, _parse_sigma(sigma), prec)
     if built is None:
         raise ComputationError(
-            f"no auxiliary character of conductor {ell}^m (m <= {m}) satisfies "
+            f"no auxiliary character of conductor {ell}^m (m <= {mmax}) satisfies "
             "the p-unit condition")
     h, rep = built
     return {"aux_char": aux.as_dict(), "report": rep.as_dict(), "h": h.as_dict()}
@@ -80,9 +80,9 @@ def scan(k, p, sigma, smax):
     }
 
 
-def selmer(p, k, sigma, fres):
+def selmer(p, k, sigma):
     from .criteria import selmer_upper_km1
-    return selmer_upper_km1(p, k, _parse_sigma(sigma), fres).as_dict()
+    return selmer_upper_km1(p, k, _parse_sigma(sigma), 1).as_dict()
 
 
 def aux_char(p, k, psi, ell, mmax):
@@ -100,14 +100,14 @@ def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
     """The records fix psi, f_res and e: ingestion checks each depth on
     integer residues against 1 + q^(k-1), so psi is trivial, eta lies in
     Q and f_res = e = 1."""
-    from .characters import parse_char
+    from .characters import trivial_char
     from .criteria import (dim_chi_hypothesis, ingest_records, nonprincipality_verdict,
                            selmer_upper_km1)
     from .exact import padic_context
     from .lfunc import eta
     records = ingest_records(records, p=p, weight=k)
     sigma = _parse_sigma(sigma)
-    eta_value = eta(parse_char("trivial"), k, sigma, padic_context(p, 1))
+    eta_value = eta(trivial_char(), k, sigma, padic_context(p, 1))
     explicit = dim_chi_upper is not None
     if not explicit:
         dim_chi_upper = selmer_upper_km1(p, k, sigma, 1).dim_chi_upper
@@ -119,19 +119,16 @@ def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
             "hypothesis_source": source} | crit.as_dict()
 
 
-def report(p, k, psi, sigma, prec, ell, mmax, records, smax, assume_nontrivial_extension):
-    from .characters import parse_char, primitive_char
+def report(p, k, sigma, prec, ell, mmax, records, smax, assume_nontrivial_extension):
     from .criteria import full_report
     return full_report(
-        p, k, primitive_char(parse_char(psi)), _parse_sigma(sigma), prec=prec,
-        ell=ell, m_max=mmax, records_path=records,
+        p, k, _parse_sigma(sigma), prec=prec, ell=ell, m_max=mmax, records_path=records,
         assume_nontrivial_extension=assume_nontrivial_extension, s_max=smax)
 
 
 def example37(prec, smax):
-    from .characters import parse_char
     from .criteria import full_report
-    return full_report(37, 32, parse_char("trivial"), [31, 37], prec=prec,
+    return full_report(37, 32, [31, 37], prec=prec,
                        records_path=fixture_path("example37.json"), s_max=smax)
 
 

@@ -21,7 +21,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import DirichletChar, primitive_char
+from .characters import trivial_char
 from .errors import ComputationError, ParameterError, SchemaError
 from .exact import padic_context, valp_rational
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta
@@ -287,36 +287,36 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
 # composite report
 # ---------------------------------------------------------------------------
 
-def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
-                prec: int = 40, ell: int | None = None,
+def full_report(p: int, k: int, sigma, *, prec: int = 40, ell: int | None = None,
                 m_max: int = 1, records_path=None,
                 assume_nontrivial_extension: bool = False, s_max: int = 3) -> dict:
-    """Assemble the full pipeline into one JSON-ready report with sections
-    parameters, eta, selmer, aux_char, h_construction, depths, criterion."""
+    """Assemble the full pipeline for the trivial character into one
+    JSON-ready report with sections parameters, eta, selmer, aux_char,
+    h_construction, depths, criterion.  The Selmer bound and the level-1
+    depths hold for psi = 1 only, so the report takes no character and
+    f_res = e = 1."""
     from .hecke1 import depth_scan, scan_prime_bound
     sigma = sigma_with_p(p, sigma)
     if m_max < 1:
         raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
-    psi = primitive_char(psi)
-    ctx_eta = padic_context(p, psi.order)
+    psi = trivial_char()
+    ctx = padic_context(p, 1)
 
     report: dict = {}
     report["parameters"] = {
         "p": p, "k": k, "psi": psi.canonical_text(), "sigma": sigma,
-        "s": ctx_eta.s, "precision": prec, "s_max": s_max,
+        "s": ctx.s, "precision": prec, "s_max": s_max,
         "assume_nontrivial_extension": bool(assume_nontrivial_extension),
     }
 
-    eta_value = eta(psi, k, sigma, ctx_eta)
+    eta_value = eta(psi, k, sigma, ctx)
     report["eta"] = eta_value.as_dict()
 
-    f_res = ctx_eta.residue_degree
-    selmer = selmer_upper_km1(p, k, sigma, f_res)
+    selmer = selmer_upper_km1(p, k, sigma, 1)
     report["selmer"] = selmer.as_dict()
 
     if ell is None:
-        candidates = [q for q in sigma if q not in (2, p) and psi.modulus % q != 0]
-        ell = candidates[0] if candidates else None
+        ell = next((q for q in sigma if q not in (2, p)), None)
     aux = built = None
     if ell is not None:
         from .qexp import aux_char_and_h
@@ -324,35 +324,25 @@ def full_report(p: int, k: int, psi: DirichletChar, sigma, *,
     report["aux_char"] = aux.as_dict() if aux else None
     report["h_construction"] = built[1].as_dict() if built else None
 
-    depths_section: dict = {}
-    internal_records = []
-    if psi.is_trivial():
-        internal_records, skipped = depth_scan(k, p, sigma, s_max)
-        depths_section["level1_scan"] = {
+    records, skipped = depth_scan(k, p, sigma, s_max)
+    external = None if records_path is None else ingest_records(records_path, p=p, weight=k)
+    report["depths"] = {
+        "level1_scan": {
             "prime_bound": scan_prime_bound(k),
             "note": "depths verified over recorded primes up to the scan bound",
-            "records": [r.as_dict() for r in internal_records],
+            "records": [r.as_dict() for r in records],
             "skipped": [sk._asdict() for sk in skipped],
-        }
-    else:
-        depths_section["level1_scan"] = None
-    external_records = []
-    if records_path is not None:
-        external_records = ingest_records(records_path, p=p, weight=k)
-        depths_section["external"] = [r.as_dict() for r in external_records]
-    else:
-        depths_section["external"] = None
-    report["depths"] = depths_section
+        },
+        "external": None if external is None else [r.as_dict() for r in external],
+    }
 
-    # selmer_upper_km1 bounds the Selmer group of the trivial character only
     hypothesis = dim_chi_hypothesis(
-        selmer.dim_chi_upper if psi.is_trivial() else None,
-        congruence_certificate=any(r.depth and r.depth >= 1 for r in internal_records),
+        selmer.dim_chi_upper,
+        congruence_certificate=any(r.depth and r.depth >= 1 for r in records),
         assumed=assume_nontrivial_extension)
-
-    criterion_records = external_records if external_records else internal_records
+    criterion_records = external or records
     if criterion_records:
-        crit = nonprincipality_verdict(eta_value, criterion_records, e=1, f_res=f_res,
+        crit = nonprincipality_verdict(eta_value, criterion_records, e=1, f_res=1,
                                        hypothesis=hypothesis)
         report["criterion"] = {"hypothesis": hypothesis, **crit.as_dict()}
     else:

@@ -297,8 +297,9 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     a_(ell^(m-1))(H) = 1 - scale * a_(ell^(m-1))(G) stays a p-unit.
 
     Returns (H, HConstructionReport).  Requires a_0(G) to be a p-unit (the
-    auxiliary-character certificate).
+    auxiliary-character certificate) and ell in Sigma.
     """
+    _check_ell_in_sigma(ell, sigma)
     psi = primitive_char(psi)
     phi = primitive_char(phi)
     p = ctx.p
@@ -419,21 +420,27 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int,
         searched_m_max=m_max)
 
 
+def _check_ell_in_sigma(ell: int, sigma) -> None:
+    """a_0(F_m) carries the factor 1 - psi(ell) ell^k, which eta counts only
+    for ell in Sigma."""
+    if ell not in sigma:
+        raise ParameterError(f"ell = {ell} must belong to Sigma = {sorted(sigma)}")
+
+
 def aux_char_and_h(p: int, k: int, psi: DirichletChar, ell: int, m_max: int, sigma,
                    prec: int):
     """Search phi by ``aux_char_search`` up to conductor ell^m_max and, when
     one is found, build H at the exponent m of its conductor ell^m, so that
-    F_m and G have constant terms on the same cusps.  psi must be primitive,
-    and ell must belong to Sigma: a_0(F_m) carries the factor
-    1 - psi(ell) ell^k, which eta counts only for ell in Sigma.
+    F_m and G have constant terms on the same cusps, and at the prime above p
+    the certificate's valuations were read at.  psi must be primitive, and
+    ell must belong to Sigma, which is checked before the search.
 
     Returns (AuxCharCertificate, (H, HConstructionReport) or None)."""
-    if ell not in sigma:
-        raise ParameterError(f"ell = {ell} must belong to Sigma = {sorted(sigma)}")
+    _check_ell_in_sigma(ell, sigma)
     aux = aux_char_search(p, k, psi, ell, m_max)
     if not aux.found:
         return aux, None
-    ctx = padic_context(p, lcm(psi.order, aux.char.order))
+    ctx = padic_context(p, aux.context_conductor)
     return aux, build_h(psi, k, ell, valp_int(aux.conductor, ell), aux.char, sigma, ctx, prec)
 
 

@@ -326,8 +326,7 @@ def test_scan_records_round_trip_through_ingestion(tmp_path):
 
 
 def test_full_report_example37():
-    rep = full_report(37, 32, trivial_char(1), [31, 37], prec=25,
-                      records_path=FIXTURE)
+    rep = full_report(37, 32, [31, 37], prec=25, records_path=FIXTURE)
     assert list(rep.keys()) == ["parameters", "eta", "selmer", "aux_char",
                                 "h_construction", "depths", "criterion"]
     assert rep["eta"]["valuation"] == 2
@@ -350,7 +349,7 @@ def test_full_report_example37():
 
 
 def test_full_report_691_inconclusive():
-    rep = full_report(691, 12, trivial_char(1), [691], prec=20, s_max=3)
+    rep = full_report(691, 12, [691], prec=20, s_max=3)
     assert rep["criterion"]["verdict"] == "inconclusive"
     assert rep["eta"]["valuation"] == 1
     recs = rep["depths"]["level1_scan"]["records"]
@@ -364,8 +363,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
     enumerate_chars = qexp.enumerate_chars
     monkeypatch.setattr(qexp, "enumerate_chars",
                         lambda f, **kw: [] if f == 5 else enumerate_chars(f, **kw))
-    rep = full_report(37, 32, trivial_char(1), [5, 37], prec=20, ell=5, m_max=2,
-                      s_max=2)
+    rep = full_report(37, 32, [5, 37], prec=20, ell=5, m_max=2, s_max=2)
     assert rep["aux_char"]["conductor"] == 25
     h = rep["h_construction"]
     assert (h["m"], h["cusp_count"], h["cusps_vanish"], h["passed"]) == (2, 6, True, True)
@@ -373,7 +371,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
 
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
-        full_report(37, 32, trivial_char(1), [31])
+        full_report(37, 32, [31])
 
 
 def test_dim_chi_needs_a_nontrivial_extension():
@@ -389,14 +387,11 @@ def test_dim_chi_needs_a_nontrivial_extension():
                     "dim_chi_equals_1": True}
 
 
-def test_full_report_without_congruence_certificate_is_inconclusive():
-    # nontrivial psi: no level-1 scan, so nothing certifies the extension
-    from eiscong.characters import parse_char
-    rep = full_report(37, 32, parse_char("31:[2]"), [31, 37], prec=10,
-                      records_path=FIXTURE)
-    assert rep["criterion"]["hypothesis"]["dim_chi_equals_1"] is False
-    assert rep["criterion"]["verdict"] == "inconclusive"
-    assert rep["criterion"]["conclusion"] == "dim H^1_Sigma(Q, chi) = 1 is not established"
+def test_residue_field_degree_below_one_is_a_parameter_error():
+    for f_res in (0, -1):
+        with pytest.raises(ParameterError,
+                           match=f"residue field degree f_res = {f_res} must be >= 1"):
+            selmer_upper_km1(37, 32, [31, 37], f_res)
 
 
 def test_ingest_checks_p_and_weight():

@@ -326,6 +326,25 @@ def test_build_h_rejects_non_punit_character():
         build_h(trivial_char(1), 6, 11, 1, phi, [5, 11], ctx, 10)
 
 
+def test_build_h_rejects_ell_outside_sigma():
+    # before: passed, with an eta that lacks the factor 1 - 31^32
+    from eiscong.characters import parse_char
+    with pytest.raises(ParameterError, match=r"ell = 31 must belong to Sigma = \[37\]"):
+        build_h(trivial_char(1), 32, 31, 1, parse_char("31:[15]"), [37],
+                padic_context(37, 30), 12)
+
+
+def test_h_is_built_at_the_certificate_prime(monkeypatch):
+    # only the quadratic character of conductor 31 is offered: the search reads
+    # its valuations in Q(zeta_30), and H is built there too (before: Q(zeta_2))
+    from eiscong import qexp
+    from eiscong.characters import parse_char
+    monkeypatch.setattr(qexp, "enumerate_chars", lambda f, **kw: [parse_char("31:[15]")])
+    aux, (H, rep) = qexp.aux_char_and_h(37, 32, trivial_char(1), 31, 1, [31, 37], 12)
+    assert aux.char.order == 2 and aux.context_conductor == H.conductor == 30
+    assert rep.passed
+
+
 def test_cusp_enumeration():
     assert len(cusps_gamma0(31)) == 2
     for M in (1, 2, 4, 6, 12, 31, 36):
