@@ -82,7 +82,7 @@ def scan(k, p, sigma, smax):
 
 def selmer(p, k, sigma):
     from .criteria import selmer_upper_km1
-    return selmer_upper_km1(p, k, _parse_sigma(sigma), 1).as_dict()
+    return selmer_upper_km1(p, k, _parse_sigma(sigma)).as_dict()
 
 
 def aux_char(p, k, psi, ell, mmax):
@@ -97,9 +97,10 @@ def kummer(p, k):
 
 
 def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
-    """The records fix psi, f_res and e: ingestion checks each depth on
-    integer residues against 1 + q^(k-1), so psi is trivial, eta lies in
-    Q and f_res = e = 1."""
+    """Non-principal iff the hypothesis holds and sum(depths) > val_p(eta),
+    both integers.  The records fix psi: ingestion checks each depth on
+    integer residues against 1 + q^(k-1), so psi is trivial, eta lies in Q
+    and every record's coefficients lie in Z_p."""
     from .characters import trivial_char
     from .criteria import (dim_chi_hypothesis, ingest_records, nonprincipality_verdict,
                            selmer_upper_km1)
@@ -110,11 +111,11 @@ def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
     eta_value = eta(trivial_char(), k, sigma, padic_context(p, 1))
     explicit = dim_chi_upper is not None
     if not explicit:
-        dim_chi_upper = selmer_upper_km1(p, k, sigma, 1).dim_chi_upper
+        dim_chi_upper = selmer_upper_km1(p, k, sigma).dim_chi_upper
     hypothesis = dim_chi_hypothesis(dim_chi_upper, assumed=assume_nontrivial_extension)
     source = ("explicit" if explicit else "selmer-upper-plus-assertion"
               if hypothesis["dim_chi_equals_1"] else "selmer-upper-only")
-    crit = nonprincipality_verdict(eta_value, records, e=1, f_res=1, hypothesis=hypothesis)
+    crit = nonprincipality_verdict(eta_value, records, hypothesis=hypothesis)
     return {"p": p, "k": k, "sigma": sigma, "dim_chi_upper": dim_chi_upper,
             "hypothesis_source": source} | crit.as_dict()
 
@@ -128,7 +129,7 @@ def report(p, k, sigma, prec, ell, mmax, records, smax, assume_nontrivial_extens
 
 def example37(prec, smax):
     from .criteria import full_report
-    return full_report(37, 32, [31, 37], prec=prec,
+    return full_report(37, 32, [31, 37], prec=prec, m_max=1,
                        records_path=fixture_path("example37.json"), s_max=smax)
 
 

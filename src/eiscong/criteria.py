@@ -3,9 +3,11 @@ non-principality criterion for the Eisenstein ideal, and ingestion of
 externally computed eigensystem records.
 
 The criterion compares the congruence depths of Hecke eigensystems against
-the valuation of the congruence-module bound eta(psi, k): when
-sum(depths)/e exceeds f_res * e * val_p(eta) and the opposite-direction
-Selmer group is one-dimensional, the Eisenstein ideal cannot be principal.
+the valuation of the congruence-module bound eta(1, k), in integers: when
+sum(depths) exceeds val_p(eta) and the opposite-direction Selmer group is
+one-dimensional, the Eisenstein ideal cannot be principal.  Every record's
+coefficients lie in Z_p (ingestion checks them on integer residues), so
+there is no ramification index or residue degree to scale by.
 Depths are decided by ``hecke1.congruence_depth``, dim H^1_Sigma(Q, chi) = 1
 by ``dim_chi_hypothesis`` and p in Sigma by ``poly.sigma_with_p``, once each.
 
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 
 from .characters import trivial_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import padic_context, valp_rational
+from .exact import padic_context
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta
 from .poly import INF, factorize, is_prime, sigma_with_p
 
@@ -32,37 +33,29 @@ from .poly import INF, factorize, is_prime, sigma_with_p
 # Selmer bounds
 # ---------------------------------------------------------------------------
 
-def _min_val1(x: Fraction, p: int) -> int:
-    """min(val_p(x), 1) for a rational x (x = 0 counts as 1)."""
-    v = valp_rational(x, p)
-    return 1 if v == INF else min(int(v), 1)
-
-
-def selmer_lower_1mk(p: int, k: int, sigma, f_res: int) -> int:
+def selmer_lower_1mk(p: int, k: int, sigma) -> int:
     """Lower bound on val_p(#H^1_Sigma(Q, F(1-k))):
-    f_res * (min(val_p(B_(1,omega^(k-1))), 1) + sum_l min(val_p(1 - l^k), 1))."""
+    min(val_p(B_(1,omega^(k-1))), 1) + sum_l min(val_p(1 - l^k), 1), where
+    each term of the sum is 1 iff l^k = 1 mod p."""
     if k % 2 != 0 or not 2 <= k <= p - 1:
         raise ParameterError("need even k with 2 <= k <= p-1")
-    if f_res < 1:
-        raise ParameterError(f"residue field degree f_res = {f_res} must be >= 1")
     sigma = sigma_with_p(p, sigma)
-    total = b1_omega_min_valuation(k - 1, p)
-    for ell in sigma:
-        if ell != p:
-            total += _min_val1(1 - Fraction(ell) ** k, p)
-    return f_res * total
+    return b1_omega_min_valuation(k - 1, p) + sum(
+        pow(ell, k, p) == 1 for ell in sigma if ell != p)
 
 
 def local_factor(ell: int, n: int, p: int) -> int:
     """Correction exponent for adding the prime ell to the ramification set
-    (lemma 11): min(val_p(ell^(n+1) - 1), 1), valid for ell != 1 mod p."""
+    (lemma 11): min(val_p(ell^(n+1) - 1), 1), that is 1 iff
+    ell^(n+1) = 1 mod p (for n + 1 < 0, mod p inverts ell); valid for
+    ell != 1 mod p."""
     if n == 0:
         raise ParameterError("n must be nonzero")
     if not is_prime(ell) or ell == p:
         raise ParameterError("ell must be a prime different from p")
     if ell % p == 1:
         raise ParameterError(f"lemma11 requires ell != 1 mod p (got ell = {ell})")
-    return _min_val1(Fraction(ell) ** (n + 1) - 1, p)
+    return int(pow(ell, n + 1, p) == 1)
 
 
 def herbrand_eigenspace(p: int, r: int) -> str:
@@ -79,12 +72,13 @@ def herbrand_eigenspace(p: int, r: int) -> str:
 
 class SelmerBoundReport(namedtuple(
         "SelmerBoundReport",
-        "p k sigma residue_field_degree lower_bound_1mk dim_chi_inverse_lower"
-        " upper_bound_km1_terms herbrand_status dim_chi_upper")):
+        "p k sigma lower_bound_1mk upper_bound_km1_terms herbrand_status dim_chi_upper")):
     """Computed bounds on the two Selmer groups entering the criterion.
 
     ``upper_bound_km1_terms`` holds one (ell, term) pair per prime of Sigma
-    other than p; ``dim_chi_upper`` is None when no upper bound applies."""
+    other than p; ``dim_chi_upper`` is None when no upper bound applies.
+    The residue field is F_p, so ``as_dict`` prints a residue field degree
+    of 1 and the dimension lower bound equal to ``lower_bound_1mk``."""
 
     __slots__ = ()
 
@@ -93,9 +87,9 @@ class SelmerBoundReport(namedtuple(
             "p": self.p,
             "k": self.k,
             "sigma": list(self.sigma),
-            "residue_field_degree": self.residue_field_degree,
+            "residue_field_degree": 1,
             "lower_bound_1mk": self.lower_bound_1mk,
-            "dim_chi_inverse_lower": self.dim_chi_inverse_lower,
+            "dim_chi_inverse_lower": self.lower_bound_1mk,
             "upper_bound_km1_terms": [
                 {"ell": ell, "term": t} for ell, t in self.upper_bound_km1_terms],
             "herbrand_status": self.herbrand_status,
@@ -103,28 +97,19 @@ class SelmerBoundReport(namedtuple(
         }
 
 
-def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
+def selmer_upper_km1(p: int, k: int, sigma) -> SelmerBoundReport:
     """Upper bound on dim H^1_Sigma(Q, F(k-1)): at most 1 from the class
     group eigenspace (when Herbrand applies) plus min(val_p(1-l^(k-2)), 1)
     per extra prime; combined with the lower bound for F(1-k), which also
     checks k and Sigma."""
     sigma_t = tuple(sigma_with_p(p, sigma))
-    lower = selmer_lower_1mk(p, k, sigma_t, f_res)
-    if k - 1 > 1:
-        status = herbrand_eigenspace(p, k - 1)
-    else:
-        status = "not-applicable"
-    terms = []
-    for ell in sigma_t:
-        if ell == p:
-            continue
-        terms.append((ell, local_factor(ell, 1 - k, p)))
+    lower = selmer_lower_1mk(p, k, sigma_t)
+    status = herbrand_eigenspace(p, k - 1) if k - 1 > 1 else "not-applicable"
+    terms = tuple((ell, local_factor(ell, 1 - k, p)) for ell in sigma_t if ell != p)
     dim_upper = (1 + sum(t for _, t in terms)) if status == "trivial" else None
     return SelmerBoundReport(
-        p=p, k=k, sigma=sigma_t, residue_field_degree=f_res,
-        lower_bound_1mk=lower, dim_chi_inverse_lower=lower // f_res,
-        upper_bound_km1_terms=tuple(terms), herbrand_status=status,
-        dim_chi_upper=dim_upper)
+        p=p, k=k, sigma=sigma_t, lower_bound_1mk=lower, upper_bound_km1_terms=terms,
+        herbrand_status=status, dim_chi_upper=dim_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +118,22 @@ def selmer_upper_km1(p: int, k: int, sigma, f_res: int) -> SelmerBoundReport:
 
 class CriterionReport(namedtuple(
         "CriterionReport",
-        "eta e f_res depth_records depth_sum_over_e valp_congruence_module verdict"
-        " conclusion_text")):
+        "eta depth_records depth_sum valp_congruence_module verdict conclusion_text")):
     """Verdict of the congruence-counting criterion, from an EtaValue and a
-    tuple of EigensystemRecords; the two sums are Fractions."""
+    tuple of EigensystemRecords; the two sides are integers.  ``as_dict``
+    still prints "e" and "f_res" as 1 and the depth sum under the key
+    "depth_sum_over_e", the payload keys of the scaled criterion."""
 
     __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
             "eta": self.eta.as_dict(),
-            "e": self.e,
-            "f_res": self.f_res,
+            "e": 1,
+            "f_res": 1,
             "record_count": len(self.depth_records),
             "depths": [r.depth for r in self.depth_records],
-            "depth_sum_over_e": str(self.depth_sum_over_e),
+            "depth_sum_over_e": str(self.depth_sum),
             "valp_congruence_module": str(self.valp_congruence_module),
             "verdict": self.verdict,
             "conclusion": self.conclusion_text,
@@ -170,16 +156,14 @@ def dim_chi_hypothesis(dim_chi_upper: int | None, *, congruence_certificate: boo
             "dim_chi_equals_1": dim_chi_upper == 1 and certificate is not None}
 
 
-def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int, *,
+def nonprincipality_verdict(eta_value: EtaValue, records, *,
                             hypothesis: dict) -> CriterionReport:
-    """Decide the criterion: non-principal iff sum(depths)/e exceeds
-    f_res * e * val_p(eta) and ``hypothesis``, the decision of
-    ``dim_chi_hypothesis``, establishes dim H^1_Sigma(Q, chi) = 1; otherwise
-    inconclusive, naming the failing condition.
+    """Decide the criterion: non-principal iff sum(depths) exceeds
+    val_p(eta) and ``hypothesis``, the decision of ``dim_chi_hypothesis``,
+    establishes dim H^1_Sigma(Q, chi) = 1; otherwise inconclusive, naming
+    the failing condition.
     """
     records = tuple(records)
-    if e < 1 or f_res < 1:
-        raise ParameterError("e and f_res must be positive")
     for rec in records:
         if rec.p != eta_value.p:
             raise ParameterError("records mix different primes p")
@@ -189,8 +173,8 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int, *,
         raise ParameterError("records mix different weights or levels")
     if eta_value.valuation_vpi == INF:
         raise ComputationError("eta vanishes; the congruence module is infinite")
-    depth_sum = Fraction(sum(r.depth for r in records), e)
-    rhs = Fraction(f_res * e * eta_value.valuation_vpi)
+    depth_sum = sum(r.depth for r in records)
+    rhs = eta_value.valuation_vpi
     established = hypothesis["dim_chi_equals_1"]
     if established and depth_sum > rhs:
         verdict = "non-principal"
@@ -206,8 +190,7 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int, *,
                 f"depth sum {depth_sum} does not exceed val_p(#O/eta) = {rhs}")
         conclusion = "; ".join(reasons)
     return CriterionReport(
-        eta=eta_value, e=e, f_res=f_res, depth_records=records,
-        depth_sum_over_e=depth_sum, valp_congruence_module=rhs,
+        eta=eta_value, depth_records=records, depth_sum=depth_sum, valp_congruence_module=rhs,
         verdict=verdict, conclusion_text=conclusion)
 
 
@@ -218,7 +201,7 @@ def nonprincipality_verdict(eta_value: EtaValue, records, e: int, f_res: int, *,
 _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth", "source"}
 
 
-def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> list:
+def ingest_records(path, *, p: int, weight: int) -> list:
     """Load externally computed eigensystem records (JSON array, or an object
     with a "records" array) as EigensystemRecords: weight >= 2, and an
     eigenvalue a_q for primes q only.  Each stated depth d must
@@ -265,7 +248,7 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
         bad = next((q for q in evs if not is_prime(q)), None)
         if bad is not None:
             raise SchemaError(f"{where}: eigenvalue key {bad} is not a prime")
-        if (p is not None and rec_p != p) or (weight is not None and rec_weight != weight):
+        if rec_p != p or rec_weight != weight:
             raise ParameterError(
                 f"{where}: p = {rec_p}, weight = {rec_weight} does not match "
                 f"p = {p}, k = {weight}")
@@ -287,14 +270,14 @@ def ingest_records(path, *, p: int | None = None, weight: int | None = None) -> 
 # composite report
 # ---------------------------------------------------------------------------
 
-def full_report(p: int, k: int, sigma, *, prec: int = 40, ell: int | None = None,
-                m_max: int = 1, records_path=None,
-                assume_nontrivial_extension: bool = False, s_max: int = 3) -> dict:
+def full_report(p: int, k: int, sigma, *, prec: int, ell: int | None = None,
+                m_max: int, records_path=None,
+                assume_nontrivial_extension: bool = False, s_max: int) -> dict:
     """Assemble the full pipeline for the trivial character into one
     JSON-ready report with sections parameters, eta, selmer, aux_char,
     h_construction, depths, criterion.  The Selmer bound and the level-1
-    depths hold for psi = 1 only, so the report takes no character and
-    f_res = e = 1."""
+    depths hold for psi = 1 only, so the report takes no character.  The
+    defaults of prec, m_max and s_max live in the flag table of ``cli``."""
     from .hecke1 import depth_scan, scan_prime_bound
     sigma = sigma_with_p(p, sigma)
     if m_max < 1:
@@ -312,7 +295,7 @@ def full_report(p: int, k: int, sigma, *, prec: int = 40, ell: int | None = None
     eta_value = eta(psi, k, sigma, ctx)
     report["eta"] = eta_value.as_dict()
 
-    selmer = selmer_upper_km1(p, k, sigma, 1)
+    selmer = selmer_upper_km1(p, k, sigma)
     report["selmer"] = selmer.as_dict()
 
     if ell is None:
@@ -342,8 +325,7 @@ def full_report(p: int, k: int, sigma, *, prec: int = 40, ell: int | None = None
         assumed=assume_nontrivial_extension)
     criterion_records = external or records
     if criterion_records:
-        crit = nonprincipality_verdict(eta_value, criterion_records, e=1, f_res=1,
-                                       hypothesis=hypothesis)
+        crit = nonprincipality_verdict(eta_value, criterion_records, hypothesis=hypothesis)
         report["criterion"] = {"hypothesis": hypothesis, **crit.as_dict()}
     else:
         report["criterion"] = {"hypothesis": hypothesis, "verdict": "inconclusive",

@@ -23,9 +23,9 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .characters import DirichletChar, char_eval, conductor, primitive_char
-from .errors import ComputationError, ParameterError
+from .errors import ParameterError
 from .exact import CycElem, PadicContext, _over_common, _val_json, valp_cyc
-from .poly import INF, is_prime, sigma_with_p, teichmuller
+from .poly import INF, is_prime, sigma_with_p
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,16 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
+def _power_sum(n: int, p: int) -> int:
+    """sum_{a<p} a^n mod p^2, the one kernel of the residues below: p * B_n
+    for even n under the hypotheses of ``bernoulli_mod``, and p * B_(1,omega^j)
+    for n = p * j + 1, since p * B_(1,omega^j) = sum_{a<p} omega(a)^j a
+    (Washington, Introduction to Cyclotomic Fields, section 4) and
+    omega(a) = a^p mod p^2."""
+    p2 = p * p
+    return sum(pow(a, n, p2) for a in range(1, p)) % p2
+
+
 def bernoulli_mod(n: int, p: int) -> int:
     """B_n mod p for even n with (p-1) nmid n and p nmid (n+1).
 
@@ -83,11 +93,10 @@ def bernoulli_mod(n: int, p: int) -> int:
         raise ParameterError(f"B_{n} is not p-integral for p = {p}")
     if (n + 1) % p == 0:
         raise ParameterError("power-sum congruence needs p nmid n+1")
-    p2 = p * p
-    total = sum(pow(a, n, p2) for a in range(1, p)) % p2
+    total = _power_sum(n, p)
     if total % p != 0:
         raise AssertionError("power sum is not divisible by p")
-    return (total // p) % p
+    return total // p
 
 
 # ---------------------------------------------------------------------------
@@ -180,59 +189,38 @@ def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:
 # Teichmuller-twisted weight-one Bernoulli values
 # ---------------------------------------------------------------------------
 
-class B1NotIntegral(ComputationError):
-    """B_{1,omega^j} has valuation -1 (only for j = -1 mod p-1); carries the
-    residue of p * B_{1,omega^j}, a p-adic unit."""
-
-    def __init__(self, message, unit_residue, precision):
-        super().__init__(message)
-        self.unit_residue = unit_residue
-        self.precision = precision
-
-
-def b1_omega_mod(j: int, p: int, s: int) -> int:
-    """B_{1,omega^j} mod p^s, via (1/p) sum_{a<p} omega^j(a) a with the
-    Teichmuller values computed mod p^(s+1) to absorb the division by p.
-
-    j = 0 mod (p-1) is rejected (the trivial-character weight-one value is
-    not what any caller wants); the non-integral case raises B1NotIntegral.
-    """
+def b1_omega_min_valuation(j: int, p: int) -> int:
+    """min(val_p(B_{1,omega^j}), 1), valued in {-1, 0, 1}, read off the power
+    sum t = p * B_{1,omega^j} mod p^2: a unit t gives -1 (only for
+    j = -1 mod (p-1)), t = 0 gives 1.  j = 0 mod (p-1) is rejected (the
+    trivial-character weight-one value is not what any caller wants)."""
     if not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
     if j % (p - 1) == 0:
         raise ParameterError("j = 0 mod (p-1) is unsupported")
-    jj = j % (p - 1)
-    big = p ** (s + 1)
-    total = 0
-    for a in range(1, p):
-        w = pow(teichmuller(a, p, s + 1), jj, big)
-        total = (total + w * a) % big
-    if total % p != 0:
-        raise B1NotIntegral(
-            f"B_(1,omega^{j}) is not p-integral for p = {p}",
-            unit_residue=total % (p**s), precision=s)
-    return (total // p) % (p**s)
+    t = _power_sum(p * (j % (p - 1)) + 1, p)
+    return -1 if t % p else 1 if t == 0 else 0
 
 
-def b1_omega_min_valuation(j: int, p: int) -> int:
-    """min(val_p(B_{1,omega^j}), 1), valued in {-1, 0, 1}."""
-    try:
-        r = b1_omega_mod(j, p, 1)
-    except B1NotIntegral:
-        return -1
-    return 1 if r == 0 else 0
+def b1_omega_mod(j: int, p: int) -> int:
+    """B_{1,omega^j} mod p where it is p-integral, that is for
+    j != 0, -1 mod (p-1)."""
+    if b1_omega_min_valuation(j, p) < 0:
+        raise ParameterError(f"B_(1,omega^{j}) is not p-integral for p = {p}")
+    return _power_sum(p * (j % (p - 1)) + 1, p) // p
 
 
 def kummer_check(p: int, k: int) -> dict:
     """Compare B_{1,omega^(k-1)} with B_k/k mod p (the Kummer congruence).
 
-    Requires 2 <= k <= p-3, k even (so both sides are p-integral).
+    Requires 2 <= k <= p-3, k even (so both sides are p-integral), and the
+    left side is the power sum p * B_{1,omega^(k-1)} mod p^2 over p.
     """
     if not (2 <= k <= p - 3 and k % 2 == 0):
         raise ParameterError("need even k with 2 <= k <= p-3")
-    if k % (p - 1) == 0:
-        raise ParameterError("k = 0 mod (p-1) is outside the Kummer range")
-    lhs = b1_omega_mod(k - 1, p, 1)
+    if not is_prime(p):
+        raise ParameterError("p must be an odd prime")
+    lhs = _power_sum(p * (k - 1) + 1, p) // p
     bk = bernoulli(k)
     den = bk.denominator * k
     if den % p == 0:

@@ -91,8 +91,8 @@ def test_criterion_03_kummer():
 def test_criterion_04_selmer_bounds():
     with Gate(4, 10, "selmer lower bound 2; dim H^1_Sigma(Q, chi) <= 1 with "
                      "trivial eigenspace at (37, 31)"):
-        assert selmer_lower_1mk(37, 32, {31, 37}, 1) == 2
-        rep = selmer_upper_km1(37, 32, {31, 37}, 1)
+        assert selmer_lower_1mk(37, 32, {31, 37}) == 2
+        rep = selmer_upper_km1(37, 32, {31, 37})
         assert rep.dim_chi_upper == 1
         assert rep.herbrand_status == "trivial"
         assert herbrand_eigenspace(37, 31) == "trivial"
@@ -149,16 +149,16 @@ def test_criterion_08_irregular_pair_congruence():
 
 
 def test_criterion_09_example37_criterion():
-    with Gate(9, 5, "19 ingested depth-1 records, e = f_res = 1, dim = 1: "
-                    "verdict non-principal (19 > 2)"):
-        records = ingest_records(fixture_path("example37.json"))
+    with Gate(9, 5, "19 ingested depth-1 records, dim = 1: verdict "
+                    "non-principal (depth sum 19 > 2 = val_p(eta))"):
+        records = ingest_records(fixture_path("example37.json"), p=37, weight=32)
         assert len(records) == 19
         assert all(r.depth == 1 for r in records)
         ev = eta(trivial_char(1), 32, [31, 37], padic_context(37, 1, 6))
-        crit = nonprincipality_verdict(ev, records, e=1, f_res=1,
+        crit = nonprincipality_verdict(ev, records,
                                        hypothesis=dim_chi_hypothesis(1, assumed=True))
         assert crit.verdict == "non-principal"
-        assert crit.depth_sum_over_e == 19 > 2 == crit.valp_congruence_module
+        assert crit.depth_sum == 19 > 2 == crit.valp_congruence_module
         assert "#T_mod" in crit.conclusion_text
         assert "dim H^1_Sigma(Q, chi^{-1})" in crit.conclusion_text
 
@@ -172,7 +172,7 @@ def test_criterion_10_desk_scale_substitution():
         assert "level" not in inspect.signature(hecke1.eigensystems_mod).parameters
         assert "level" not in inspect.signature(hecke1.depth_scan).parameters
         # the level-31 data enters only as external records
-        records = ingest_records(fixture_path("example37.json"))
+        records = ingest_records(fixture_path("example37.json"), p=37, weight=32)
         assert all(r.source == "external" and r.level == 31 for r in records)
 
 

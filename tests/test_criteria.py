@@ -35,16 +35,15 @@ DIM_ONE = dim_chi_hypothesis(1, assumed=True)
 
 
 def test_selmer_lower_examples():
-    assert selmer_lower_1mk(37, 32, {31, 37}, 1) == 2
-    assert selmer_lower_1mk(37, 32, {37}, 1) == 1
-    assert selmer_lower_1mk(13, 4, {13}, 1) == 0
-    assert selmer_lower_1mk(37, 32, {31, 37}, 2) == 4
+    assert selmer_lower_1mk(37, 32, {31, 37}) == 2
+    assert selmer_lower_1mk(37, 32, {37}) == 1
+    assert selmer_lower_1mk(13, 4, {13}) == 0
 
 
 def test_selmer_lower_monotonicity():
     for ell in (3, 5, 11, 41):
-        gained = (selmer_lower_1mk(37, 32, {31, 37, ell}, 1)
-                  - selmer_lower_1mk(37, 32, {31, 37}, 1))
+        gained = (selmer_lower_1mk(37, 32, {31, 37, ell})
+                  - selmer_lower_1mk(37, 32, {31, 37}))
         v = valp_rational(Fraction(1 - ell ** 32), 37)
         assert gained == min(int(v), 1)
 
@@ -85,12 +84,13 @@ def test_herbrand_consistency_with_exact_bernoulli():
 
 
 def test_selmer_upper_example37():
-    rep = selmer_upper_km1(37, 32, {31, 37}, 1)
+    rep = selmer_upper_km1(37, 32, {31, 37})
     assert rep.herbrand_status == "trivial"
     assert dict(rep.upper_bound_km1_terms)[31] == 0
     assert rep.dim_chi_upper == 1
     assert rep.lower_bound_1mk == 2
-    assert rep.dim_chi_inverse_lower == 2
+    assert rep.as_dict()["dim_chi_inverse_lower"] == 2
+    assert rep.as_dict()["residue_field_degree"] == 1
 
 
 def test_selmer_upper_terms():
@@ -98,7 +98,7 @@ def test_selmer_upper_terms():
     # and 18 | 30, so 4^30 = 1 mod 37 fails; use l with l^30 = 1 mod 37:
     # the subgroup of 30th powers mod 37 has order gcd-based index; l = 11:
     assert pow(11, 30, 37) == 1
-    rep = selmer_upper_km1(37, 32, {11, 37}, 1)
+    rep = selmer_upper_km1(37, 32, {11, 37})
     assert dict(rep.upper_bound_km1_terms)[11] == 1
     assert rep.dim_chi_upper == 2
 
@@ -108,7 +108,7 @@ def test_selmer_upper_691_uses_the_k_minus_1_eigenspace():
     # B_(691-11) = B_680, which is a 691-adic unit (cross-checked against the
     # weight-one route in test_lfunc), so the bound applies
     assert bernoulli_mod(680, 691) != 0
-    rep = selmer_upper_km1(691, 12, {691}, 1)
+    rep = selmer_upper_km1(691, 12, {691})
     assert rep.herbrand_status == "trivial"
     assert rep.dim_chi_upper == 1
     # the nontrivial direction shows up for the reflected exponent instead
@@ -146,94 +146,98 @@ def test_aux_char_search_rejects_ramified_value_field():
 
 
 def test_verdict_example37():
-    records = ingest_records(FIXTURE)
+    records = ingest_records(FIXTURE, p=37, weight=32)
     assert len(records) == 19
     assert all(r.depth == 1 for r in records)
     assert all(r.prime_label == "P1" for r in records)
     assert all(r.source == "external" for r in records)
-    crit = nonprincipality_verdict(eta37(), records, e=1, f_res=1, hypothesis=DIM_ONE)
+    crit = nonprincipality_verdict(eta37(), records, hypothesis=DIM_ONE)
     assert crit.verdict == "non-principal"
-    assert crit.depth_sum_over_e == 19
+    assert crit.depth_sum == 19
     assert crit.valp_congruence_module == 2
+    payload = crit.as_dict()
+    assert (payload["e"], payload["f_res"]) == (1, 1)
+    assert (payload["depth_sum_over_e"], payload["valp_congruence_module"]) == ("19", "2")
     assert "#T_mod" in crit.conclusion_text
     assert "chi^{-1}" in crit.conclusion_text
 
 
 def test_verdict_inconclusive_cases():
-    records = ingest_records(FIXTURE)
-    single = nonprincipality_verdict(eta37(), records[:1], 1, 1, hypothesis=DIM_ONE)
+    records = ingest_records(FIXTURE, p=37, weight=32)
+    single = nonprincipality_verdict(eta37(), records[:1], hypothesis=DIM_ONE)
     assert single.verdict == "inconclusive"
-    empty = nonprincipality_verdict(eta37(), [], 1, 1, hypothesis=DIM_ONE)
+    empty = nonprincipality_verdict(eta37(), [], hypothesis=DIM_ONE)
     assert empty.verdict == "inconclusive"
-    no_dim = nonprincipality_verdict(eta37(), records, 1, 1,
+    no_dim = nonprincipality_verdict(eta37(), records,
                                      hypothesis=dim_chi_hypothesis(None, assumed=True))
     assert no_dim.verdict == "inconclusive"
     assert "dim" in no_dim.conclusion_text
 
 
 def test_verdict_monotone_in_records():
-    records = ingest_records(FIXTURE)
+    records = ingest_records(FIXTURE, p=37, weight=32)
     ev = eta37()
     last = None
     for n in range(len(records) + 1):
-        v = nonprincipality_verdict(ev, records[:n], 1, 1, hypothesis=DIM_ONE).verdict
+        v = nonprincipality_verdict(ev, records[:n], hypothesis=DIM_ONE).verdict
         if last == "non-principal":
             assert v == "non-principal"
         last = v
 
 
-def test_verdict_scaling_with_e():
-    records = ingest_records(FIXTURE)
-    ev = eta37()
-    # e = 2: sum/e = 9.5 vs rhs = 1*2*2 = 4 -> still non-principal
-    crit = nonprincipality_verdict(ev, records, e=2, f_res=1, hypothesis=DIM_ONE)
-    assert crit.depth_sum_over_e == Fraction(19, 2)
-    assert crit.valp_congruence_module == 4
-    assert crit.verdict == "non-principal"
+def test_verdict_takes_no_e_or_f_res():
+    # every record has coefficients in Z_p: no ramification index or residue
+    # degree enters the criterion
+    records = ingest_records(FIXTURE, p=37, weight=32)
+    for knob in ({"e": 1}, {"f_res": 1}, {"e": 2, "f_res": 1}):
+        with pytest.raises(TypeError):
+            nonprincipality_verdict(eta37(), records, hypothesis=DIM_ONE, **knob)
+    with pytest.raises(TypeError):
+        nonprincipality_verdict(eta37(), records, 1, 1, hypothesis=DIM_ONE)
 
 
 def test_verdict_needs_more_than_an_upper_bound():
     # an upper bound of 1 leaves dimension 0 open; before, dim_chi_upper=1
     # alone gave non-principal
-    records = ingest_records(FIXTURE)
-    bound_only = nonprincipality_verdict(eta37(), records, 1, 1,
+    records = ingest_records(FIXTURE, p=37, weight=32)
+    bound_only = nonprincipality_verdict(eta37(), records,
                                          hypothesis=dim_chi_hypothesis(1))
     assert bound_only.verdict == "inconclusive"
     assert bound_only.conclusion_text == "dim H^1_Sigma(Q, chi) = 1 is not established"
     with pytest.raises(TypeError):
-        nonprincipality_verdict(eta37(), records, e=1, f_res=1, dim_chi_upper=1)
+        nonprincipality_verdict(eta37(), records, dim_chi_upper=1)
     with pytest.raises(TypeError):
-        nonprincipality_verdict(eta37(), records, 1, 1, 1)
+        nonprincipality_verdict(eta37(), records, 1)
 
 
 def test_verdict_mixed_records_rejected():
-    records = ingest_records(FIXTURE)
+    records = ingest_records(FIXTURE, p=37, weight=32)
     bad = records[0]._replace(weight=12)
     with pytest.raises(ParameterError):
-        nonprincipality_verdict(eta37(), [records[1], bad], 1, 1, hypothesis=DIM_ONE)
+        nonprincipality_verdict(eta37(), [records[1], bad], hypothesis=DIM_ONE)
 
 
 def test_ingest_errors(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     with pytest.raises(SchemaError):
-        ingest_records(empty)
+        ingest_records(empty, p=37, weight=32)
     garbage = tmp_path / "bad.json"
     garbage.write_text("{not json")
     with pytest.raises(SchemaError):
-        ingest_records(garbage)
+        ingest_records(garbage, p=37, weight=32)
     inconsistent = tmp_path / "inconsistent.json"
     inconsistent.write_text(json.dumps([{
         "weight": 32, "level": 31, "p": 37, "prime_label": "P1",
         "eigenvalues": {"2": str((1 + 2 ** 31 + 37) % 37 ** 2)},
         "depth": 2, "source": "external"}]))
     with pytest.raises(SchemaError) as err:
-        ingest_records(inconsistent)
+        ingest_records(inconsistent, p=37, weight=32)
     assert "inconsistent" in str(err.value)
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps([{"weight": 32}]))
     with pytest.raises(SchemaError) as err:
-        ingest_records(missing)
+        ingest_records(missing, p=37, weight=32)
     assert "missing" in str(err.value)
     # a residual's valuation needs a prime p: p = 1 would divide it forever
     not_prime = tmp_path / "not_prime.json"
@@ -241,7 +245,7 @@ def test_ingest_errors(tmp_path):
         "weight": 32, "level": 31, "p": 1, "prime_label": "P1",
         "eigenvalues": {"2": "5"}, "depth": 0, "source": "external"}]))
     with pytest.raises(ParameterError, match="p = 1 is not prime"):
-        ingest_records(not_prime, p=1)
+        ingest_records(not_prime, p=1, weight=32)
 
 
 # Two records whose stated depth no residual checks: a level-1 residual of
@@ -280,7 +284,7 @@ def test_ingest_rejects_weight_below_two(tmp_path, weight):
     path.write_text(json.dumps([{"weight": weight, "level": 1, "p": 37, "prime_label": "X",
                                  "eigenvalues": {"2": "5"}, "depth": 0}]))
     with pytest.raises(SchemaError, match=f"weight {weight} must be >= 2"):
-        ingest_records(path)
+        ingest_records(path, p=37, weight=weight)
 
 
 def test_ingest_checks_the_depth_to_one_more_power_of_p(tmp_path):
@@ -291,21 +295,21 @@ def test_ingest_checks_the_depth_to_one_more_power_of_p(tmp_path):
     for depth, ok in ((1, False), (2, True), (3, False)):
         path.write_text(json.dumps([rec | {"depth": depth}]))
         if ok:
-            assert ingest_records(path)[0].depth == 2
+            assert ingest_records(path, p=37, weight=32)[0].depth == 2
         else:
             with pytest.raises(SchemaError, match="inconsistent"):
-                ingest_records(path)
+                ingest_records(path, p=37, weight=32)
 
 
 def test_kummer_sweep_consistency():
-    # b1_omega_mod(k-1, p, 1) = 0 exactly when p | num(B_k), across the full
+    # b1_omega_mod(k-1, p) = 0 exactly when p | num(B_k), across the full
     # even range for each p; the residue route and the exact numerators are
     # independent computations
     expected_hits = {37: [32], 59: [44], 67: [58], 101: [68], 103: [24]}
     for p, hits in expected_hits.items():
         found = []
         for k in range(2, p - 2, 2):
-            b1_zero = b1_omega_mod(k - 1, p, 1) == 0
+            b1_zero = b1_omega_mod(k - 1, p) == 0
             assert b1_zero == (bernoulli(k).numerator % p == 0), (p, k)
             if b1_zero:
                 found.append(k)
@@ -318,7 +322,7 @@ def test_scan_records_round_trip_through_ingestion(tmp_path):
     records, _ = depth_scan(12, 691, {691}, 3)
     path = tmp_path / "scan.json"
     path.write_text(json.dumps([r.as_dict() for r in records]))
-    back = ingest_records(path)
+    back = ingest_records(path, p=691, weight=12)
     assert len(back) == 1
     assert back[0].depth == records[0].depth == 1
     assert back[0].eigenvalues == records[0].eigenvalues
@@ -326,7 +330,7 @@ def test_scan_records_round_trip_through_ingestion(tmp_path):
 
 
 def test_full_report_example37():
-    rep = full_report(37, 32, [31, 37], prec=25, records_path=FIXTURE)
+    rep = full_report(37, 32, [31, 37], prec=25, m_max=1, records_path=FIXTURE, s_max=3)
     assert list(rep.keys()) == ["parameters", "eta", "selmer", "aux_char",
                                 "h_construction", "depths", "criterion"]
     assert rep["eta"]["valuation"] == 2
@@ -349,7 +353,7 @@ def test_full_report_example37():
 
 
 def test_full_report_691_inconclusive():
-    rep = full_report(691, 12, [691], prec=20, s_max=3)
+    rep = full_report(691, 12, [691], prec=20, m_max=1, s_max=3)
     assert rep["criterion"]["verdict"] == "inconclusive"
     assert rep["eta"]["valuation"] == 1
     recs = rep["depths"]["level1_scan"]["records"]
@@ -371,7 +375,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
 
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
-        full_report(37, 32, [31])
+        full_report(37, 32, [31], prec=20, m_max=1, s_max=3)
 
 
 def test_dim_chi_needs_a_nontrivial_extension():
@@ -385,13 +389,6 @@ def test_dim_chi_needs_a_nontrivial_extension():
     assert cert == {"dim_chi_upper_bound": 1,
                     "nontrivial_extension_certificate": "level1-congruence",
                     "dim_chi_equals_1": True}
-
-
-def test_residue_field_degree_below_one_is_a_parameter_error():
-    for f_res in (0, -1):
-        with pytest.raises(ParameterError,
-                           match=f"residue field degree f_res = {f_res} must be >= 1"):
-            selmer_upper_km1(37, 32, [31, 37], f_res)
 
 
 def test_ingest_checks_p_and_weight():
@@ -413,10 +410,10 @@ def _record_samples():
         "EigensystemRecord": lambda: EigensystemRecord(12, 1, 691, "P1", {2: 667}),
         "SkippedEigensystem": lambda: SkippedEigensystem(12, 691, "reason"),
         "EtaValue": eta37,
-        "SelmerBoundReport": lambda: selmer_upper_km1(37, 32, [31, 37], 1),
+        "SelmerBoundReport": lambda: selmer_upper_km1(37, 32, [31, 37]),
         "AuxCharCertificate": lambda: aux_char_search(37, 32, psi, 31, 1),
         "CriterionReport": lambda: nonprincipality_verdict(
-            eta37(), ingest_records(FIXTURE), 1, 1, hypothesis=DIM_ONE),
+            eta37(), ingest_records(FIXTURE, p=37, weight=32), hypothesis=DIM_ONE),
         "HConstructionReport": lambda: build_h(
             psi, 32, 31, 1, phi, [31, 37], padic_context(37, 30, 6), 12)[1],
         "CuspClass": lambda: CuspClass(1, 31, 31),

@@ -10,7 +10,6 @@ from eiscong.characters import char_eval, conductor, enumerate_chars, primitive_
 from eiscong.errors import ParameterError
 from eiscong.exact import CycElem, padic_context, valp_cyc
 from eiscong.lfunc import (
-    B1NotIntegral,
     b1_omega_min_valuation,
     b1_omega_mod,
     bernoulli,
@@ -20,6 +19,7 @@ from eiscong.lfunc import (
     kummer_check,
     l_nonpositive,
 )
+from eiscong.poly import teichmuller
 
 
 def bernoulli_recurrence_oracle(N):
@@ -237,16 +237,29 @@ def test_eta_k2_trivial_warns():
 
 
 def test_b1_omega():
-    assert b1_omega_mod(31, 37, 2) % 37 == 0
+    assert b1_omega_mod(31, 37) == 0
     # Kummer congruence oracle at (691, 12)
     b12 = bernoulli(12)
-    assert b1_omega_mod(11, 691, 1) == b12.numerator * pow(b12.denominator * 12, -1, 691) % 691
+    assert b1_omega_mod(11, 691) == b12.numerator * pow(b12.denominator * 12, -1, 691) % 691
     assert b1_omega_min_valuation(1, 5) == 0
     with pytest.raises(ParameterError):
-        b1_omega_mod(0, 37, 1)
-    with pytest.raises(B1NotIntegral):
-        b1_omega_mod(3, 5, 1)
+        b1_omega_mod(0, 37)
+    with pytest.raises(ParameterError, match="not p-integral"):
+        b1_omega_mod(3, 5)
     assert b1_omega_min_valuation(3, 5) == -1
+
+
+@pytest.mark.parametrize("p", [5, 37, 59])
+def test_power_sum_is_p_times_b1_omega(p):
+    # independent route: p * B_(1,omega^j) = sum_{a<p} omega(a)^j a, with the
+    # Teichmuller values themselves rather than a^p
+    p2 = p * p
+    for j in range(p - 1):
+        oracle = sum(pow(teichmuller(a, p, 3), j, p ** 3) * a for a in range(1, p)) % p2
+        assert lfunc._power_sum(p * j + 1, p) == oracle, j
+        if j:
+            v = -1 if oracle % p else 1 if oracle == 0 else 0
+            assert b1_omega_min_valuation(j, p) == v, j
 
 
 def test_kummer_check_examples():
@@ -270,7 +283,7 @@ def test_bernoulli_mod_cross_route():
         assert bernoulli_mod(n, p) == exact.numerator * pow(exact.denominator, -1, p) % p
     # the large case, checked against the weight-one route:
     # B_(1,omega^679) = B_680/680 mod 691
-    b1 = b1_omega_mod(679, 691, 1)
+    b1 = b1_omega_mod(679, 691)
     assert bernoulli_mod(680, 691) == b1 * 680 % 691
     assert bernoulli_mod(680, 691) != 0
 
