@@ -203,7 +203,6 @@ def _required(name, type=int):
 
 P, K, ELL, SIGMA = _required("p"), _required("k"), _required("ell"), _required("sigma", str)
 PSI = Flag("psi", str, "trivial")
-SMAX = Flag("smax", default=3)
 MMAX = Flag("mmax", default=1)
 NONTRIVIAL = Flag("assume-nontrivial-extension", bool, False)
 REPORT_PREC = Flag("prec", default=40)
@@ -220,7 +219,7 @@ COMMANDS = {
                            Flag("prec", default=50))),
     "build-h": Command("build_h", "construct and verify the cuspidal combination H",
                        (P, K, PSI, ELL, MMAX, SIGMA, Flag("prec", default=100))),
-    "scan": Command("scan", "depth scan of level-1 eigensystems", (K, P, SIGMA, SMAX)),
+    "scan": Command("scan", "depth scan of level-1 eigensystems", (K, P, SIGMA)),
     "selmer": Command("selmer", "Selmer group bounds of the trivial character", (P, K, SIGMA)),
     "aux-char": Command("aux_char", "search for a p-unit auxiliary character",
                         (P, K, PSI, ELL, MMAX)),
@@ -231,9 +230,9 @@ COMMANDS = {
                          cached=False),
     "report": Command("report", "full composite report for the trivial character",
                       (P, K, SIGMA, REPORT_PREC, Flag("ell"), MMAX,
-                       Flag("records", str), SMAX, NONTRIVIAL), cached=False),
+                       Flag("records", str), NONTRIVIAL), cached=False),
     "example37": Command("example37", "preset: the full p=37, k=32, level-31 example",
-                         (REPORT_PREC, SMAX)),
+                         (REPORT_PREC,)),
     "verify-cache": Command("verify_cache", "recompute every cache entry and compare bytes",
                             cached=False, reads_cache=True),
 }

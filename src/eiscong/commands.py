@@ -67,15 +67,15 @@ def build_h(p, k, psi, ell, mmax, sigma, prec):
     return {"aux_char": aux.as_dict(), "report": rep.as_dict(), "h": h.as_dict()}
 
 
-def scan(k, p, sigma, smax):
+def scan(k, p, sigma):
     from .poly import sturm_bound
     from .hecke1 import depth_scan
     sigma = _parse_sigma(sigma)
-    records, skipped = depth_scan(k, p, sigma, smax)
+    records, skipped, s = depth_scan(k, p, sigma)
     return {
-        "k": k, "p": p, "sigma": sigma, "s_max": smax,
+        "k": k, "p": p, "sigma": sigma, "s_max": s,
         "sturm_bound": sturm_bound(k, 1),
-        "records": [r.as_dict() | {"capped": r.capped} for r in records],
+        "records": [r.as_dict() | {"capped": False} for r in records],
         "skipped": [sk._asdict() for sk in skipped],
     }
 
@@ -120,17 +120,17 @@ def criterion(p, k, sigma, records, dim_chi_upper, assume_nontrivial_extension):
             "hypothesis_source": source} | crit.as_dict()
 
 
-def report(p, k, sigma, prec, ell, mmax, records, smax, assume_nontrivial_extension):
+def report(p, k, sigma, prec, ell, mmax, records, assume_nontrivial_extension):
     from .criteria import full_report
     return full_report(
         p, k, _parse_sigma(sigma), prec=prec, ell=ell, m_max=mmax, records_path=records,
-        assume_nontrivial_extension=assume_nontrivial_extension, s_max=smax)
+        assume_nontrivial_extension=assume_nontrivial_extension)
 
 
-def example37(prec, smax):
+def example37(prec):
     from .criteria import full_report
     return full_report(37, 32, [31, 37], prec=prec, m_max=1,
-                       records_path=fixture_path("example37.json"), s_max=smax)
+                       records_path=fixture_path("example37.json"))
 
 
 def verify_cache(cache: Cache) -> dict:

@@ -36,9 +36,10 @@ from .poly import INF, factorize, is_prime, sigma_with_p
 def selmer_lower_1mk(p: int, k: int, sigma) -> int:
     """Lower bound on val_p(#H^1_Sigma(Q, F(1-k))):
     min(val_p(B_(1,omega^(k-1))), 1) + sum_l min(val_p(1 - l^k), 1), where
-    each term of the sum is 1 iff l^k = 1 mod p."""
-    if k % 2 != 0 or not 2 <= k <= p - 1:
-        raise ParameterError("need even k with 2 <= k <= p-1")
+    each term of the sum is 1 iff l^k = 1 mod p.  k = p - 1 is out of range:
+    B_(1,omega^(p-2)) has p in its denominator."""
+    if k % 2 != 0 or not 2 <= k <= p - 3:
+        raise ParameterError("need even k with 2 <= k <= p-3")
     sigma = sigma_with_p(p, sigma)
     return b1_omega_min_valuation(k - 1, p) + sum(
         pow(ell, k, p) == 1 for ell in sigma if ell != p)
@@ -161,7 +162,8 @@ def nonprincipality_verdict(eta_value: EtaValue, records, *,
     """Decide the criterion: non-principal iff sum(depths) exceeds
     val_p(eta) and ``hypothesis``, the decision of ``dim_chi_hypothesis``,
     establishes dim H^1_Sigma(Q, chi) = 1; otherwise inconclusive, naming
-    the failing condition.
+    the failing condition.  An eta that is not p-integral is a
+    ParameterError: no depth sum can be compared with it.
     """
     records = tuple(records)
     for rec in records:
@@ -173,6 +175,9 @@ def nonprincipality_verdict(eta_value: EtaValue, records, *,
         raise ParameterError("records mix different weights or levels")
     if eta_value.valuation_vpi == INF:
         raise ComputationError("eta vanishes; the congruence module is infinite")
+    if eta_value.valuation_vpi < 0:
+        raise ParameterError(f"val_p(eta) = {eta_value.valuation_vpi} < 0: eta is not "
+                             "p-integral, so depths cannot be compared with it")
     depth_sum = sum(r.depth for r in records)
     rhs = eta_value.valuation_vpi
     established = hypothesis["dim_chi_equals_1"]
@@ -203,13 +208,13 @@ _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth",
 
 def ingest_records(path, *, p: int, weight: int) -> list:
     """Load externally computed eigensystem records (JSON array, or an object
-    with a "records" array) as EigensystemRecords: weight >= 2, and an
-    eigenvalue a_q for primes q only.  Each stated depth d must
-    be the ``congruence_depth`` of the record's eigenvalue residues read mod
-    p^(d+1), with Sigma = {p} and the primes of the level: a record with no
-    prime outside Sigma, or whose residuals all vanish, is rejected.  Each
-    record's p and weight must match the given ones; source is forced to
-    "external"."""
+    with a "records" array) as EigensystemRecords: weight, level, p and depth
+    JSON integers, weight >= 2, and an eigenvalue a_q for primes q only.  Each
+    stated depth d must be the ``congruence_depth`` of the record's eigenvalue
+    residues read mod p^(d+1), with Sigma = {p} and the primes of the level:
+    a record with no prime outside Sigma, or whose residuals all vanish, is
+    rejected.  Each record's p and weight must match the given ones; source
+    is forced to "external"."""
     from .hecke1 import EigensystemRecord, congruence_depth
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -232,11 +237,11 @@ def ingest_records(path, *, p: int, weight: int) -> list:
         missing = _RECORD_FIELDS - set(raw) - {"source"}
         if missing:
             raise SchemaError(f"{where}: missing fields {sorted(missing)}")
+        for field in ("weight", "level", "p", "depth"):
+            if type(raw[field]) is not int:  # no float or bool that int() would truncate
+                raise SchemaError(f"{where}: {field} {raw[field]!r} is not an integer")
+        rec_weight, level, rec_p, depth = raw["weight"], raw["level"], raw["p"], raw["depth"]
         try:
-            rec_weight = int(raw["weight"])
-            level = int(raw["level"])
-            rec_p = int(raw["p"])
-            depth = int(raw["depth"])
             label = str(raw["prime_label"])
             evs = {int(q): int(str(v)) for q, v in raw["eigenvalues"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
@@ -270,33 +275,22 @@ def ingest_records(path, *, p: int, weight: int) -> list:
 # composite report
 # ---------------------------------------------------------------------------
 
-def full_report(p: int, k: int, sigma, *, prec: int, ell: int | None = None,
-                m_max: int, records_path=None,
-                assume_nontrivial_extension: bool = False, s_max: int) -> dict:
+def full_report(p: int, k: int, sigma, *, prec: int, ell: int | None = None, m_max: int,
+                records_path=None, assume_nontrivial_extension: bool = False) -> dict:
     """Assemble the full pipeline for the trivial character into one
     JSON-ready report with sections parameters, eta, selmer, aux_char,
     h_construction, depths, criterion.  The Selmer bound and the level-1
     depths hold for psi = 1 only, so the report takes no character.  The
-    defaults of prec, m_max and s_max live in the flag table of ``cli``."""
+    defaults of prec and m_max live in the flag table of ``cli``; the scan
+    picks its own precision, ``parameters.s_max``, and its depths are exact."""
     from .hecke1 import depth_scan, scan_prime_bound
     sigma = sigma_with_p(p, sigma)
     if m_max < 1:
         raise ParameterError(f"conductor exponent bound m_max = {m_max} must be >= 1")
     psi = trivial_char()
     ctx = padic_context(p, 1)
-
-    report: dict = {}
-    report["parameters"] = {
-        "p": p, "k": k, "psi": psi.canonical_text(), "sigma": sigma,
-        "s": ctx.s, "precision": prec, "s_max": s_max,
-        "assume_nontrivial_extension": bool(assume_nontrivial_extension),
-    }
-
     eta_value = eta(psi, k, sigma, ctx)
-    report["eta"] = eta_value.as_dict()
-
     selmer = selmer_upper_km1(p, k, sigma)
-    report["selmer"] = selmer.as_dict()
 
     if ell is None:
         ell = next((q for q in sigma if q not in (2, p)), None)
@@ -304,30 +298,39 @@ def full_report(p: int, k: int, sigma, *, prec: int, ell: int | None = None,
     if ell is not None:
         from .qexp import aux_char_and_h
         aux, built = aux_char_and_h(p, k, psi, ell, m_max, sigma, prec)
-    report["aux_char"] = aux.as_dict() if aux else None
-    report["h_construction"] = built[1].as_dict() if built else None
 
-    records, skipped = depth_scan(k, p, sigma, s_max)
+    records, skipped, s = depth_scan(k, p, sigma)
     external = None if records_path is None else ingest_records(records_path, p=p, weight=k)
-    report["depths"] = {
-        "level1_scan": {
-            "prime_bound": scan_prime_bound(k),
-            "note": "depths verified over recorded primes up to the scan bound",
-            "records": [r.as_dict() for r in records],
-            "skipped": [sk._asdict() for sk in skipped],
-        },
-        "external": None if external is None else [r.as_dict() for r in external],
-    }
 
     hypothesis = dim_chi_hypothesis(
         selmer.dim_chi_upper,
-        congruence_certificate=any(r.depth and r.depth >= 1 for r in records),
+        congruence_certificate=any(r.depth >= 1 for r in records),
         assumed=assume_nontrivial_extension)
     criterion_records = external or records
     if criterion_records:
         crit = nonprincipality_verdict(eta_value, criterion_records, hypothesis=hypothesis)
-        report["criterion"] = {"hypothesis": hypothesis, **crit.as_dict()}
+        criterion = {"hypothesis": hypothesis, **crit.as_dict()}
     else:
-        report["criterion"] = {"hypothesis": hypothesis, "verdict": "inconclusive",
-                               "conclusion": "no eigensystem records available"}
-    return report
+        criterion = {"hypothesis": hypothesis, "verdict": "inconclusive",
+                     "conclusion": "no eigensystem records available"}
+    return {
+        "parameters": {
+            "p": p, "k": k, "psi": psi.canonical_text(), "sigma": sigma,
+            "s": ctx.s, "precision": prec, "s_max": s,
+            "assume_nontrivial_extension": bool(assume_nontrivial_extension),
+        },
+        "eta": eta_value.as_dict(),
+        "selmer": selmer.as_dict(),
+        "aux_char": aux.as_dict() if aux else None,
+        "h_construction": built[1].as_dict() if built else None,
+        "depths": {
+            "level1_scan": {
+                "prime_bound": scan_prime_bound(k),
+                "note": "depths verified over recorded primes up to the scan bound",
+                "records": [r.as_dict() for r in records],
+                "skipped": [sk._asdict() for sk in skipped],
+            },
+            "external": None if external is None else [r.as_dict() for r in external],
+        },
+        "criterion": criterion,
+    }

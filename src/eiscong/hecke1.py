@@ -27,8 +27,8 @@ Depths are certified over the primes q up to max(Sturm bound, 13)
 (``scan_prime_bound``); the Sturm bound alone can name no prime at all in
 low weight (it is 1 for weight 12 at level 1), so the floor keeps the scan
 meaningful.  ``congruence_depth`` is the one depth rule in the package: the
-scan applies it at s = s_max, and record ingestion (``criteria``) at one
-more power of p than the depth a record states.
+scan doubles s from 3 until every depth is below s, so each is exact, and
+record ingestion (``criteria``) reads at one more power of p than a record states.
 
 The engine works on integer lists and imports only ``errors`` and ``poly``,
 so a scan loads no rational, cyclotomic, q-series, character or L-function
@@ -115,8 +115,8 @@ def _miller_rows(k: int, P: int, m: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 class EigensystemRecord(namedtuple(
-        "EigensystemRecord", "weight level p prime_label eigenvalues depth capped source",
-        defaults=(None, False, "internal"))):
+        "EigensystemRecord", "weight level p prime_label eigenvalues depth source",
+        defaults=(None, "internal"))):
     """A Hecke eigensystem with eigenvalue residues mod p^s (``eigenvalues``
     maps each prime q to its residue) and, once a depth scan ran, the
     congruence depth against 1 + q^(k-1) (None before)."""
@@ -265,17 +265,19 @@ def congruence_depth(eigenvalues, k: int, p: int, sigma, s: int) -> int | None:
                 for q, aq in eigenvalues.items() if q not in sigma), default=None)
 
 
-def depth_scan(k: int, p: int, sigma, s_max: int):
-    """Scan the level-1 eigensystems of weight k for congruence depth with
-    the Eisenstein eigenvalues 1 + q^(k-1), by ``congruence_depth`` at
-    s = s_max (``capped`` marks records whose depth reached the cap).
-    """
-    sigma = sigma_with_p(p, sigma)
-    records, skipped = eigensystems_mod(k, p, s_max)
-    out = []
-    for rec in records:
-        depth = congruence_depth(rec.eigenvalues, k, p, sigma, s_max)
-        if depth is None:
+def depth_scan(k: int, p: int, sigma):
+    """(records, skipped, s): the level-1 eigensystems of weight k, each
+    with its exact congruence depth against 1 + q^(k-1), read by
+    ``congruence_depth`` mod p^s for s = 3, 6, 12, ... until every depth is
+    below s.  That ends: |a_q| <= 2 q^((k-1)/2) < 1 + q^(k-1) in every
+    complex embedding (Deligne), so a_q - 1 - q^(k-1) != 0 has a finite
+    valuation.  Labels and skips depend on charpoly(T_2) mod p alone."""
+    sigma, s = sigma_with_p(p, sigma), 3
+    while True:
+        records, skipped = eigensystems_mod(k, p, s)
+        depths = [congruence_depth(r.eigenvalues, k, p, sigma, s) for r in records]
+        if None in depths:
             raise ComputationError("no primes outside Sigma were recorded")
-        out.append(rec._replace(depth=depth, capped=depth >= s_max))
-    return out, skipped
+        if all(d < s for d in depths):
+            return [r._replace(depth=d) for r, d in zip(records, depths)], skipped, s
+        s *= 2

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 from eiscong.cli import Cache, fixture_path, main
 
@@ -70,12 +72,24 @@ def test_eisenstein_command(tmp_path, capsys):
 
 def test_scan_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "scan",
-                           "--k", "12", "--p", "691", "--sigma", "691",
-                           "--smax", "3")
+                           "--k", "12", "--p", "691", "--sigma", "691")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["records"]) == 1
     assert payload["records"][0]["depth"] == 1
+    assert (payload["s_max"], payload["records"][0]["capped"]) == (3, False)
+
+
+def test_scan_prints_an_exact_depth(capsys):
+    # v_3(a_q - 1 - q^21) is 3 at q = 2: before, 3^3 gave depth 3 marked
+    # capped in `scan` and printed as if exact by `report`
+    code, out, err = run_cli(capsys, "--no-cache", "scan", "--k", "22", "--p", "3",
+                             "--sigma", "3")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["s_max"] == 6
+    assert [(r["depth"], r["capped"]) for r in payload["records"]] == [(3, False)]
+    assert payload["records"][0]["eigenvalues"]["2"] == "441"
 
 
 def test_criterion_command(tmp_path, capsys):
@@ -281,16 +295,6 @@ def test_every_declared_flag_changes_the_cache_key(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_scan_precision_below_one_is_a_parameter_error(capsys):
-    for command in (("scan", "--k", "12", "--p", "691", "--sigma", "691", "--smax", "0"),
-                    ("scan", "--k", "12", "--p", "691", "--sigma", "691", "--smax", "-2"),
-                    ("example37", "--smax", "0", "--prec", "10")):
-        code, out, err = run_cli(capsys, "--no-cache", *command)
-        assert (code, out) == (1, ""), command
-        assert json.loads(err)["error"] == "parameter"
-        assert "must be >= 1" in json.loads(err)["message"]
-
-
 def test_negative_eisenstein_precision_is_a_parameter_error(capsys):
     code, out, err = run_cli(capsys, "--no-cache", "eisenstein", "--l", "4", "--prec", "-5")
     assert (code, out) == (1, "")
@@ -383,7 +387,8 @@ def test_criterion_rejects_a_depth_no_residual_checks(tmp_path, capsys):
 def test_cut_and_retired_flag_names_are_unrecognized(capsys):
     # before: a flag cut to a unique prefix parsed, so `--s 37` read as
     # `--sigma 37` (exit 0), and `report --psi` and `selmer --fres` fed a
-    # character or residue degree into bounds that hold for psi = 1 only
+    # character or residue degree into bounds that hold for psi = 1 only; and
+    # `--smax` capped the depths that scans now read exactly
     records = fixture_path("example37.json")
     build_h = ("build-h", "--p", "37", "--k", "32", "--ell", "19", "--sigma", "19,37",
                "--prec", "30")
@@ -395,13 +400,80 @@ def test_cut_and_retired_flag_names_are_unrecognized(capsys):
                  ("report", "--p", "37", "--k", "32", "--sigma", "31,37",
                   "--records", records, "--psi", "11:[2]"),
                  ("selmer", "--p", "37", "--k", "32", "--sigma", "31,37", "--fres", "2"),
-                 ("selmer", "--p", "37", "--k", "32", "--sigma", "31,37", "--fres", "0")):
+                 ("selmer", "--p", "37", "--k", "32", "--sigma", "31,37", "--fres", "0"),
+                 ("scan", "--k", "12", "--p", "691", "--sigma", "691", "--smax", "3"),
+                 ("report", "--p", "691", "--k", "12", "--sigma", "691", "--smax", "3"),
+                 ("example37", "--smax", "3")):
         code, out, err = run_cli(capsys, "--no-cache", *argv)
         assert (code, out) == (1, ""), argv
         assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"), argv
     code, out, err = run_cli(capsys, "--no-c", "bernoulli", "--n", "3")
     assert (code, out) == (1, "")
     assert err.endswith("error: unrecognized arguments: --no-c\n")
+
+
+def test_no_verdict_on_an_eta_that_is_not_p_integral(tmp_path, capsys):
+    # (p - 1) | k gives val_p(eta) = -1, and before, depth sums of 0 and 3
+    # "exceeded" it: each command printed non-principal, and selmer printed
+    # lower_bound_1mk = -1
+    records = {}
+    for p, k in ((13, 12), (3, 22)):
+        _, out, _ = run_cli(capsys, "--no-cache", "scan", "--k", str(k), "--p", str(p),
+                            "--sigma", str(p))
+        records[p] = tmp_path / f"rec{p}.json"
+        records[p].write_text(json.dumps(json.loads(out)["records"]))
+    criterion13 = ("criterion", "--p", "13", "--k", "12", "--sigma", "13",
+                   "--records", str(records[13]), "--assume-nontrivial-extension")
+    for argv, message in (
+            (criterion13, "need even k with 2 <= k <= p-3"),
+            ((*criterion13, "--dim-chi-upper", "1"), "val_p(eta) = -1 < 0"),
+            (("criterion", "--p", "3", "--k", "22", "--sigma", "3", "--records",
+              str(records[3]), "--dim-chi-upper", "1"), "val_p(eta) = -1 < 0"),
+            (("report", "--p", "13", "--k", "12", "--sigma", "13", "--prec", "5",
+              "--assume-nontrivial-extension"), "need even k with 2 <= k <= p-3"),
+            (("selmer", "--p", "13", "--k", "12", "--sigma", "13"),
+             "need even k with 2 <= k <= p-3")):
+        code, out, err = run_cli(capsys, "--no-cache", *argv)
+        assert (code, out) == (1, ""), argv
+        assert json.loads(err)["error"] == "parameter", argv
+        assert message in json.loads(err)["message"], argv
+
+
+def test_criterion_reads_integers_not_truncations(tmp_path, capsys):
+    # before, int() truncated each value and the verdict was non-principal
+    data = json.loads(Path(fixture_path("example37.json")).read_text(encoding="utf-8"))
+    for rec, (field, value) in zip(data["records"], (("depth", 1.9), ("weight", 32.5),
+                                                     ("level", 31.7), ("p", 37.2),
+                                                     ("depth", True))):
+        rec[field] = value
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "--no-cache", "criterion", "--p", "37", "--k", "32",
+                             "--sigma", "31,37", "--records", str(path),
+                             "--assume-nontrivial-extension")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "parameter"
+    assert json.loads(err)["message"].endswith("record 0: depth 1.9 is not an integer")
+
+
+def readme_command_lines():
+    """The `eiscong ...` lines of README's "Command line" block, continuations
+    joined, with each path resolved against the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        assert words[0] == "eiscong", line
+        yield [str(root / w) if (root / w).is_file() else w for w in words[1:]]
+
+
+def test_readme_command_lines_run(capsys):
+    lines = list(readme_command_lines())
+    assert len(lines) == 13
+    for argv in lines:
+        code, _, err = run_cli(capsys, "--no-cache", *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_ell_outside_sigma_is_a_parameter_error(capsys):

@@ -40,6 +40,15 @@ def test_selmer_lower_examples():
     assert selmer_lower_1mk(13, 4, {13}) == 0
 
 
+@pytest.mark.parametrize("p, k", [(13, 12), (37, 36), (3, 2), (13, 14)])
+def test_selmer_lower_needs_k_below_p_minus_1(p, k):
+    # before, k = p - 1 printed lower_bound_1mk = -1: B_(1,omega^(p-2)) is
+    # not p-integral
+    with pytest.raises(ParameterError, match="2 <= k <= p-3"):
+        selmer_lower_1mk(p, k, {p})
+    assert selmer_lower_1mk(13, 10, {13}) == 0
+
+
 def test_selmer_lower_monotonicity():
     for ell in (3, 5, 11, 41):
         gained = (selmer_lower_1mk(37, 32, {31, 37, ell})
@@ -210,6 +219,18 @@ def test_verdict_needs_more_than_an_upper_bound():
         nonprincipality_verdict(eta37(), records, 1)
 
 
+@pytest.mark.parametrize("p, k", [(13, 12), (3, 22)])
+def test_verdict_needs_a_p_integral_eta(p, k):
+    # (p - 1) | k puts p in the denominator of B_k, so val_p(eta) = -1 and a
+    # depth sum of 0 or 3 "exceeded" it: before, the verdict was non-principal
+    from eiscong.hecke1 import depth_scan
+    records, _, _ = depth_scan(k, p, {p})
+    ev = eta(trivial_char(1), k, [p], padic_context(p, 1))
+    assert ev.valuation_vpi == -1
+    with pytest.raises(ParameterError, match="val_p\\(eta\\) = -1 < 0"):
+        nonprincipality_verdict(ev, records, hypothesis=DIM_ONE)
+
+
 def test_verdict_mixed_records_rejected():
     records = ingest_records(FIXTURE, p=37, weight=32)
     bad = records[0]._replace(weight=12)
@@ -246,6 +267,18 @@ def test_ingest_errors(tmp_path):
         "eigenvalues": {"2": "5"}, "depth": 0, "source": "external"}]))
     with pytest.raises(ParameterError, match="p = 1 is not prime"):
         ingest_records(not_prime, p=1, weight=32)
+
+
+# Values int() truncated: before, depth 1.9 read as 1 and p = 37.2 as 37.
+@pytest.mark.parametrize("field, value", [("depth", 1.9), ("weight", 32.5), ("level", 31.7),
+                                          ("p", 37.2), ("depth", True), ("weight", "32")])
+def test_ingest_reads_integers_not_truncations(tmp_path, field, value):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data["records"][3][field] = value
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"record 3: {field} {value!r} is not an integer"):
+        ingest_records(path, p=37, weight=32)
 
 
 # Two records whose stated depth no residual checks: a level-1 residual of
@@ -319,7 +352,7 @@ def test_kummer_sweep_consistency():
 def test_scan_records_round_trip_through_ingestion(tmp_path):
     # the internal record schema is the ingestion schema
     from eiscong.hecke1 import depth_scan
-    records, _ = depth_scan(12, 691, {691}, 3)
+    records, _, _ = depth_scan(12, 691, {691})
     path = tmp_path / "scan.json"
     path.write_text(json.dumps([r.as_dict() for r in records]))
     back = ingest_records(path, p=691, weight=12)
@@ -330,7 +363,7 @@ def test_scan_records_round_trip_through_ingestion(tmp_path):
 
 
 def test_full_report_example37():
-    rep = full_report(37, 32, [31, 37], prec=25, m_max=1, records_path=FIXTURE, s_max=3)
+    rep = full_report(37, 32, [31, 37], prec=25, m_max=1, records_path=FIXTURE)
     assert list(rep.keys()) == ["parameters", "eta", "selmer", "aux_char",
                                 "h_construction", "depths", "criterion"]
     assert rep["eta"]["valuation"] == 2
@@ -353,7 +386,7 @@ def test_full_report_example37():
 
 
 def test_full_report_691_inconclusive():
-    rep = full_report(691, 12, [691], prec=20, m_max=1, s_max=3)
+    rep = full_report(691, 12, [691], prec=20, m_max=1)
     assert rep["criterion"]["verdict"] == "inconclusive"
     assert rep["eta"]["valuation"] == 1
     recs = rep["depths"]["level1_scan"]["records"]
@@ -367,7 +400,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
     enumerate_chars = qexp.enumerate_chars
     monkeypatch.setattr(qexp, "enumerate_chars",
                         lambda f, **kw: [] if f == 5 else enumerate_chars(f, **kw))
-    rep = full_report(37, 32, [5, 37], prec=20, ell=5, m_max=2, s_max=2)
+    rep = full_report(37, 32, [5, 37], prec=20, ell=5, m_max=2)
     assert rep["aux_char"]["conductor"] == 25
     h = rep["h_construction"]
     assert (h["m"], h["cusp_count"], h["cusps_vanish"], h["passed"]) == (2, 6, True, True)
@@ -375,7 +408,7 @@ def test_full_report_builds_h_at_the_exponent_of_the_conductor_found(monkeypatch
 
 def test_full_report_rejects_bad_sigma():
     with pytest.raises(ParameterError):
-        full_report(37, 32, [31], prec=20, m_max=1, s_max=3)
+        full_report(37, 32, [31], prec=20, m_max=1)
 
 
 def test_dim_chi_needs_a_nontrivial_extension():

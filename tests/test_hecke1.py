@@ -13,6 +13,7 @@ from eiscong.errors import ComputationError, ParameterError
 from eiscong.hecke1 import (
     _miller_rows,
     charpoly,
+    congruence_depth,
     depth_scan,
     dim_cusp,
     dim_modular,
@@ -20,7 +21,7 @@ from eiscong.hecke1 import (
     residue_valuation,
     scan_prime_bound,
 )
-from eiscong.poly import KRONECKER_MIN_LEN
+from eiscong.poly import KRONECKER_MIN_LEN, sigma_with_p, valp_int
 from level1_oracle import hecke_matrix, miller_basis, miller_rows
 
 
@@ -237,9 +238,9 @@ def test_eigenvector_check_raises(monkeypatch):
 
 
 def test_depth_scan_ramanujan():
-    recs, _ = depth_scan(12, 691, {691}, 3)
+    recs, _, s = depth_scan(12, 691, {691})
     assert len(recs) == 1
-    assert recs[0].depth == 1 and not recs[0].capped
+    assert recs[0].depth == 1 and s == 3
     # oracle: direct residue check of the eta-product coefficients
     oracle = delta_eta_product(14)
     vals = [residue_valuation(oracle[q] - (1 + q ** 11), 691, 3)
@@ -248,26 +249,26 @@ def test_depth_scan_ramanujan():
 
 
 def test_depth_scan_weight32():
-    recs, _ = depth_scan(32, 37, {31, 37}, 3)
-    assert any(r.depth is not None and r.depth >= 1 for r in recs)
+    recs, _, _ = depth_scan(32, 37, {31, 37})
+    assert any(r.depth >= 1 for r in recs)
 
 
 def test_depth_scan_3617():
-    recs, _ = depth_scan(16, 3617, {3617}, 2)
+    recs, _, _ = depth_scan(16, 3617, {3617})
     assert any(r.depth >= 1 for r in recs)
 
 
 def test_depth_scan_requires_p_in_sigma():
     with pytest.raises(ParameterError):
-        depth_scan(12, 691, {5}, 2)
+        depth_scan(12, 691, {5})
 
 
 def test_record_serialization():
-    recs, _ = depth_scan(12, 691, {691}, 2)
+    recs, _, _ = depth_scan(12, 691, {691})
     d = recs[0].as_dict()
     assert d["weight"] == 12 and d["level"] == 1 and d["p"] == 691
     assert d["source"] == "internal"
-    assert d["eigenvalues"]["2"] == str((-24) % 691 ** 2)
+    assert d["eigenvalues"]["2"] == str((-24) % 691 ** 3)
     assert d["depth"] == 1
 
 
@@ -280,7 +281,7 @@ def test_depth_scan_builds_the_basis_once_per_weight(monkeypatch):
 
     build = hecke1._miller_rows
     monkeypatch.setattr(hecke1, "_miller_rows", counting)
-    recs, skipped = depth_scan(110, 157, {157}, 3)
+    recs, skipped, _ = depth_scan(110, 157, {157})
     # max(2 dim + 1, largest recorded prime) = max(2 * 8 + 1, 13)
     assert builds == [(110, 17, 157**3)]
     assert [r.depth for r in recs] == [0, 1, 0]
@@ -407,34 +408,71 @@ def test_extraction_matches_the_root_scan_reference(k):
         assert [s.reason for s in skipped] == reasons, p
 
 
-# sha256 of the records and skip reasons of depth_scan(k, p, {p}, s) on the
-# grid below, as compact JSON with sorted keys; recorded with charpoly(T_2)
-# from Newton's identities over Q.
+def fixed_precision_scan(k, p, sigma, s):
+    """The depth scan at one precision p^s: each record's depth read mod p^s
+    by ``congruence_depth``, and capped (only a lower bound) when it
+    reaches s; the scan engine itself raises s until no depth is capped."""
+    records, skipped = eigensystems_mod(k, p, s)
+    depths = [congruence_depth(r.eigenvalues, k, p, sigma_with_p(p, sigma), s)
+              for r in records]
+    return [(r._replace(depth=d), d >= s) for r, d in zip(records, depths)], skipped
+
+
+# sha256 of the records and skip reasons of the fixed-precision scan at
+# (k, p, {p}, s) on the grid below, as compact JSON with sorted keys;
+# recorded with charpoly(T_2) from Newton's identities over Q.
 SCAN_GRID_SHA256 = "e901bc8083cecef4a949482eb8bcf5039b61f959079d93c3f10b44075a01be50"
+GRID_WEIGHTS = range(12, 171, 2)
 
 
 def test_scan_grid_matches_the_recorded_digest():
     cases = [{"k": k, "p": p, "s": s,
-              "records": [r.as_dict() | {"capped": r.capped} for r in recs],
+              "records": [r.as_dict() | {"capped": capped} for r, capped in recs],
               "skipped": [sk.reason for sk in skipped]}
-             for k in range(12, 171, 2)
+             for k in GRID_WEIGHTS
              for p in (3, 5, 7, 11, 13, 37, 131, 157, 233, 691, 3617)
              for s in (1, 3)
-             for recs, skipped in [depth_scan(k, p, {p}, s)]]
+             for recs, skipped in [fixed_precision_scan(k, p, {p}, s)]]
     assert len(cases) == 1760
     text = json.dumps(cases, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_GRID_SHA256
 
 
+def test_depth_scan_raises_the_precision_until_the_depth_is_exact():
+    # S_22 is one-dimensional, and v_3(a_q - 1 - q^21) over q = 2, 5, 7, 11, 13
+    # is 3, 3, 5, 3, 5 on the exact integers a_q: the depth is 3, which p^3
+    # reads only as "at least 3", so the scan must go on to 3^6
+    exact = {q: hecke_matrix(22, q)[0][0] for q in (2, 3, 5, 7, 11, 13)}
+    assert [valp_int(exact[q] - 1 - q**21, 3) for q in (2, 5, 7, 11, 13)] == [3, 3, 5, 3, 5]
+    (rec,), skipped, s = depth_scan(22, 3, {3})
+    assert (rec.depth, s, skipped) == (3, 6, [])
+    assert rec.eigenvalues == {q: a % 3**6 for q, a in exact.items()}
+    assert rec.eigenvalues[2] == 441 == -288 % 3**6
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_depth_scan_agrees_with_the_fixed_precision_scan(p):
+    # same labels and skips as at s = 1; the same depth where p^1 pins it,
+    # at least 1 where it is capped there
+    for k in GRID_WEIGHTS:
+        recs, skipped, s = depth_scan(k, p, {p})
+        fixed, fixed_skipped = fixed_precision_scan(k, p, {p}, 1)
+        assert [sk.reason for sk in skipped] == [sk.reason for sk in fixed_skipped], k
+        assert [r.prime_label for r in recs] == [r.prime_label for r, _ in fixed], k
+        for r, (f, capped) in zip(recs, fixed):
+            assert r.depth >= 1 if capped else r.depth == f.depth, (k, r.prime_label)
+            assert r.depth < s, k
+
+
 def test_depth_scan_beyond_a_million():
     # no O(p) root scan: the roots come from gcd(f, x^p - x)
-    recs, skipped = depth_scan(12, 1000003, {1000003}, 2)
+    recs, skipped, s = depth_scan(12, 1000003, {1000003})
     assert len(recs) == 1 and not skipped
-    assert recs[0].eigenvalues[2] == -24 % 1000003 ** 2
+    assert recs[0].eigenvalues[2] == -24 % 1000003 ** s
 
 
-# Records of high-weight scans: the label and the eigenvalues a_q mod p^s
-# for the primes q up to the scan bound, every record uncapped and of depth 0
+# Records of high-weight fixed-precision scans: the label and the eigenvalues
+# a_q mod p^s for the primes q up to the scan bound, every record uncapped and of depth 0
 # unless HIGH_WEIGHT_DEPTHS says otherwise.  k = 284 and 400 were recorded
 # with the former read-off of each a_q from a dim x dim T_q matrix on a
 # Miller basis to precision dim * 23 + 1 and dim * 31 + 1; k = 800 (dim 66)
@@ -499,8 +537,8 @@ HIGH_WEIGHT_DEPTHS = {(800, 37, 2): {"T2-root-18": 1}}
 def test_high_weight_scan_matches_the_recorded_records(k, p, s):
     expected, reasons = HIGH_WEIGHT_SCANS[k, p, s]
     primes = recorded_primes(k)
-    recs, skipped = depth_scan(k, p, {p}, s)
-    assert [r.as_dict() | {"capped": r.capped} for r in recs] == [
+    recs, skipped = fixed_precision_scan(k, p, {p}, s)
+    assert [r.as_dict() | {"capped": capped} for r, capped in recs] == [
         {"weight": k, "level": 1, "p": p, "prime_label": label,
          "eigenvalues": {str(q): str(a) for q, a in zip(primes, values)},
          "depth": HIGH_WEIGHT_DEPTHS.get((k, p, s), {}).get(label, 0),
