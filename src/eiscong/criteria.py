@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .characters import trivial_char
 from .errors import ComputationError, ParameterError, SchemaError
-from .exact import padic_context
+from .exact import START_PRECISION, padic_context
 from .lfunc import EtaValue, b1_omega_min_valuation, bernoulli_mod, eta
 from .poly import INF, factorize, is_prime, sigma_with_p
 
@@ -316,7 +316,7 @@ def full_report(p: int, k: int, sigma, *, prec: int, ell: int | None = None, m_m
     return {
         "parameters": {
             "p": p, "k": k, "psi": psi.canonical_text(), "sigma": sigma,
-            "s": ctx.s, "precision": prec, "s_max": s,
+            "s": START_PRECISION, "precision": prec, "s_max": s,
             "assume_nontrivial_extension": bool(assume_nontrivial_extension),
         },
         "eta": eta_value.as_dict(),

@@ -13,15 +13,16 @@ zeta_F^(F/f), so arithmetic on two conductors, and a valuation at a prime of
 a larger field, lift through it: no caller lifts by hand.  Conductors are
 capped at MAX_CONDUCTOR to bound polynomial degrees.
 
-A ``PadicContext`` fixes a prime above p in Q(zeta_f) for p not dividing f:
-it factors the f-th cyclotomic polynomial mod p (all factors share degree
-d = ord of p in (Z/f)^*) by roots of unity mod p when d = 1 and by Gauss
-periods otherwise, selects the lexicographically smallest factor (ascending
-coefficient sequence, entries normalized into [0, p)) and Hensel-lifts it
-alone to mod p^s.  The extension is unramified, so e = 1 and the
-pi-adic valuation of an element equals the minimum p-valuation of its
-coordinates in the degree-d unramified quotient Z[x]/(p^s, g(x)); where
-those all vanish, ``valp_cyc`` lifts g further, so no caller chooses s.
+A ``PadicContext`` names a prime above p in Q(zeta_f) for p not dividing f:
+the monic irreducible factor of the f-th cyclotomic polynomial mod p (all
+factors share degree d = ord of p in (Z/f)^*) that is lexicographically
+smallest (ascending coefficient sequence, entries in [0, p)), found by roots
+of unity mod p when d = 1 and by Gauss periods otherwise.  The extension is
+unramified, so e = 1 and the pi-adic valuation of an element equals the
+minimum p-valuation of its coordinates in Z[x]/(p^s, g(x)), g the Hensel
+lift of that factor mod p^s.  ``valp_cyc`` starts at s = START_PRECISION
+and lifts g further where those coordinates all vanish, so no caller
+chooses s.
 
 The integer kernels underneath (the dense multiply, exact division by a
 monic polynomial, and factoring and Hensel lifting mod p^s) and the
@@ -44,6 +45,7 @@ from .poly import (INF, _hensel_lift_factor, _pdivmod_mod, _pmul, _poly_divmod_q
                    _split_by_periods, euler_phi, factorize, is_prime, mult_order, valp_int)
 
 MAX_CONDUCTOR = 512
+START_PRECISION = 6
 
 
 def _val_json(v):
@@ -391,27 +393,24 @@ class CycElem(_Frozen):
 # p-adic contexts
 # ---------------------------------------------------------------------------
 
-class PadicContext(namedtuple("PadicContext", "p f s prime_poly residue_degree")):
-    """A fixed prime above p in Q(zeta_f) (p coprime to f), with starting
-    working precision p^s.
-
-    ``prime_poly`` is the Hensel lift mod p^s of the selected irreducible
-    factor of the f-th cyclotomic polynomial mod p, as a tuple of ints; the
-    quotient Z[x]/(p^s, prime_poly) is the length-s truncation of the
-    unramified extension of Z_p of degree ``residue_degree``.  Only that
-    factor is lifted when the context is built; ``all_factors`` lifts every
-    factor, in the same order.  ``valp_cyc`` lifts the factor further when
-    p^s does not pin a valuation down, so s sets where the work starts, not
-    what the answer is.  The ramification index is 1, since p does not
-    divide f.
+class PadicContext(namedtuple("PadicContext", "p f factor")):
+    """A prime above p in Q(zeta_f) (p coprime to f), named by ``factor``,
+    its monic irreducible factor of the f-th cyclotomic polynomial mod p as
+    a tuple of ints.  The residue field is F_p[x]/(factor), of degree
+    ``residue_degree``; the ramification index is 1, since p does not
+    divide f.  ``all_factors`` lists every such factor, sorted, so a test
+    can name any prime above p by ``_replace(factor=...)``.
     """
 
     __slots__ = ()
 
     @property
+    def residue_degree(self) -> int:
+        return len(self.factor) - 1
+
+    @property
     def all_factors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_lifted_factor(self.p, self.f, tuple(g0), self.s)
-                     for g0 in _cyclotomic_factors_mod_p(self.p, self.f))
+        return tuple(map(tuple, _cyclotomic_factors_mod_p(self.p, self.f)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,48 +448,40 @@ def _cyclotomic_factors_mod_p(p: int, f: int) -> list[list[int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def padic_context(p: int, f: int, s: int = 6) -> PadicContext:
-    """Build the deterministic PadicContext for (p, f, s).
-
-    The prime is chosen as the lexicographically smallest irreducible factor
-    of Phi_f mod p (comparing ascending coefficient sequences with entries
-    in [0, p)).  Every caller in the package starts at the default s = 6.
-    """
+def padic_context(p: int, f: int) -> PadicContext:
+    """The deterministic PadicContext for (p, f): the prime of the
+    lexicographically smallest irreducible factor of Phi_f mod p (comparing
+    ascending coefficient sequences with entries in [0, p))."""
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if s < 1:
-        raise ParameterError("precision s must be >= 1")
     if f < 1 or f > MAX_CONDUCTOR:
         raise ConductorTooLargeError(f"conductor {f} out of range")
     if f % p == 0:
         raise RamifiedPrimeError(
             f"p = {p} divides the conductor {f}; ramified primes are unsupported")
-    g0 = _cyclotomic_factors_mod_p(p, f)[0]
-    return PadicContext(p=p, f=f, s=s, prime_poly=_lifted_factor(p, f, tuple(g0), s),
-                        residue_degree=len(g0) - 1)
+    return PadicContext(p=p, f=f, factor=tuple(_cyclotomic_factors_mod_p(p, f)[0]))
 
 
 def valp_cyc(x: CycElem, ctx: PadicContext):
-    """Valuation of x at the context's chosen prime; INF for zero.  x is
-    lifted to the context's conductor, which its own conductor must divide.
+    """Valuation of x at the context's prime; INF for zero.  x is lifted to
+    the context's conductor, which its own conductor must divide.
 
     Since e = 1 this equals the p-adic valuation of the image of x in the
     unramified extension of degree ``residue_degree``.  Denominators are
-    handled by clearing them and subtracting their p-valuation.  When the
-    image of a nonzero x vanishes mod p^s, the chosen factor is lifted to
-    p^(2s) and the image read again, until its valuation is below the
-    precision.  The lift mod p^(2s) reduces to the lift mod p^s, since both
-    lift one factor mod p, so the answer does not depend on ``ctx.s``.
+    handled by clearing them and subtracting their p-valuation.  The image
+    is read mod p^s for s = START_PRECISION, 2 START_PRECISION, ...: at each
+    s the factor is Hensel-lifted mod p^s, and the first s at which the
+    image of a nonzero x does not vanish pins its valuation.
     """
     x = x.lift(ctx.f)
     if x.is_zero():
         return INF
-    p, s, g = ctx.p, ctx.s, ctx.prime_poly
+    p, s = ctx.p, START_PRECISION
     while True:
         mod = p**s
-        _, r = _pdivmod_mod([c % mod for c in x.nums], [c % mod for c in g], mod)
+        g = _lifted_factor(p, ctx.f, ctx.factor, s)
+        _, r = _pdivmod_mod([c % mod for c in x.nums], g, mod)
         v = min((valp_int(c, p) for c in r if c), default=INF)
         if v < s:
             return v - valp_int(x.den, p)
         s *= 2
-        g = _lifted_factor(p, ctx.f, tuple(c % p for c in g), s)

@@ -26,7 +26,8 @@ from .characters import (
     primitive_char,
 )
 from .errors import ComputationError, ParameterError
-from .exact import CycElem, PadicContext, _Frozen, _val_json, padic_context, valp_cyc
+from .exact import (START_PRECISION, CycElem, PadicContext, _Frozen, _val_json, padic_context,
+                    valp_cyc)
 from .lfunc import eta, l_nonpositive
 from .poly import _pmul, euler_phi, is_prime, valp_int
 
@@ -296,10 +297,17 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
     equals eta/(a_0(G) k) up to the p-unit -1/2, so H = F_m modulo eta and
     a_(ell^(m-1))(H) = 1 - scale * a_(ell^(m-1))(G) stays a p-unit.
 
+    The depth of the congruence, min_n v(a_n(F_m - H)), is v(scale) +
+    min_n v(a_n(G)), since v is a discrete valuation at the chosen prime.
+
     Returns (H, HConstructionReport).  Requires a_0(G) to be a p-unit (the
-    auxiliary-character certificate) and ell in Sigma.
+    auxiliary-character certificate), ell in Sigma, and P >= ell^(m-1).
     """
     _check_ell_in_sigma(ell, sigma)
+    unit_index = ell ** (m - 1)
+    if P < unit_index:
+        raise ParameterError(f"precision {P} is below ell^(m-1) = {unit_index}, "
+                             "the index of the unit coefficient of H")
     psi = primitive_char(psi)
     phi = primitive_char(phi)
     p = ctx.p
@@ -316,18 +324,12 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
             f"a_0(G) has valuation {v0}; the auxiliary character does not satisfy "
             "the p-unit condition")
     scale = F.coeff(0) * a0G.inverse()
-    S = G.scale(scale)
-    H = (F - S)._replace(label="H", level=F.level)
+    H = (F - G.scale(scale))._replace(label="H", level=F.level)
 
-    unit_index = ell ** (m - 1)
-    a0_is_zero = H.coeff(0).is_zero()
     vals = [valp_cyc(H.coeff(n), ctx) for n in range(1, H.precision + 1)]
     first_bad = next((n for n, v in enumerate(vals, 1) if v < 0), None)
-    p_integral = first_bad is None
-    unit_val = valp_cyc(H.coeff(unit_index), ctx)
-
-    diff_depth = min(valp_cyc(S.coeff(n), ctx) for n in range(H.precision + 1))  # F - H = S
-    congruent = diff_depth >= eta_val.valuation_vpi
+    scale_val = valp_cyc(scale, ctx)
+    depth = scale_val + min(valp_cyc(c, ctx) for c in G.coefficients)  # F - H = scale * G
 
     cusps = cusps_gamma0(F.level)
     cusps_ok = all((fm_cusp_constant(psi, k, ell, m, cusp)
@@ -335,11 +337,10 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
 
     report = HConstructionReport(
         weight=k, ell=ell, m=m, precision=P, eta=eta_val,
-        scale_valuation=valp_cyc(scale, ctx),
-        a0_is_zero=a0_is_zero,
-        p_integral=p_integral, first_nonintegral_index=first_bad,
-        unit_index=unit_index, unit_coeff_valuation=unit_val,
-        congruence_depth=diff_depth, congruent_to_fm_mod_eta=congruent,
+        scale_valuation=scale_val, a0_is_zero=H.coeff(0).is_zero(),
+        p_integral=first_bad is None, first_nonintegral_index=first_bad,
+        unit_index=unit_index, unit_coeff_valuation=vals[unit_index - 1],
+        congruence_depth=depth, congruent_to_fm_mod_eta=depth >= eta_val.valuation_vpi,
         cusps_vanish=cusps_ok, cusp_count=len(cusps))
     return H, report
 
@@ -350,8 +351,7 @@ def build_h(psi: DirichletChar, k: int, ell: int, m: int, phi: DirichletChar,
 
 class AuxCharCertificate(namedtuple(
         "AuxCharCertificate",
-        "found char conductor val_l_psi_phi val_l_phi_inv context_conductor context_precision"
-        " searched_m_max")):
+        "found char conductor val_l_psi_phi val_l_phi_inv context_conductor searched_m_max")):
     """Outcome of the p-unit auxiliary-character search at conductor ell^m;
     ``char`` (a DirichletChar), ``conductor`` and the two valuations are None
     when none was found."""
@@ -366,7 +366,7 @@ class AuxCharCertificate(namedtuple(
             "val_L_psi_phi_0": self.val_l_psi_phi,
             "val_L_phi_inv_2mk": self.val_l_phi_inv,
             "context_conductor": self.context_conductor,
-            "context_precision": self.context_precision,
+            "context_precision": START_PRECISION,
             "searched_m_max": self.searched_m_max,
         }
 
@@ -411,13 +411,11 @@ def aux_char_search(p: int, k: int, psi: DirichletChar, ell: int,
             return AuxCharCertificate(
                 found=True, char=phi, conductor=ell**m,
                 val_l_psi_phi=v1, val_l_phi_inv=v2,
-                context_conductor=ctx_m.f, context_precision=ctx_m.s,
-                searched_m_max=m_max)
+                context_conductor=ctx_m.f, searched_m_max=m_max)
     return AuxCharCertificate(
         found=False, char=None, conductor=None,
         val_l_psi_phi=None, val_l_phi_inv=None,
-        context_conductor=ctx_m.f, context_precision=ctx_m.s,
-        searched_m_max=m_max)
+        context_conductor=ctx_m.f, searched_m_max=m_max)
 
 
 def _check_ell_in_sigma(ell: int, sigma) -> None:

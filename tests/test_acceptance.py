@@ -106,7 +106,7 @@ def test_criterion_05_aux_character():
         assert (cert.val_l_psi_phi, cert.val_l_phi_inv) == (0, 0)
         assert cert.char.parity == (-1) ** 31
         # independent recomputation of both valuations from scratch
-        ctx = padic_context(37, 30, 7)
+        ctx = padic_context(37, 30)
         phi = primitive_char(cert.char)
         l1 = l_nonpositive(primitive_char(char_product(trivial_char(1), phi)), 0)
         l2 = l_nonpositive(primitive_char(char_inverse(phi)), 2 - 32)
@@ -120,7 +120,7 @@ def test_criterion_06_h_construction():
     with Gate(6, 600, "H at precision 100: a_0 = 0, p-integral, a_1 a 37-unit, "
                       "H = F_1 mod 37^2, zero at every cusp of level 31"):
         cert = aux_char_search(37, 32, trivial_char(1), 31, 1)
-        ctx = padic_context(37, 30, 8)
+        ctx = padic_context(37, 30)
         h, rep = build_h(trivial_char(1), 32, 31, 1, cert.char, [31, 37], ctx, 100)
         assert rep.precision == 100
         assert rep.a0_is_zero
@@ -137,7 +137,7 @@ def test_criterion_07_ramanujan_depth():
         records, skipped, _ = depth_scan(12, 691, {691})
         assert len(records) == 1 and not skipped
         assert records[0].depth == 1
-        ev = eta(trivial_char(1), 12, [691], padic_context(691, 1, 4))
+        ev = eta(trivial_char(1), 12, [691], padic_context(691, 1))
         assert ev.valuation_vpi == 1 == records[0].depth
 
 
@@ -154,7 +154,7 @@ def test_criterion_09_example37_criterion():
         records = ingest_records(fixture_path("example37.json"), p=37, weight=32)
         assert len(records) == 19
         assert all(r.depth == 1 for r in records)
-        ev = eta(trivial_char(1), 32, [31, 37], padic_context(37, 1, 6))
+        ev = eta(trivial_char(1), 32, [31, 37], padic_context(37, 1))
         crit = nonprincipality_verdict(ev, records,
                                        hypothesis=dim_chi_hypothesis(1, assumed=True))
         assert crit.verdict == "non-principal"

@@ -310,6 +310,36 @@ def test_sigma_entries_must_be_primes(capsys):
                                    "message": f"--sigma entries must be primes, got [{entry}]"}
 
 
+def test_sigma_must_list_integers(capsys):
+    for text, message in (("x", "bad --sigma value 'x'"),
+                          (",", "--sigma must list at least one prime")):
+        code, out, err = run_cli(capsys, "--no-cache", "eta", "--k", "32", "--sigma", text,
+                                 "--p", "37")
+        assert (code, out) == (1, ""), text
+        assert json.loads(err) == {"error": "parameter", "message": message}
+
+
+def test_build_h_precision_must_reach_the_unit_coefficient(capsys):
+    # before: exit 1 with "coefficient index 1 beyond precision 0"
+    code, out, err = run_cli(capsys, "--no-cache", "build-h", "--p", "37", "--k", "32",
+                             "--ell", "31", "--sigma", "31,37", "--prec", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "parameter",
+        "message": "precision 0 is below ell^(m-1) = 1, the index of the unit coefficient of H"}
+
+
+def test_report_without_cusp_forms_is_inconclusive(capsys):
+    # dim S_10 = 0: the scan has no records, and no external ones are given
+    code, out, _ = run_cli(capsys, "--no-cache", "report", "--p", "13", "--k", "10",
+                           "--sigma", "13")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["depths"]["level1_scan"]["records"] == []
+    assert payload["criterion"]["verdict"] == "inconclusive"
+    assert payload["criterion"]["conclusion"] == "no eigensystem records available"
+
+
 def test_scan_weight_must_be_even_and_non_negative(capsys):
     for k in ("11", "13", "-4"):
         code, out, err = run_cli(capsys, "--no-cache", "scan", "--k", k, "--p", "37",

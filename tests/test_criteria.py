@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.characters import trivial_char
+from eiscong.characters import parse_char, trivial_char
 from eiscong.criteria import (
     dim_chi_hypothesis,
     full_report,
@@ -17,9 +17,10 @@ from eiscong.criteria import (
     selmer_lower_1mk,
     selmer_upper_km1,
 )
-from eiscong.errors import ParameterError, SchemaError
+from eiscong.errors import ComputationError, ParameterError, SchemaError
 from eiscong.exact import padic_context, valp_rational
 from eiscong.lfunc import b1_omega_mod, bernoulli, bernoulli_mod, eta
+from eiscong.poly import INF
 from eiscong.qexp import aux_char_search
 from eiscong.cli import fixture_path
 
@@ -27,7 +28,7 @@ FIXTURE = fixture_path("example37.json")
 
 
 def eta37():
-    return eta(trivial_char(1), 32, [31, 37], padic_context(37, 1, 6))
+    return eta(trivial_char(1), 32, [31, 37], padic_context(37, 1))
 
 
 # dim H^1_Sigma(Q, chi) = 1: the upper bound 1 with an asserted extension
@@ -71,6 +72,12 @@ def test_local_factor_hypothesis_violation():
         local_factor(149, 3, 37)  # 149 = 1 mod 37
     with pytest.raises(ParameterError):
         local_factor(5, 0, 37)
+
+
+@pytest.mark.parametrize("ell", [4, 37])
+def test_local_factor_needs_a_prime_other_than_p(ell):
+    with pytest.raises(ParameterError, match="ell must be a prime different from p"):
+        local_factor(ell, 1, 37)
 
 
 def test_herbrand_examples():
@@ -236,6 +243,26 @@ def test_verdict_mixed_records_rejected():
     bad = records[0]._replace(weight=12)
     with pytest.raises(ParameterError):
         nonprincipality_verdict(eta37(), [records[1], bad], hypothesis=DIM_ONE)
+
+
+def test_verdict_rejects_records_of_another_p_or_without_a_depth():
+    records = ingest_records(FIXTURE, p=37, weight=32)
+    with pytest.raises(ParameterError, match="records mix different primes p"):
+        nonprincipality_verdict(eta37(), [records[0], records[1]._replace(p=31)],
+                                hypothesis=DIM_ONE)
+    with pytest.raises(ParameterError, match="records must carry congruence depths"):
+        nonprincipality_verdict(eta37(), [records[0]._replace(depth=None)],
+                                hypothesis=DIM_ONE)
+
+
+def test_verdict_raises_when_eta_vanishes():
+    # B_(32, chi_4) = 0 for the odd character chi_4 of conductor 4
+    odd4 = parse_char("4:[1]")
+    ev = eta(odd4, 32, [37], padic_context(37, 2))
+    assert ev.value.is_zero() and ev.valuation_vpi == INF
+    with pytest.raises(ComputationError, match="eta vanishes"):
+        nonprincipality_verdict(ev, ingest_records(FIXTURE, p=37, weight=32),
+                                hypothesis=DIM_ONE)
 
 
 def test_ingest_errors(tmp_path):
@@ -439,7 +466,7 @@ def _record_samples():
     psi, phi = trivial_char(1), parse_char("31:[15]")
     return {
         "DirichletChar": lambda: DirichletChar(31, (15,)),
-        "PadicContext": lambda: padic_context(37, 30, 2)._replace(),
+        "PadicContext": lambda: padic_context(37, 30)._replace(),
         "EigensystemRecord": lambda: EigensystemRecord(12, 1, 691, "P1", {2: 667}),
         "SkippedEigensystem": lambda: SkippedEigensystem(12, 691, "reason"),
         "EtaValue": eta37,
@@ -448,7 +475,7 @@ def _record_samples():
         "CriterionReport": lambda: nonprincipality_verdict(
             eta37(), ingest_records(FIXTURE, p=37, weight=32), hypothesis=DIM_ONE),
         "HConstructionReport": lambda: build_h(
-            psi, 32, 31, 1, phi, [31, 37], padic_context(37, 30, 6), 12)[1],
+            psi, 32, 31, 1, phi, [31, 37], padic_context(37, 30), 12)[1],
         "CuspClass": lambda: CuspClass(1, 31, 31),
     }
 

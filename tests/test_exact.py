@@ -12,9 +12,11 @@ from eiscong.errors import ConductorTooLargeError, ParameterError, RamifiedPrime
 from eiscong import poly
 from eiscong.characters import char_eval, char_product, parse_char
 from eiscong.exact import (
+    START_PRECISION,
     CycElem,
     PadicContext,
     _cyclotomic_factors_mod_p,
+    _lifted_factor,
     _over_common,
     cyclotomic_poly,
     padic_context,
@@ -232,6 +234,13 @@ def test_teichmuller_examples():
         teichmuller(10, 5, 2)
 
 
+@pytest.mark.parametrize("p, s, message", [(9, 2, "9 is not prime"),
+                                           (7, 0, "precision must be >= 1")])
+def test_teichmuller_checks_p_and_the_precision(p, s, message):
+    with pytest.raises(ParameterError, match=message):
+        teichmuller(2, p, s)
+
+
 def test_teichmuller_defining_properties_and_multiplicativity():
     rng = random.Random(3)
     for p, s in ((5, 3), (13, 2), (37, 2)):
@@ -248,21 +257,29 @@ def test_teichmuller_defining_properties_and_multiplicativity():
 def test_padic_context_residue_degrees():
     # oracle: direct powering
     assert mult_order(37, 30) == 4
-    assert padic_context(37, 30, 2).residue_degree == 4
+    assert padic_context(37, 30).residue_degree == 4
     assert mult_order(5, 12) == 2
-    assert padic_context(5, 12, 1).residue_degree == 2
-    assert padic_context(37, 1, 2).residue_degree == 1
+    assert padic_context(5, 12).residue_degree == 2
+    assert padic_context(37, 1).residue_degree == 1
     for (p, f) in ((7, 20), (11, 9), (13, 40)):
-        assert padic_context(p, f, 2).residue_degree == mult_order(p, f)
+        assert padic_context(p, f).residue_degree == mult_order(p, f)
+
+
+def test_padic_context_is_the_prime_and_nothing_else():
+    ctx = padic_context(37, 30)
+    assert PadicContext._fields == ("p", "f", "factor")
+    assert ctx.factor == ctx.all_factors[0] == tuple(_cyclotomic_factors_mod_p(37, 30)[0])
+    assert all(0 <= c < 37 for c in ctx.factor) and ctx.factor[-1] == 1
 
 
 def test_padic_context_factor_product():
-    for (p, f, s) in ((37, 30, 4), (5, 12, 3), (7, 9, 2)):
-        ctx = padic_context(p, f, s)
+    # the lifted factors multiply to Phi_f mod p^s at every precision
+    for (p, f, s) in ((37, 30, 1), (37, 30, 4), (5, 12, 3), (7, 9, 2)):
+        ctx = padic_context(p, f)
         mod = p**s
         prod = [1]
-        for g in ctx.all_factors:
-            prod = _pmul_mod(prod, list(g), mod)
+        for g0 in ctx.all_factors:
+            prod = _pmul_mod(prod, list(_lifted_factor(p, f, g0, s)), mod)
         phi = [c % mod for c in cyclotomic_poly(f)]
         while phi and phi[-1] == 0:
             phi.pop()
@@ -270,7 +287,7 @@ def test_padic_context_factor_product():
         assert len(ctx.all_factors) == euler_phi(f) // ctx.residue_degree
 
 
-# padic_context(p, ell - 1, 6) of the six `construct` benchmark items
+# padic_context(p, ell - 1) of the six `construct` benchmark items
 CONSTRUCT_CONTEXTS = ((691, 28), (691, 36), (37, 18), (59, 18), (101, 10), (37, 22))
 
 
@@ -302,25 +319,25 @@ def test_hensel_lift_returns_the_lifted_cofactor():
     for (p, f, s) in ((37, 30, 4), (5, 12, 3), (7, 9, 2), (3, 20, 5)):
         mod = p**s
         phi = [c % mod for c in cyclotomic_poly(f)]
-        for g0 in padic_context(p, f, 1).all_factors:
+        for g0 in padic_context(p, f).all_factors:
             g, h = _hensel_lift_factor(list(cyclotomic_poly(f)), list(g0), p, s)
-            assert tuple(g) == padic_context(p, f, s).all_factors[
-                padic_context(p, f, 1).all_factors.index(g0)]
+            assert tuple(g) == _lifted_factor(p, f, g0, s)
+            assert [c % p for c in g] == list(g0)
             assert g[-1] == h[-1] == 1
             assert _pmul_mod(g, h, mod) == phi
 
 
 def test_padic_context_errors():
     with pytest.raises(RamifiedPrimeError):
-        padic_context(5, 10, 2)
+        padic_context(5, 10)
     with pytest.raises(ConductorTooLargeError):
-        padic_context(7, 513, 1)
+        padic_context(7, 513)
     with pytest.raises(ParameterError):
-        padic_context(6, 5, 2)
+        padic_context(6, 5)
 
 
 def test_valp_cyc_constants():
-    ctx = padic_context(37, 30, 3)
+    ctx = padic_context(37, 30)
     assert valp_cyc(CycElem.from_rational(37, 30), ctx) == 1
     assert valp_cyc(CycElem.one(30), ctx) == 0
     assert valp_cyc(CycElem.zero(30), ctx) == INF
@@ -329,15 +346,15 @@ def test_valp_cyc_constants():
 
 def test_valp_cyc_matches_valp_rational_on_constants():
     rng = random.Random(13)
-    ctx = padic_context(37, 30, 6)
+    ctx = padic_context(37, 30)
     for _ in range(50):
         x = Fraction(rng.randrange(-10**6, 10**6) or 1, rng.randrange(1, 10**4))
         assert valp_cyc(CycElem.from_rational(x, 30), ctx) == valp_rational(x, 37)
 
 
 def _context_with_factor(ctx: PadicContext, index: int) -> PadicContext:
-    """ctx with the index-th lifted factor as its chosen prime."""
-    return ctx._replace(prime_poly=ctx.all_factors[index])
+    """ctx with the index-th residue factor as its chosen prime."""
+    return ctx._replace(factor=ctx.all_factors[index])
 
 
 def test_valp_cyc_norm_oracle():
@@ -345,7 +362,7 @@ def test_valp_cyc_norm_oracle():
     # equals the p-valuation of the field norm
     rng = random.Random(99)
     for (p, f) in ((37, 30), (7, 20), (11, 9)):
-        ctx = padic_context(p, f, 8)
+        ctx = padic_context(p, f)
         d = ctx.residue_degree
         for _ in range(6):
             x = CycElem(f, tuple(Fraction(rng.randrange(-20, 21))
@@ -358,26 +375,26 @@ def test_valp_cyc_norm_oracle():
 
 
 def test_valp_cyc_raises_its_own_precision():
-    # where the image vanishes mod p^s, valp_cyc lifts the chosen factor
-    # further, so the starting precision does not change the answer
+    # an image that vanishes mod p^START_PRECISION makes valp_cyc lift the
+    # chosen factor further: x * 37^t has valuation v(x) + t at every prime
+    # above 37, for t from START_PRECISION to past the second doubling
     rng = random.Random(23)
-    low, high = padic_context(37, 30, 1), padic_context(37, 30, 12)
-    xs = [CycElem.from_rational(37**3, 30), CycElem.from_rational(Fraction(37**5, 3), 30)]
-    xs += [_random_elem(rng, 30) * 37**rng.randrange(1, 4) for _ in range(8)]
-    for x in xs:
-        assert valp_cyc(x, low) == valp_cyc(x, high) >= 1
-    assert valp_cyc(CycElem.from_rational(37**3, 30), low) == 3
-    # a context on another prime above 37 keeps its prime when it lifts
-    other = _context_with_factor(low, 1)
-    for x in xs:
-        assert valp_cyc(x, other) == valp_cyc(x, _context_with_factor(high, 1))
+    ctx = padic_context(37, 30)
+    assert valp_cyc(CycElem.from_rational(37**6, 30), ctx) == 6
+    assert valp_cyc(CycElem.from_rational(Fraction(37**13, 3), 30), ctx) == 13
+    xs = [_random_elem(rng, 30) for _ in range(6)]
+    for i in range(len(ctx.all_factors)):
+        prime = _context_with_factor(ctx, i)
+        for x in xs:
+            t = rng.randrange(START_PRECISION, 4 * START_PRECISION)
+            assert valp_cyc(x * 37**t, prime) == valp_cyc(x, prime) + t >= t
 
 
 def test_valp_cyc_lifts_subfield_elements():
     # the value at a prime of Q(zeta_30) of an element of Q(zeta_f), f | 30,
     # is that of its image in Q(zeta_30)
     rng = random.Random(17)
-    ctx = padic_context(37, 30, 8)
+    ctx = padic_context(37, 30)
     for f in (1, 3, 5, 6, 10, 15):
         for _ in range(4):
             x = _random_elem(rng, f)
@@ -387,7 +404,7 @@ def test_valp_cyc_lifts_subfield_elements():
 
 
 def test_valp_cyc_conductor_mismatch():
-    ctx = padic_context(37, 30, 2)
+    ctx = padic_context(37, 30)
     with pytest.raises(ParameterError):
         valp_cyc(CycElem.one(12), ctx)
 

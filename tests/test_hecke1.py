@@ -81,6 +81,15 @@ def test_eigensystems_reject_odd_or_negative_weight():
             eigensystems_mod(k, 37, 1)
 
 
+@pytest.mark.parametrize("p, s, message", [
+    (2, 3, "p must be an odd prime"),
+    (691, 0, "precision s = 0 must be >= 1"),
+])
+def test_eigensystems_check_p_and_the_precision(p, s, message):
+    with pytest.raises(ParameterError, match=message):
+        eigensystems_mod(12, p, s)
+
+
 def test_hecke_matrix_frozen():
     assert hecke_matrix(12, 2) == [[Fraction(-24)]]
     assert type(hecke_matrix(12, 2)[0][0]) is int

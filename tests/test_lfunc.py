@@ -202,7 +202,7 @@ def test_l_values():
 
 
 def test_eta_example37():
-    ctx = padic_context(37, 1, 6)
+    ctx = padic_context(37, 1)
     value = eta(trivial_char(1), 32, [31, 37], ctx)
     assert value.valuation_vpi == 2
     bd = dict(value.factor_breakdown)
@@ -214,24 +214,24 @@ def test_eta_example37():
 
 
 def test_eta_691_and_empty_product():
-    ctx = padic_context(691, 1, 4)
+    ctx = padic_context(691, 1)
     value = eta(trivial_char(1), 12, [691], ctx)
     assert value.valuation_vpi == 1
     assert value.value.as_rational() == bernoulli(12)
-    ctx37 = padic_context(37, 1, 4)
+    ctx37 = padic_context(37, 1)
     value2 = eta(trivial_char(1), 12, [37], ctx37)
     assert value2.value.as_rational() == bernoulli(12)
     assert len(value2.factor_breakdown) == 1
 
 
 def test_eta_requires_p_in_sigma():
-    ctx = padic_context(37, 1, 4)
+    ctx = padic_context(37, 1)
     with pytest.raises(ParameterError):
         eta(trivial_char(1), 32, [31], ctx)
 
 
 def test_eta_k2_trivial_warns():
-    ctx = padic_context(5, 1, 4)
+    ctx = padic_context(5, 1)
     with pytest.warns(UserWarning):
         eta(trivial_char(1), 2, [3, 5], ctx)
 
@@ -286,6 +286,35 @@ def test_bernoulli_mod_cross_route():
     b1 = b1_omega_mod(679, 691)
     assert bernoulli_mod(680, 691) == b1 * 680 % 691
     assert bernoulli_mod(680, 691) != 0
+
+
+@pytest.mark.parametrize("n, p, message", [
+    (4, 9, "p must be an odd prime"),
+    (4, 2, "p must be an odd prime"),
+    (3, 37, "index must be even and >= 2"),
+    (0, 37, "index must be even and >= 2"),
+    (36, 37, "B_36 is not p-integral for p = 37"),
+    (110, 37, "power-sum congruence needs p nmid n\\+1"),  # 111 = 3 * 37
+])
+def test_bernoulli_mod_checks_its_hypotheses(n, p, message):
+    with pytest.raises(ParameterError, match=message):
+        bernoulli_mod(n, p)
+
+
+def test_b1_omega_needs_an_odd_prime():
+    with pytest.raises(ParameterError, match="p must be an odd prime"):
+        b1_omega_min_valuation(1, 2)
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (37, 0, "need even k with 2 <= k <= p-3"),
+    (37, 3, "need even k with 2 <= k <= p-3"),
+    (37, 36, "need even k with 2 <= k <= p-3"),
+    (9, 4, "p must be an odd prime"),
+])
+def test_kummer_check_checks_its_range(p, k, message):
+    with pytest.raises(ParameterError, match=message):
+        kummer_check(p, k)
 
 
 def test_bernoulli_poly():

@@ -1,8 +1,9 @@
 """Lint rules over the package sources, checked on their syntax trees with
 the standard library alone: every imported name is used, every f-string has
-a placeholder, and every name imported from a package module, in the sources
+a placeholder, every name imported from a package module, in the sources
 and in the tests, is defined by that module rather than imported into it, so
-no module re-exports another's names."""
+no module re-exports another's names, and every private top-level function
+or class is read somewhere in the sources outside its own body."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,23 @@ def reexported_imports(tree: ast.Module, homes: dict[str, set[str]]) -> list[tup
     return out
 
 
+def unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" of each top-level function or class named with one
+    leading underscore that no other top-level statement of any module reads,
+    as a name or as an attribute."""
+    reads = []  # (module, statement, names the statement reads)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            reads.append((module, stmt, names))
+    return sorted(f"{module}.{stmt.name}" for module, stmt, _ in reads
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                  and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                  and not any(stmt.name in names for _, other, names in reads
+                              if other is not stmt))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_is_lint_clean(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -85,6 +103,11 @@ def test_names_are_imported_from_the_module_that_defines_them():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_private_definitions_are_read_outside_their_own_body():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert unread_private_definitions(trees) == []
+
+
 def test_the_rules_catch_what_they_name():
     tree = ast.parse("from math import gcd, lcm\nimport os.path\nx = f'{lcm(1, 2):>4}'\n"
                      "y = f'plain'\n")
@@ -94,3 +117,9 @@ def test_the_rules_catch_what_they_name():
     tree = ast.parse("from .exact import CycElem, is_prime\nfrom eiscong.poly import INF\n"
                      "from eiscong.exact import INF\nfrom . import poly\n")
     assert reexported_imports(tree, homes) == [(1, "exact.is_prime"), (3, "exact.INF")]
+    trees = {"a": ast.parse("def _used(): pass\ndef _self(n): return _self(n - 1)\n"
+                            "class _Base: pass\ndef _attr(): pass\ndef __getattr__(n): pass\n"
+                            "def _unread(): pass\n"),
+             "b": ast.parse("from . import a\nfrom .a import _used, _Base\nx = _used()\n"
+                            "class C(_Base):\n    y = a._attr\n")}
+    assert unread_private_definitions(trees) == ["a._self", "a._unread"]

@@ -81,4 +81,4 @@ def test_padic_context_factors_match_sympy(p, f):
         coeffs = [int(c) % p for c in reversed(g.all_coeffs())]
         inv = pow(coeffs[-1], -1, p)
         expected.append(tuple(c * inv % p for c in coeffs))
-    assert padic_context(p, f, 1).all_factors == tuple(sorted(expected))
+    assert padic_context(p, f).all_factors == tuple(sorted(expected))

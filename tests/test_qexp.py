@@ -201,7 +201,7 @@ def test_every_result_coefficient_has_the_series_conductor():
     diff = f - g
     assert diff.coefficients == (f.lift_conductor(12) - g.lift_conductor(12)).coefficients
     E = eisenstein_qexp(3, primitive_char(ODD31[0]), 6)
-    H, _ = build_h(trivial_char(1), 32, 31, 1, ODD31[0], [31, 37], padic_context(37, 30, 8), 10)
+    H, _ = build_h(trivial_char(1), 32, 31, 1, ODD31[0], [31, 37], padic_context(37, 30), 10)
     for series in (f.scale(CycElem.zeta(4)), g.scale(Fraction(2, 3)), diff, multiply(f, g),
                    hecke_tq(f, 2), hecke_tq(E, 2), H):
         assert {c.conductor for c in series.coefficients} == {series.conductor}
@@ -289,7 +289,7 @@ def test_build_g_constant_term_and_parity():
     e2 = eisenstein_qexp(31, chi2, 3)
     assert a1 == (e1.coeff(0).lift(30) + e2.coeff(0).lift(30))
     # p-unit certificate for the example parameters
-    ctx = padic_context(37, 30, 6)
+    ctx = padic_context(37, 30)
     assert valp_cyc(G.coeff(0).lift(30), ctx) == 0
     even31 = enumerate_chars(31, parity=1, exact_conductor=31)[0]
     with pytest.raises(ParameterError):
@@ -298,7 +298,7 @@ def test_build_g_constant_term_and_parity():
 
 def test_build_h_checks():
     phi = ODD31[0]
-    ctx = padic_context(37, 30, 8)
+    ctx = padic_context(37, 30)
     H, rep = build_h(trivial_char(1), 32, 31, 1, phi, [31, 37], ctx, 60)
     assert rep.a0_is_zero
     assert rep.p_integral and rep.first_nonintegral_index is None
@@ -320,7 +320,7 @@ def test_build_h_rejects_non_punit_character():
     from eiscong.characters import parse_char
     phi = parse_char("11:[5]")
     assert phi.parity == -1
-    ctx = padic_context(5, 2, 8)
+    ctx = padic_context(5, 2)
     assert valp_cyc(build_g(trivial_char(1), 6, phi, 1).coeff(0).lift(2), ctx) == 2
     with pytest.raises(ComputationError):
         build_h(trivial_char(1), 6, 11, 1, phi, [5, 11], ctx, 10)
@@ -332,6 +332,16 @@ def test_build_h_rejects_ell_outside_sigma():
     with pytest.raises(ParameterError, match=r"ell = 31 must belong to Sigma = \[37\]"):
         build_h(trivial_char(1), 32, 31, 1, parse_char("31:[15]"), [37],
                 padic_context(37, 30), 12)
+
+
+@pytest.mark.parametrize("m, P", [(1, 0), (2, 30)])
+def test_build_h_needs_the_unit_coefficient_in_range(monkeypatch, m, P):
+    # before: "coefficient index 1 beyond precision 0" from deep in the check
+    from eiscong import qexp
+    monkeypatch.setattr(qexp, "build_fm", None)  # no series is built
+    with pytest.raises(ParameterError,
+                       match=rf"precision {P} is below ell\^\(m-1\) = {31 ** (m - 1)}"):
+        build_h(trivial_char(1), 32, 31, m, ODD31[0], [31, 37], padic_context(37, 30), P)
 
 
 def test_h_is_built_at_the_certificate_prime(monkeypatch):
