@@ -20,6 +20,7 @@ and ``build-h`` and ``aux-char``, whose search lives in ``qexp``, load no
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 
 from .characters import trivial_char
@@ -206,11 +207,33 @@ def nonprincipality_verdict(eta_value: EtaValue, records, *,
 _RECORD_FIELDS = {"weight", "level", "p", "prime_label", "eigenvalues", "depth", "source"}
 
 
+# canonical decimal text; int() also reads '02', '2_9', '+2' and ' 2'
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _decimal(value, what: str) -> int:
+    """A JSON integer, or the int whose canonical decimal text `value` is."""
+    if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not a JSON integer or canonical decimal text")
+
+
+def _distinct_keys(pairs) -> dict:
+    """A JSON object, for ``json.load``, which would keep the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def ingest_records(path, *, p: int, weight: int) -> list:
-    """Load externally computed eigensystem records (JSON array, or an object
-    with a "records" array) as EigensystemRecords: weight, level, p and depth
-    JSON integers, weight >= 2, and an eigenvalue a_q for primes q only.  Each
-    stated depth d must be the ``congruence_depth`` of the record's eigenvalue
+    """Load externally computed eigensystem records (UTF-8 JSON with no
+    duplicate key: an array, or an object with a "records" array) as
+    EigensystemRecords: weight, level, p and depth JSON integers, weight >= 2,
+    level >= 1, and an eigenvalue a_q for primes q only, keyed by the decimal
+    text of q, each a JSON integer or its canonical decimal text.  Each stated
+    depth d must be the ``congruence_depth`` of the record's eigenvalue
     residues read mod p^(d+1), with Sigma = {p} and the primes of the level:
     a record with no prime outside Sigma, or whose residuals all vanish, is
     rejected.  Each record's p and weight must match the given ones; source
@@ -218,10 +241,10 @@ def ingest_records(path, *, p: int, weight: int) -> list:
     from .hecke1 import EigensystemRecord, congruence_depth
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_distinct_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8, and a duplicate key
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict) and "records" in data:
         data = data["records"]
@@ -243,13 +266,16 @@ def ingest_records(path, *, p: int, weight: int) -> list:
         rec_weight, level, rec_p, depth = raw["weight"], raw["level"], raw["p"], raw["depth"]
         try:
             label = str(raw["prime_label"])
-            evs = {int(q): int(str(v)) for q, v in raw["eigenvalues"].items()}
+            evs = {_decimal(q, "eigenvalue key"): _decimal(v, f"eigenvalue a_{q}")
+                   for q, v in raw["eigenvalues"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"{where}: malformed field: {exc}") from exc
         if depth < 0:
             raise SchemaError(f"{where}: negative depth")
         if rec_weight < 2:
             raise SchemaError(f"{where}: weight {rec_weight} must be >= 2")
+        if level < 1:
+            raise SchemaError(f"{where}: level {level} must be >= 1")
         bad = next((q for q in evs if not is_prime(q)), None)
         if bad is not None:
             raise SchemaError(f"{where}: eigenvalue key {bad} is not a prime")

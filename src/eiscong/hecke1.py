@@ -1,14 +1,20 @@
 """Level-1 Hecke engine: the eigensystems of S_k(SL2(Z)) mod p^s, read off
 the echelonized (Victor Miller) basis, and congruence-depth scans.
 
+``eigensystems_on_rows`` is the extraction, and ``eigensystems_mod`` is its
+level-1 caller.  Its contract: rows reduced mod p^s, in reduced echelon form
+(a_(j+1)(rows[i]) = delta_ij for j < d = len(rows)), spanning a Hecke-stable
+space of cusp forms of trivial character and odd level, each row long enough
+for a_(2d) and for the largest recorded prime.  Then T_2 is read off the rows
+by a_n(T_2 f) = a_(2n) + 2^(k-1) a_(n/2), and the engine takes no level.
+
 The whole extraction runs on residues mod p^s.  The Miller rows are built
 once per scan, mod p^s, to precision max(2 dim + 1, largest recorded prime);
 Delta = (E4^3 - E6^2)/1728 is computed in integers and reduced after the
-division, since 1728 has no inverse mod 3.  T_2 is read off those rows by the
-divisor-sum formula, and charpoly(T_2) comes from Berkowitz's division-free
-recurrence in Z/p^s.  Extraction is restricted to simple roots of
-charpoly(T_2) mod p that lie in the prime field.  They are the linear factors
-of the gcd of charpoly(T_2) with x^p - x over F_p, split by
+division, since 1728 has no inverse mod 3.  charpoly(T_2) comes from
+Berkowitz's division-free recurrence in Z/p^s.  Extraction is restricted to
+simple roots of charpoly(T_2) mod p that lie in the prime field.  They are
+the linear factors of the gcd of charpoly(T_2) with x^p - x over F_p, split by
 ``poly._split_by_periods`` with the one period x; repeated division gives each
 root's multiplicity and the degree left over outside the prime field.  Each
 simple root is Hensel-lifted to alpha mod p^s together with its cofactor h.
@@ -185,9 +191,53 @@ def _eigenline(T2, h, p, mod):
     return None
 
 
+def eigensystems_on_rows(rows, k: int, p: int, s: int, primes):
+    """([(r, {q: a_q mod p^s})], skip reasons): one pair per simple root r in
+    F_p of charpoly(T_2) mod p, T_2 on reduced echelon cusp rows mod p^s of
+    trivial character and odd level, a_(j+1)(rows[i]) = delta_ij for j <
+    len(rows), each row long enough for a_(2 len(rows)) and every q in primes."""
+    mod, dim = p**s, len(rows)
+    # a_n(T_2 f) = a_(2n)(f) + 2^(k-1) a_(n/2)(f), the second term for even n only
+    two = pow(2, k - 1, mod)
+    T2 = [[(f[2 * n] + (two * f[n // 2] if n % 2 == 0 else 0)) % mod for f in rows]
+          for n in range(1, dim + 1)]
+    f = charpoly(T2, mod)
+    fb = _trim_mod(f, p)
+    # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
+    lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]
+    linear = _split_by_periods(lin, 1, p, [[0, 1]]) if len(lin) > 1 else []
+    roots = sorted(-g[0] % p for g in linear)
+    rest, simple, reasons = fb, [], []
+    for r in roots:
+        mult = 0
+        while not (qr := _pdivmod_mod(rest, [-r % p, 1], p))[1]:
+            rest, mult = qr[0], mult + 1
+        if mult > 1:
+            reasons.append(f"repeated root {r} of charpoly(T_2) mod {p}")
+        else:
+            simple.append(r)
+    if len(rest) - 1 > 0:
+        reasons.append(f"charpoly(T_2) has an irreducible factor of degree {len(rest)-1} "
+                       f"mod {p}; eigenvalues outside the prime field are not extracted")
+    systems = []
+    for r in simple:
+        g, h = _hensel_lift_factor(f, [-r % p, 1], p, s)
+        alpha = -g[0] % mod
+        # v = v_0 * (normalised eigenform) mod p^s, so a_q = a_q(sum_j v_j f_j) / v_0
+        v = _eigenline(T2, h, p, mod)
+        if v is None or _mat_vec(T2, v, mod) != [alpha * x % mod for x in v]:
+            raise ComputationError(
+                f"no eigenvector of T_2 mod {p}^{s} with eigenvalue {alpha} and a unit a_1")
+        unit = pow(v[0], -1, mod)
+        systems.append((r, {q: sum(x * row[q] for x, row in zip(v, rows)) * unit % mod
+                            for q in primes}))
+    return systems, reasons
+
+
 def eigensystems_mod(k: int, p: int, s: int):
     """Eigensystem records of S_k(SL2(Z)) mod p^s with eigenvalues recorded
-    for all primes q <= scan_prime_bound(k).
+    for all primes q <= scan_prime_bound(k), by ``eigensystems_on_rows`` on
+    the Miller cusp rows.
 
     Returns (records, skipped): eigensystems whose mod-p reduction is a
     repeated root of charpoly(T_2) or falls outside the prime field are
@@ -200,60 +250,22 @@ def eigensystems_mod(k: int, p: int, s: int):
     if k < 0 or k % 2:
         raise ParameterError(f"weight k = {k} must be even and >= 0")
     dim = dim_cusp(k)
-    records, skipped = [], []
     if dim == 0:
-        return records, skipped
+        return [], []
     primes = _primes_upto(scan_prime_bound(k))
-    mod = p**s
     # one basis build: T_2 needs a_1..a_(2 dim), the read-off a_q for q <= primes[-1]
-    cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]), mod)[1:]
-    # a_n(T_2 f) = a_(2n)(f) + 2^(k-1) a_(n/2)(f), the second term for even n only
-    two = pow(2, k - 1, mod)
-    T2 = [[(f[2 * n] + (two * f[n // 2] if n % 2 == 0 else 0)) % mod for f in cusp]
-          for n in range(1, dim + 1)]
-    f = charpoly(T2, mod)
-    fb = _trim_mod(f, p)
-    # the distinct roots in F_p are the linear factors of gcd(f, x^p - x)
-    lin = _pxgcd_mod(fb, _psub_mod(_ppow_mod([0, 1], p, fb, p), [0, 1], p), p)[0]
-    linear = _split_by_periods(lin, 1, p, [[0, 1]]) if len(lin) > 1 else []
-    roots = sorted(-g[0] % p for g in linear)
-    rest, simple = fb, []
-    for r in roots:
-        mult = 0
-        while not (qr := _pdivmod_mod(rest, [-r % p, 1], p))[1]:
-            rest, mult = qr[0], mult + 1
-        if mult > 1:
-            skipped.append(SkippedEigensystem(
-                weight=k, p=p,
-                reason=f"repeated root {r} of charpoly(T_2) mod {p}"))
-        else:
-            simple.append(r)
-    if len(rest) - 1 > 0:
-        skipped.append(SkippedEigensystem(
-            weight=k, p=p,
-            reason=f"charpoly(T_2) has an irreducible factor of degree {len(rest)-1} "
-                   f"mod {p}; eigenvalues outside the prime field are not extracted"))
-    for r in simple:
-        g, h = _hensel_lift_factor(f, [-r % p, 1], p, s)
-        alpha = -g[0] % mod
-        # v = v_0 * (normalised eigenform) mod p^s, so a_q = a_q(sum_j v_j f_j) / v_0
-        v = _eigenline(T2, h, p, mod)
-        if v is None or _mat_vec(T2, v, mod) != [alpha * x % mod for x in v]:
-            raise ComputationError(
-                f"no eigenvector of T_2 mod {p}^{s} with eigenvalue {alpha} and a unit a_1")
-        unit = pow(v[0], -1, mod)
-        records.append(EigensystemRecord(
-            weight=k, level=1, p=p, prime_label=f"T2-root-{r}",
-            eigenvalues={q: sum(x * row[q] for x, row in zip(v, cusp)) * unit % mod
-                         for q in primes}))
-    return records, skipped
+    cusp = _miller_rows(k, max(2 * dim + 1, primes[-1]), p**s)[1:]
+    systems, reasons = eigensystems_on_rows(cusp, k, p, s, primes)
+    return ([EigensystemRecord(weight=k, level=1, p=p, prime_label=f"T2-root-{r}",
+                               eigenvalues=evs) for r, evs in systems],
+            [SkippedEigensystem(weight=k, p=p, reason=reason) for reason in reasons])
 
 
 def residue_valuation(r: int, p: int, s: int) -> int:
-    """val_p of a residue known mod p^s, capped at s (0 residue reports s).
-    min(val_p(r), s) does not change when r moves by a multiple of p^s, so r
-    needs no reduction."""
-    return s if r == 0 else min(valp_int(r, p), s)
+    """val_p of a residue known mod p^s, capped at s (0 residue reports s,
+    since val_p(0) is INF).  min(val_p(r), s) does not change when r moves by
+    a multiple of p^s, so r needs no reduction."""
+    return min(valp_int(r, p), s)
 
 
 def congruence_depth(eigenvalues, k: int, p: int, sigma, s: int) -> int | None:

@@ -168,9 +168,10 @@ def test_criterion_10_desk_scale_substitution():
                      "bundled external records substitute for them"):
         import inspect
         from eiscong import hecke1
-        # the internal engine is level-1 only: no level parameter anywhere
+        # the internal engines take no level: only level 1 is computed
         assert "level" not in inspect.signature(hecke1.eigensystems_mod).parameters
         assert "level" not in inspect.signature(hecke1.depth_scan).parameters
+        assert "level" not in inspect.signature(hecke1.eigensystems_on_rows).parameters
         # the level-31 data enters only as external records
         records = ingest_records(fixture_path("example37.json"), p=37, weight=32)
         assert all(r.source == "external" and r.level == 31 for r in records)

@@ -271,9 +271,14 @@ def test_ingest_errors(tmp_path):
     with pytest.raises(SchemaError):
         ingest_records(empty, p=37, weight=32)
     garbage = tmp_path / "bad.json"
-    garbage.write_text("{not json")
-    with pytest.raises(SchemaError):
-        ingest_records(garbage, p=37, weight=32)
+    # json.load kept the last of two equal keys, and a byte that is not UTF-8
+    # raised UnicodeDecodeError past the schema check
+    text = open(FIXTURE, encoding="utf-8").read()
+    for bad in (b"{not json", text.replace('"2": "541"', '"2": "0", "2": "541"').encode(),
+                text.replace('"P1"', '"P\xff"').encode("latin-1")):
+        garbage.write_bytes(bad)
+        with pytest.raises(SchemaError, match="bad.json: invalid JSON"):
+            ingest_records(garbage, p=37, weight=32)
     inconsistent = tmp_path / "inconsistent.json"
     inconsistent.write_text(json.dumps([{
         "weight": 32, "level": 31, "p": 37, "prime_label": "P1",
@@ -306,6 +311,42 @@ def test_ingest_reads_integers_not_truncations(tmp_path, field, value):
     path.write_text(json.dumps(data))
     with pytest.raises(SchemaError, match=f"record 3: {field} {value!r} is not an integer"):
         ingest_records(path, p=37, weight=32)
+
+
+# A level below 1 was passed to factorize, which failed naming no record.
+@pytest.mark.parametrize("level", [0, -31])
+def test_ingest_rejects_a_level_below_one(tmp_path, level):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data["records"][0]["level"] = level
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"rec.json: record 0: level {level} must be >= 1"):
+        ingest_records(path, p=37, weight=32)
+
+
+# int() read '02' as 2, so the later of two spellings of q won and the other
+# claim was dropped, and it read '2_9' as 29.  The a_29 below keeps depth 1.
+@pytest.mark.parametrize("key, value", [("02", "0"), ("2_9", str((1 + 29 ** 31) % 37 ** 2))])
+def test_ingest_reads_only_canonical_eigenvalue_keys(tmp_path, key, value):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data["records"][0]["eigenvalues"] = {key: value} | data["records"][0]["eigenvalues"]
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"record 0: malformed field: eigenvalue key '{key}'"):
+        ingest_records(path, p=37, weight=32)
+
+
+@pytest.mark.parametrize("value", [" 541", "5_41", "+541", "0541", "-0", 541.0, True])
+def test_ingest_reads_only_canonical_eigenvalue_values(tmp_path, value):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data["records"][0]["eigenvalues"]["2"] = value
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r"record 0: malformed field: eigenvalue a_2 "):
+        ingest_records(path, p=37, weight=32)
+    data["records"][0]["eigenvalues"]["2"] = 541
+    path.write_text(json.dumps(data))
+    assert ingest_records(path, p=37, weight=32)[0].eigenvalues[2] == 541
 
 
 # Two records whose stated depth no residual checks: a level-1 residual of

@@ -18,6 +18,7 @@ from eiscong.hecke1 import (
     dim_cusp,
     dim_modular,
     eigensystems_mod,
+    eigensystems_on_rows,
     residue_valuation,
     scan_prime_bound,
 )
@@ -406,9 +407,16 @@ def reference_eigenvalue(k, q, vector, unit_index, mod):
 
 @pytest.mark.parametrize("k", [12, 16, 24, 28, 32, 36, 48, 84, 110])
 def test_extraction_matches_the_root_scan_reference(k):
+    # two row sources: the Miller rows of eigensystems_mod, and the engine on
+    # the oracle's integer Miller cusp rows reduced mod p^3
     primes = recorded_primes(k)
+    oracle = miller_rows(k, max(2 * dim_cusp(k) + 1, primes[-1]))[1:]
     for p in (3, 5, 7, 11, 13, 37, 131, 157, 233, 691, 3617):
         records, skipped = eigensystems_mod(k, p, 3)
+        engine = eigensystems_on_rows([[c % p**3 for c in row] for row in oracle],
+                                      k, p, 3, primes)
+        assert engine == ([(int(r.prime_label.rsplit("-", 1)[1]), r.eigenvalues)
+                           for r in records], [s.reason for s in skipped]), p
         systems, reasons = scan_eigensystems(k, p, 3)
         assert [r.prime_label for r in records] == [f"T2-root-{a % p}" for a, _, _ in systems]
         for rec, (_, vector, unit_index) in zip(records, systems):
