@@ -3,12 +3,12 @@
 Every subcommand prints a single JSON document (compact by default,
 indented with --pretty) whose arithmetic values are exact decimal strings;
 runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
-subcommand and its flags once; the argument parser, the -h/--help text, the
-dispatch and the cache key are built from it.  The parser accepts what
-argparse accepts with abbreviations off: ``--flag value`` and
-``--flag=value`` under the exact flag name, negative numbers as values, the
-last value of a repeated flag, and the top-level options only before the
-command.  A cut or retired name is an unrecognized argument.
+subcommand and its flags once; the argparse parser, the -h/--help text, the
+dispatch and the cache key are built from it.  Abbreviations are off, so a
+cut or retired flag name is an unrecognized argument, and the top-level
+options go before the command.  Every rejected command line prints the usage
+line and the reason on stderr and exits 1; an unknown flag is reported before
+a missing required one.
 
 Pure computations are cached on disk under --cache-dir (default
 ./.eiscache), one file per key.  The key is the code (``__version__`` and a
@@ -19,12 +19,13 @@ the schema, the command and its parameters on line 2 (read only by
 line 1 with the key and prints the rest as stored; `verify-cache` recomputes
 every entry and checks the stored bytes.
 
-A cache hit imports nothing beyond this module, ``errors`` and the
-interpreter's builtin sha256: no argparse, no json, no OpenSSL, and not
-``commands``, which holds what each command computes and is imported, with
-the arithmetic it needs, when a command runs.  An entry that cannot
-be read, is not UTF-8, is truncated or holds another key is a miss, and a
-result that cannot be stored is still printed, with a warning on stderr.
+A cache hit imports nothing beyond this module, ``errors``, argparse and the
+interpreter's builtin sha256: no json, no OpenSSL, and not ``commands``,
+which holds what each command computes and is imported, with the arithmetic
+it needs, when a command runs; argparse is imported when the command line is
+parsed, not with this module.  An entry that cannot be read, is not UTF-8,
+is truncated or holds another key is a miss, and a result that cannot be
+stored is still printed, with a warning on stderr.
 
 Exit codes: 0 success or help, 1 usage or parameter error, 2 computation error.
 """
@@ -164,13 +165,6 @@ class Flag(namedtuple("Flag", "name type default required choices help",
             return self.default is None and not self.required
         return type(value) is self.type and (self.choices is None or value in self.choices)
 
-    def usage(self) -> str:
-        if self.type is bool:
-            return "--" + self.name
-        if self.choices:
-            return f"--{self.name} {{{','.join(map(str, self.choices))}}}"
-        return f"--{self.name} {self.dest.upper()}"
-
     def describe(self) -> str:
         if self.help is not None:
             return self.help
@@ -282,135 +276,60 @@ def _stderr_json(obj: dict) -> None:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-class _Stop(Exception):
-    """The command line ends without a command to run: code 0 with help for
-    stdout, code 1 with a usage error for stderr."""
+def _parser():
+    """(the argparse parser built from OPTIONS and COMMANDS, the subparser of
+    each command by name).  Flags keep their exact names, a required flag is
+    declared optional so that ``_parse_args`` can report it after any unknown
+    one, and a rejection prints the usage line and the reason on stderr and
+    exits 1."""
+    import argparse
 
-    def __init__(self, code: int, text: str):
-        super().__init__(text)
-        self.code, self.text = code, text
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def add_flags(parser, flags):
+        for f in flags:
+            if f.type is bool:
+                parser.add_argument("--" + f.name, action="store_true", help=f.describe())
+            else:
+                parser.add_argument("--" + f.name, type=f.type, default=f.default,
+                                    choices=f.choices, help=f.describe())
+        return parser
 
-def _usage(prog: str, flags) -> str:
-    words = [f.usage() if f.required else f"[{f.usage()}]" for f in flags]
-    tail = ["COMMAND ..."] if flags is OPTIONS else []
-    return " ".join(["usage:", prog, "[-h]", *words, *tail]) + "\n"
-
-
-def _fail(prog: str, flags, message) -> _Stop:
-    return _Stop(1, f"{_usage(prog, flags)}{prog}: error: {message}\n")
-
-
-def _help(prog: str, flags, description: str) -> str:
-    tables = [("options", [("-h, --help", "show this help message and exit")]
-               + [(f.usage(), f.describe()) for f in flags])]
-    if flags is OPTIONS:
-        tables.insert(0, ("commands", [(name, c.help) for name, c in COMMANDS.items()]))
-    text = [_usage(prog, flags), "\n", description, "\n"]
-    for title, rows in tables:
-        width = max(len(left) for left, _ in rows)
-        text += [f"\n{title}:\n"] + [f"  {left:<{width}}  {right}\n" for left, right in rows]
-    return "".join(text)
-
-
-def _is_negative_number(token: str) -> bool:
-    """argparse's test -\\d+|-\\d*\\.\\d+ (a final newline allowed) for a
-    token that starts with '-' and is still a value."""
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, frac = body.partition(".")
-    digits = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else body.isdecimal()
-    return token.startswith("-") and digits
-
-
-def _option(token: str, names):
-    """(option string, attached value or None) that token names among names,
-    None if token is a value, or ("", None) for an unknown option.  A long
-    option matches by its exact name only."""
-    if token in names:
-        return token, None
-    if len(token) < 2 or token[0] != "-":
-        return None
-    if token.startswith("--"):
-        name, _, value = token.partition("=")
-        if name in names:
-            return name, value
-    elif token.startswith("-h"):
-        return "-h", token[2:]
-    return None if _is_negative_number(token) or " " in token else ("", None)
-
-
-def _parse_flags(prog: str, flags, args: list, description: str):
-    """(values by dest, the command and its arguments, unknown tokens) of
-    args under flags.  Under OPTIONS the first value is the command and ends
-    the options; under a command's flags every value is unknown."""
-    names = {"--" + f.name: f for f in flags} | {"-h": None, "--help": None}
-    kinds = [_option(token, names) for token in args]
-    values = {f.dest: f.default for f in flags}
-    unknown, i = [], 0
-    while i < len(args):
-        kind, token = kinds[i], args[i]
-        i += 1
-        if kind is None and flags is OPTIONS:
-            return values, args[i - 1:], unknown
-        if kind is None or not kind[0]:
-            unknown.append(token)
-            continue
-        name, value = kind
-        flag = names[name]
-        if flag is None or flag.type is bool:
-            if value is not None:
-                raise _fail(prog, flags, f"argument {name}: ignored explicit argument {value!r}")
-            if flag is None:
-                raise _Stop(0, _help(prog, flags, description))
-            value = True
-        else:
-            if value is None:
-                if i == len(args) or kinds[i] is not None:
-                    raise _fail(prog, flags, f"argument {name}: expected one argument")
-                value, i = args[i], i + 1
-            try:
-                value = flag.type(value)
-            except ValueError:
-                raise _fail(prog, flags, f"argument {name}: invalid int value: {value!r}") from None
-            if flag.choices is not None and value not in flag.choices:
-                raise _fail(prog, flags, f"argument {name}: invalid choice: {value!r}")
-        values[flag.dest] = value
-    return values, [], unknown
+    top = add_flags(Parser(prog="eiscong", description=DESCRIPTION, allow_abbrev=False),
+                    OPTIONS)
+    sub = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, spec in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=spec.help, description=spec.help,
+                                 allow_abbrev=False), spec.flags)
+    return top, sub.choices
 
 
 def _parse_args(argv: list):
-    """(top-level options, command or None, its parameters); raises _Stop
-    for help and for every rejected command line.  An unknown flag is
-    reported before a missing required one, so that a mistyped name is
-    named as such."""
-    options, rest, unknown = _parse_flags("eiscong", OPTIONS, argv, DESCRIPTION)
-    command = params = None
-    if rest:
-        command, spec = rest[0], COMMANDS.get(rest[0])
-        if spec is None:
-            raise _fail("eiscong", OPTIONS, f"invalid command {command!r} "
-                        f"(choose from {', '.join(COMMANDS)})")
-        params, _, more = _parse_flags(f"eiscong {command}", spec.flags, rest[1:], spec.help)
-        unknown += more
+    """(top-level options, command, its parameters); raises SystemExit, code
+    0 after help and 1 for every rejected command line.  An unknown flag is
+    reported before a missing required one, so that a mistyped name is named
+    as such."""
+    top, commands = _parser()
+    args, unknown = top.parse_known_args(argv)
     if unknown:
-        raise _fail("eiscong", OPTIONS, f"unrecognized arguments: {' '.join(unknown)}")
-    if command is not None:
-        missing = ["--" + f.name for f in spec.flags if f.required and params[f.dest] is None]
-        if missing:
-            raise _fail(f"eiscong {command}", spec.flags,
-                        f"the following arguments are required: {', '.join(missing)}")
-    return options, command, params
+        top.error(f"unrecognized arguments: {' '.join(unknown)}")
+    flags = COMMANDS[args.command].flags
+    missing = ["--" + f.name for f in flags if f.required and getattr(args, f.dest) is None]
+    if missing:
+        commands[args.command].error(
+            f"the following arguments are required: {', '.join(missing)}")
+    return ({f.dest: getattr(args, f.dest) for f in OPTIONS}, args.command,
+            {f.dest: getattr(args, f.dest) for f in flags})
 
 
 def main(argv=None) -> int:
     try:
         options, command, params = _parse_args(sys.argv[1:] if argv is None else argv)
-    except _Stop as stop:
-        (sys.stdout if stop.code == 0 else sys.stderr).write(stop.text)
+    except SystemExit as stop:
         return stop.code
-    if command is None:
-        sys.stdout.write(_usage("eiscong", OPTIONS))
-        return 1
     spec = COMMANDS[command]
     try:
         if spec.cached:

@@ -127,9 +127,10 @@ def test_exit_codes(tmp_path, capsys):
     # unknown subcommand -> usage, exit 1
     code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "nope")
     assert code == 1
-    # missing subcommand -> exit 1
-    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path))
-    assert code == 1
+    # missing subcommand -> exit 1, the usage on stderr and nothing on stdout
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.endswith("error: the following arguments are required: COMMAND\n")
     # parameter error -> 1
     code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "eta",
                            "--psi", "trivial", "--k", "32", "--sigma", "31",
@@ -338,6 +339,17 @@ def test_report_without_cusp_forms_is_inconclusive(capsys):
     assert payload["depths"]["level1_scan"]["records"] == []
     assert payload["criterion"]["verdict"] == "inconclusive"
     assert payload["criterion"]["conclusion"] == "no eigensystem records available"
+
+
+def test_a_report_without_a_congruence_certifies_no_extension(capsys):
+    # dim S_10 = 0, so no level-1 record has depth >= 1 to certify a nontrivial
+    # extension, and the Selmer bound 1 alone does not give dim H^1 = 1
+    code, out, _ = run_cli(capsys, "--no-cache", "report", "--p", "13", "--k", "10",
+                           "--sigma", "13")
+    assert code == 0
+    assert json.loads(out)["criterion"]["hypothesis"] == {
+        "dim_chi_upper_bound": 1, "nontrivial_extension_certificate": None,
+        "dim_chi_equals_1": False}
 
 
 def test_scan_weight_must_be_even_and_non_negative(capsys):
@@ -658,12 +670,14 @@ def test_an_edited_fixture_is_a_cache_miss(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the table-driven parser against the argparse parser it replaced
+# the parser built from COMMANDS against a plain argparse parser
 # ---------------------------------------------------------------------------
 
 def reference_parser():
-    """The argparse parser the CLI used to build from COMMANDS, here with
-    abbreviations off, since a flag is named by its exact name only."""
+    """A plain argparse parser built from COMMANDS, with abbreviations off,
+    since a flag is named by its exact name only.  Unlike the CLI's parser,
+    it declares required flags with required=True and exits 2 on a
+    rejection."""
     import argparse
     from eiscong.cli import COMMANDS
     ap = argparse.ArgumentParser(prog="eiscong", allow_abbrev=False)
@@ -682,29 +696,32 @@ def reference_parser():
     return ap
 
 
+def parse_quietly(parse, argv):
+    """parse(argv), or the SystemExit code when it stops, with the output of
+    both kept off the test's stdout and stderr."""
+    import contextlib
+    import io
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def parse_both(reference, argv):
     """What each parser makes of argv: (options, command, params), or the
     exit code when it stops (0 for help, 1 for a rejection)."""
-    import contextlib
-    import io
-    from eiscong.cli import COMMANDS, _parse_args, _Stop
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            args = reference.parse_args(argv)
-        if args.command is None:
-            expected = 1
-        else:
-            expected = ({"cache_dir": args.cache_dir, "no_cache": args.no_cache,
-                         "pretty": args.pretty}, args.command,
-                        {f.dest: getattr(args, f.dest) for f in COMMANDS[args.command].flags})
-    except SystemExit as exc:
-        expected = 0 if exc.code == 0 else 1
-    try:
-        options, command, params = _parse_args(list(argv))
-        got = 1 if command is None else (options, command, params)
-    except _Stop as stop:
-        got = stop.code
-    return got, expected
+    from eiscong.cli import COMMANDS, _parse_args
+    args = parse_quietly(reference.parse_args, argv)
+    if isinstance(args, int):
+        expected = 0 if args == 0 else 1
+    elif args.command is None:
+        expected = 1
+    else:
+        expected = ({"cache_dir": args.cache_dir, "no_cache": args.no_cache,
+                     "pretty": args.pretty}, args.command,
+                    {f.dest: getattr(args, f.dest) for f in COMMANDS[args.command].flags})
+    return parse_quietly(_parse_args, list(argv)), expected
 
 
 def command_lines():
@@ -758,7 +775,7 @@ def command_lines():
                 yield [name, *required, option + "=" + bad]
 
 
-def test_parser_matches_the_argparse_reference():
+def test_parser_matches_the_argparse_reference(capsys):
     reference = reference_parser()
     lines = list(command_lines())
     assert len(lines) > 800
@@ -769,22 +786,23 @@ def test_parser_matches_the_argparse_reference():
         accepted += isinstance(got, tuple)
     assert 300 < accepted < len(lines) - 300
     # -h followed by more characters: argparse rejects it up to Python 3.12
-    # and prints help from 3.13, so the rejection is a fixed expectation here
-    from eiscong.cli import _parse_args, _Stop
-    try:
-        _parse_args(["-hx", "bernoulli", "--n", "3"])
-    except _Stop as stop:
-        assert stop.code == 1
-        assert stop.text.endswith("error: argument -h: ignored explicit argument 'x'\n")
+    # and prints help from 3.13
+    import sys
+    code, out, err = run_cli(capsys, "-hx", "bernoulli", "--n", "3")
+    if sys.version_info < (3, 13):
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument -h/--help: ignored explicit argument 'x'\n")
     else:
-        raise AssertionError("-hx was accepted")
+        assert (code, err) == (0, "") and out.startswith("usage: eiscong [-h] ")
 
 
-def test_help_lists_every_command_and_flag(capsys):
+def test_help_lists_every_command_and_flag(monkeypatch, capsys):
     from eiscong.cli import COMMANDS
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps help to the terminal width
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (0, "") and out.startswith("usage: eiscong [-h] ")
-    assert all(f"\n  {name} " in out for name in COMMANDS)
+    commands = out.split("\n  COMMAND\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line.split()[0] for line in commands] == list(COMMANDS)
     for name, spec in COMMANDS.items():
         code, out, err = run_cli(capsys, name, "-h")
         assert (code, err) == (0, "") and out.startswith(f"usage: eiscong {name} [-h]")

@@ -585,3 +585,36 @@ def test_miller_rows_mod_m_are_the_exact_rows_reduced(m):
     for k in (*range(4, 64, 2), 84, 110, 146, 170, 520):
         P = max(2 * dim_modular(k) + 1, 13)
         assert _miller_rows(k, P, m) == [[c % m for c in row] for row in miller_rows(k, P)], k
+
+
+# (k, p): v = v_p(B_k/k) with p - 1 not dividing k.  v = 2 at the first two
+# pairs, near a p-adic zero of the Kubota-Leopoldt L-function, and 1 at the
+# irregular pairs p < 200, k < p - 1.
+BERNOULLI_WITNESSES = {(228, 103): 2, (914, 59): 2,
+                       (32, 37): 1, (44, 59): 1, (58, 67): 1, (68, 101): 1, (24, 103): 1,
+                       (22, 131): 1, (130, 149): 1, (62, 157): 1, (110, 157): 1}
+
+
+@pytest.mark.parametrize("k, p", list(BERNOULLI_WITNESSES))
+def test_scanned_depths_meet_the_bernoulli_witness(k, p):
+    # With g the top Miller row (integral, constant term 1), F = E_k + (B_k/2k) g
+    # is a p-integral cusp form with F = E_k mod p^v: T_n -> sigma_(k-1)(n)
+    # mod p^v is a ring map, so the eigensystem at the T_2-root 1 + 2^(k-1)
+    # has depth >= v; at every other root a_2 - 1 - 2^(k-1) is a unit and,
+    # since 2 is not in Sigma = {p}, the depth is 0.
+    from eiscong.lfunc import bernoulli
+    ratio = bernoulli(k) / k
+    v = valp_int(ratio.numerator, p) - valp_int(ratio.denominator, p)
+    assert v == BERNOULLI_WITNESSES[k, p]
+    records, _, s = depth_scan(k, p, {p})
+    root = (1 + pow(2, k - 1, p)) % p
+    (eisenstein,) = [r for r in records if r.prime_label == f"T2-root-{root}"]
+    assert eisenstein.eigenvalues[2] % p == root
+    assert eisenstein.depth >= v
+    assert [r.depth for r in records if r is not eisenstein] == [0] * (len(records) - 1)
+    # the depth reads every recorded prime outside Sigma and none inside it:
+    # a_q - 1 - q^(k-1) is 0 mod p here, so a_q + 1 makes it a unit, and the
+    # depth 0 unless q = p, which is in Sigma
+    for q in eisenstein.eigenvalues:
+        moved = {r: a + (r == q) for r, a in eisenstein.eigenvalues.items()}
+        assert congruence_depth(moved, k, p, {p}, s) == (eisenstein.depth if q == p else 0), q

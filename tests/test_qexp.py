@@ -314,6 +314,24 @@ def test_build_h_checks():
     assert H.coeff(1).lift(30) == CycElem.one(30) - scale * G.coeff(1)
 
 
+def test_build_h_fails_each_check_it_reports(monkeypatch):
+    # `passed` reads every check, and the cusp check computes F - c*G at each
+    # cusp: with G's cusp constants scaled by 1 + p, as if H were built with
+    # the scale c*(1 + p) there, no constant vanishes and H is not cuspidal
+    import eiscong.qexp as qexp
+    args = (trivial_char(1), 32, 31, 1, ODD31[0], [31, 37], padic_context(37, 30), 20)
+    _, rep = build_h(*args)
+    assert rep.passed
+    for field, value in (("a0_is_zero", False), ("p_integral", False),
+                         ("unit_coeff_valuation", 1), ("congruent_to_fm_mod_eta", False),
+                         ("cusps_vanish", False)):
+        assert not rep._replace(**{field: value}).passed, field
+    monkeypatch.setattr(qexp, "g_cusp_constant", lambda *a: g_cusp_constant(*a) * (1 + 37))
+    _, perturbed = build_h(*args)
+    assert not perturbed.cusps_vanish and not perturbed.passed
+    assert perturbed._replace(cusps_vanish=True) == rep
+
+
 def test_build_h_rejects_non_punit_character():
     # the quadratic character mod 11 gives a_0(G) of valuation 2 at p = 5
     # for weight 6, so the constructor must refuse it
