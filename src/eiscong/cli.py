@@ -3,29 +3,32 @@
 Every subcommand prints a single JSON document (compact by default,
 indented with --pretty) whose arithmetic values are exact decimal strings;
 runs with identical arguments are byte-identical.  ``COMMANDS`` declares each
-subcommand and its flags once; the argparse parser, the -h/--help text, the
-dispatch and the cache key are built from it.  Abbreviations are off, so a
-cut or retired flag name is an unrecognized argument, and the top-level
-options go before the command.  Every rejected command line prints the usage
-line and the reason on stderr and exits 1; an unknown flag is reported before
-a missing required one.
+subcommand and its flags once; the argparse parser, the -h/--help text and
+the dispatch are built from it.  Abbreviations are off, so a cut or retired
+flag name is an unrecognized argument, and the top-level options go before
+the command.  Every rejected command line prints the usage line and the
+reason on stderr and exits 1; an unknown flag is reported before a missing
+required one, and the usage line shows required flags without brackets.
 
 Pure computations are cached on disk under --cache-dir (default
 ./.eiscache), one file per key.  The key is the code (``__version__`` and a
-sha256 of the package's sources and packaged fixtures), the command and
-every declared flag.  An entry holds the key on line 1, a JSON object naming
-the schema, the command and its parameters on line 2 (read only by
-`verify-cache`), and then the command's compact stdout, so a hit compares
-line 1 with the key and prints the rest as stored; `verify-cache` recomputes
-every entry and checks the stored bytes.
+sha256 of the package's sources and packaged fixtures) and the command line
+exactly as typed, so two spellings of one command are two entries with the
+same bytes.  An entry holds the key on line 1, a JSON object naming the
+schema and the command line on line 2 (read only by `verify-cache`), and
+then the stdout exactly as printed, compact or pretty.  ``main`` looks the
+entry up before it parses anything: ``_cache_dir`` reads the directory off
+the options before the command, and a hit compares line 1 with the key and
+prints the rest.  The command line is parsed only on a miss, and
+`verify-cache` parses every stored one again, recomputes it and checks the
+stored bytes.
 
-A cache hit imports nothing beyond this module, ``errors``, argparse and the
-interpreter's builtin sha256: no json, no OpenSSL, and not ``commands``,
-which holds what each command computes and is imported, with the arithmetic
-it needs, when a command runs; argparse is imported when the command line is
-parsed, not with this module.  An entry that cannot be read, is not UTF-8,
-is truncated or holds another key is a miss, and a result that cannot be
-stored is still printed, with a warning on stderr.
+A cache hit imports nothing beyond this module, ``errors`` and the
+interpreter's builtin sha256: no argparse, no json, no OpenSSL, and not
+``commands``, which holds what each command computes and is imported, with
+the arithmetic it needs, when a command runs.  An entry that cannot be read,
+is not UTF-8, is truncated or holds another key is a miss, and a result that
+cannot be stored is still printed, with a warning on stderr.
 
 Exit codes: 0 success or help, 1 usage or parameter error, 2 computation error.
 """
@@ -47,8 +50,8 @@ except ImportError:     # a build without the builtin hashes
 from . import __version__
 from .errors import EiscongError, ParameterError
 
-# Version 3: line 1 the key, line 2 the JSON description, then the stdout text.
-CACHE_SCHEMA_VERSION = 3
+# Version 4: line 1 the key, line 2 the JSON description, then the stdout text.
+CACHE_SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +85,34 @@ def _read_entry(path: str):
 
 
 class Cache:
-    """Content-addressed cache of stdout texts: one file per (code, command,
-    parameters) key, written atomically (temp file + rename)."""
+    """Content-addressed cache of stdout texts: one file per (code, command
+    line) key, written atomically (temp file + rename)."""
 
     def __init__(self, root: str):
         self.root = os.path.join(root, str(CACHE_SCHEMA_VERSION))
 
     @staticmethod
-    def key_text(command: str, params: dict) -> str:
-        """One line: the code, the command and the repr of every parameter
-        (int, str, bool or None) by name, so distinct parameters give
-        distinct keys."""
-        values = ",".join(f"{name}={value!r}" for name, value in sorted(params.items()))
-        return "|".join((__version__, _code_digest(), command, values))
+    def key_text(argv) -> str:
+        """One line: the code and the repr of the command line as typed (repr
+        quotes a newline inside a value)."""
+        return "|".join((__version__, _code_digest(), repr(list(argv))))
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, sha256(key.encode("utf-8")).hexdigest() + ".entry")
 
-    def get(self, key: str):
-        """The stored stdout text of key, or None."""
+    def get(self, argv):
+        """The stored stdout text of the command line argv, or None."""
+        key = self.key_text(argv)
         entry = _read_entry(self._path(key))
         return entry[2] if entry is not None and entry[0] == key else None
 
-    def put(self, command: str, params: dict, key: str, text: str) -> None:
+    def put(self, argv, text: str) -> None:
         import json
         import tempfile
         os.makedirs(self.root, exist_ok=True)
-        description = json.dumps({"version": CACHE_SCHEMA_VERSION, "command": command,
-                                  "params": params}, separators=(",", ":"))
+        key = self.key_text(argv)
+        description = json.dumps({"version": CACHE_SCHEMA_VERSION, "argv": list(argv)},
+                                 separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -159,12 +162,6 @@ class Flag(namedtuple("Flag", "name type default required choices help",
     def dest(self) -> str:
         return self.name.replace("-", "_")
 
-    def accepts(self, value) -> bool:
-        """Whether a stored parameter value is one this flag can produce."""
-        if value is None:
-            return self.default is None and not self.required
-        return type(value) is self.type and (self.choices is None or value in self.choices)
-
     def describe(self) -> str:
         if self.help is not None:
             return self.help
@@ -176,19 +173,16 @@ class Command(namedtuple("Command", "fn help flags cached reads_cache",
                          defaults=((), True, False))):
     """A subcommand: fn names the function of ``eiscong.commands`` that maps
     the flags' typed values to the JSON payload, imported when the command
-    runs, so that a cache hit compiles none of them.  cached: pure, stored
-    under --cache-dir and keyed by every flag; reads_cache: fn takes the
-    Cache as its first argument."""
+    runs, so that a cache hit compiles none of them.  cached: pure (its
+    stdout is a function of the command line and the code alone), stored
+    under --cache-dir; reads_cache: fn takes the Cache as its first
+    argument."""
 
     __slots__ = ()
 
     def run(self, *args, **params):
         from . import commands
         return getattr(commands, self.fn)(*args, **params)
-
-    def accepts(self, params) -> bool:
-        return (isinstance(params, dict) and params.keys() == {f.dest for f in self.flags}
-                and all(f.accepts(params[f.dest]) for f in self.flags))
 
 
 def _required(name, type=int):
@@ -240,31 +234,25 @@ DESCRIPTION = ("Exact Eisenstein-congruence toolkit: congruence bounds, construc
                "non-principality criterion.")
 
 
-def run_cached(command: str, params: dict, cache: Cache | None) -> str:
-    """The compact stdout text of command, from the cache if it holds the
-    entry.  A miss that cannot be stored warns on stderr and still returns
-    the text."""
-    if cache is None:
-        return _render(COMMANDS[command].run(**params))
-    key = Cache.key_text(command, params)
-    text = cache.get(key)
-    if text is None:
-        text = _render(COMMANDS[command].run(**params))
+def run_cached(command: str, params: dict, pretty: bool, cache: Cache | None, argv) -> str:
+    """The stdout text of a cached command, computed and rendered as ``main``
+    prints it, and stored in cache under the command line argv unless cache
+    is None.  A text that cannot be stored warns on stderr and is still
+    returned."""
+    text = _render(COMMANDS[command].run(**params), pretty)
+    if cache is not None:
         try:
-            cache.put(command, params, key, text)
+            cache.put(argv, text)
         except OSError as exc:
             _stderr_json({"warning": "cache", "message": f"entry not stored: {exc}"})
     return text
 
 
-def _render(payload) -> str:
+def _render(payload, pretty: bool) -> str:
     import json
+    if pretty:
+        return json.dumps(payload, indent=2) + "\n"
     return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _pretty(text: str) -> str:
-    import json
-    return json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _stderr_json(obj: dict) -> None:
@@ -276,15 +264,58 @@ def _stderr_json(obj: dict) -> None:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _cache_dir(argv: list):
+    """The directory of argv's cache entry, read off the options before the
+    command alone (``--cache-dir V``, ``--cache-dir=V`` and ``--pretty``), or
+    None: at ``--no-cache``, ``-h``, ``--`` or any other option token, and
+    when the first positional token is not a cached command.  It decides only
+    where an entry is looked up and stored, never what is printed, since a
+    hit needs line 1 to hold argv itself."""
+    root = OPTIONS[0].default
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--cache-dir":
+            root = next(tokens, None)
+            if root is None:
+                return None
+        elif token.startswith("--cache-dir="):
+            root = token[len("--cache-dir="):]
+        elif token.startswith("-"):
+            if token != "--pretty":
+                return None
+        else:
+            spec = COMMANDS.get(token)
+            return root if spec is not None and spec.cached else None
+    return None
+
+
 def _parser():
     """(the argparse parser built from OPTIONS and COMMANDS, the subparser of
     each command by name).  Flags keep their exact names, a required flag is
     declared optional so that ``_parse_args`` can report it after any unknown
-    one, and a rejection prints the usage line and the reason on stderr and
-    exits 1."""
+    one, and marked required only while a usage line or help is formatted,
+    and a rejection prints the usage line and the reason on stderr and exits
+    1."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
+        required_actions = ()
+
+        def _formatted(self, format_text):
+            for action in self.required_actions:
+                action.required = True
+            try:
+                return format_text()
+            finally:
+                for action in self.required_actions:
+                    action.required = False
+
+        def format_usage(self):
+            return self._formatted(super().format_usage)
+
+        def format_help(self):
+            return self._formatted(super().format_help)
+
         def error(self, message):
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
@@ -294,8 +325,10 @@ def _parser():
             if f.type is bool:
                 parser.add_argument("--" + f.name, action="store_true", help=f.describe())
             else:
-                parser.add_argument("--" + f.name, type=f.type, default=f.default,
-                                    choices=f.choices, help=f.describe())
+                action = parser.add_argument("--" + f.name, type=f.type, default=f.default,
+                                             choices=f.choices, help=f.describe())
+                if f.required:
+                    parser.required_actions += (action,)
         return parser
 
     top = add_flags(Parser(prog="eiscong", description=DESCRIPTION, allow_abbrev=False),
@@ -326,26 +359,34 @@ def _parse_args(argv: list):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    root = _cache_dir(argv)
+    cache = None if root is None else Cache(root)
+    if cache is not None:
+        text = cache.get(argv)
+        if text is not None:
+            sys.stdout.write(text)
+            return 0
     try:
-        options, command, params = _parse_args(sys.argv[1:] if argv is None else argv)
+        options, command, params = _parse_args(argv)
     except SystemExit as stop:
         return stop.code
     spec = COMMANDS[command]
+    pretty = options["pretty"]
     try:
         if spec.cached:
-            cache = None if options["no_cache"] else Cache(options["cache_dir"])
-            text = run_cached(command, params, cache)
+            text = run_cached(command, params, pretty, cache, argv)
         elif spec.reads_cache:
-            text = _render(spec.run(Cache(options["cache_dir"]), **params))
+            text = _render(spec.run(Cache(options["cache_dir"]), **params), pretty)
         else:
-            text = _render(spec.run(**params))
+            text = _render(spec.run(**params), pretty)
     except ParameterError as exc:
         _stderr_json({"error": "parameter", "message": str(exc)})
         return 1
     except EiscongError as exc:
         _stderr_json({"error": "computation", "message": str(exc)})
         return 2
-    sys.stdout.write(_pretty(text) if options["pretty"] else text)
+    sys.stdout.write(text)
     return 0
 
 

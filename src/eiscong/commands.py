@@ -3,7 +3,7 @@ payload out.  ``eiscong.cli`` declares the commands and imports this module
 when one of them runs, never on a cache hit, and each function imports the
 arithmetic it uses when it is called."""
 
-from .cli import CACHE_SCHEMA_VERSION, COMMANDS, Cache, _render, fixture_path
+from .cli import CACHE_SCHEMA_VERSION, COMMANDS, Cache, _parse_args, _render, fixture_path
 from .errors import ComputationError, EiscongError, ParameterError
 
 
@@ -133,24 +133,39 @@ def example37(prec):
                        records_path=fixture_path("example37.json"))
 
 
+def _parse_quietly(argv):
+    """(options, command, params) of a stored command line, or None where the
+    parser stops (a rejection, or help), with the parser's output discarded."""
+    import contextlib
+    import io
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return _parse_args(argv)
+    except SystemExit:
+        return None
+
+
 def verify_cache(cache: Cache) -> dict:
-    """Recompute every entry of cache and compare its stdout with the stored
-    bytes; list the entries that cannot be recomputed as unverifiable."""
+    """Parse every entry's command line again, recompute its stdout as
+    ``main`` renders it and compare that with the stored bytes; list the
+    entries that cannot be recomputed as unverifiable."""
     checked = 0
     mismatches = []
     unknown = []
     for name, entry in cache.entries():
         key, description, text = entry or ("", {}, "")
-        command, params = description.get("command"), description.get("params")
-        spec = COMMANDS.get(command) if isinstance(command, str) else None
-        if (spec is None or not spec.cached or not spec.accepts(params)
-                or description.get("version") != CACHE_SCHEMA_VERSION
-                or key != Cache.key_text(command, params)):
+        argv = description.get("argv")
+        parsed = None
+        if (description.get("version") == CACHE_SCHEMA_VERSION and isinstance(argv, list)
+                and all(isinstance(a, str) for a in argv) and key == Cache.key_text(argv)):
+            parsed = _parse_quietly(argv)
+        if parsed is None or not COMMANDS[parsed[1]].cached:
             unknown.append(name)
             continue
+        options, command, params = parsed
         checked += 1
         try:
-            fresh = _render(spec.run(**params))
+            fresh = _render(COMMANDS[command].run(**params), options["pretty"])
         except EiscongError as exc:
             mismatches.append({"file": name, "key": key, "error": str(exc)})
             continue

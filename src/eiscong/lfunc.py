@@ -189,38 +189,45 @@ def eta(psi: DirichletChar, k: int, sigma, ctx: PadicContext) -> EtaValue:
 # Teichmuller-twisted weight-one Bernoulli values
 # ---------------------------------------------------------------------------
 
-def b1_omega_min_valuation(j: int, p: int) -> int:
-    """min(val_p(B_{1,omega^j}), 1), valued in {-1, 0, 1}, read off the power
-    sum t = p * B_{1,omega^j} mod p^2: a unit t gives -1 (only for
-    j = -1 mod (p-1)), t = 0 gives 1.  j = 0 mod (p-1) is rejected (the
-    trivial-character weight-one value is not what any caller wants)."""
+def _b1_omega_sum(j: int, p: int) -> int:
+    """t = p * B_{1,omega^j} mod p^2, the power sum both values below read;
+    j = 0 mod (p-1) is rejected (the trivial-character weight-one value is
+    not what any caller wants)."""
     if not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
     if j % (p - 1) == 0:
         raise ParameterError("j = 0 mod (p-1) is unsupported")
-    t = _power_sum(p * (j % (p - 1)) + 1, p)
+    return _power_sum(p * (j % (p - 1)) + 1, p)
+
+
+def b1_omega_min_valuation(j: int, p: int) -> int:
+    """min(val_p(B_{1,omega^j}), 1), valued in {-1, 0, 1}, read off the power
+    sum t = p * B_{1,omega^j} mod p^2: a unit t gives -1 (only for
+    j = -1 mod (p-1)), t = 0 gives 1."""
+    t = _b1_omega_sum(j, p)
     return -1 if t % p else 1 if t == 0 else 0
 
 
 def b1_omega_mod(j: int, p: int) -> int:
     """B_{1,omega^j} mod p where it is p-integral, that is for
     j != 0, -1 mod (p-1)."""
-    if b1_omega_min_valuation(j, p) < 0:
+    t = _b1_omega_sum(j, p)
+    if t % p:
         raise ParameterError(f"B_(1,omega^{j}) is not p-integral for p = {p}")
-    return _power_sum(p * (j % (p - 1)) + 1, p) // p
+    return t // p
 
 
 def kummer_check(p: int, k: int) -> dict:
     """Compare B_{1,omega^(k-1)} with B_k/k mod p (the Kummer congruence).
 
     Requires 2 <= k <= p-3, k even (so both sides are p-integral), and the
-    left side is the power sum p * B_{1,omega^(k-1)} mod p^2 over p.
+    left side is ``b1_omega_mod(k - 1, p)``.
     """
     if not (2 <= k <= p - 3 and k % 2 == 0):
         raise ParameterError("need even k with 2 <= k <= p-3")
     if not is_prime(p):
         raise ParameterError("p must be an odd prime")
-    lhs = _power_sum(p * (k - 1) + 1, p) // p
+    lhs = b1_omega_mod(k - 1, p)
     bk = bernoulli(k)
     den = bk.denominator * k
     if den % p == 0:

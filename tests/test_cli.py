@@ -157,7 +157,8 @@ def test_determinism_and_cache_transparency(tmp_path, capsys):
 
 
 def test_verify_cache(tmp_path, capsys):
-    for args in (("bernoulli", "--n", "12"),
+    # each entry is parsed again and rendered as main printed it, pretty too
+    for args in (("bernoulli", "--n", "12"), ("--pretty", "bernoulli", "--n", "12"),
                  ("eta", "--psi", "trivial", "--k", "32", "--sigma", "31,37",
                   "--p", "37"),
                  ("chars", "--f", "12")):
@@ -165,11 +166,12 @@ def test_verify_cache(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
     assert code == 0
     payload = json.loads(out)
-    assert payload["ok"] and payload["checked"] == 3 and not payload["mismatches"]
+    assert payload["ok"] and payload["checked"] == 4 and not payload["mismatches"]
+    assert payload["unverifiable"] == []
 
 
 def write_entry(path, key, description, text):
-    """A schema-3 cache entry: the key, the description line, the stdout text."""
+    """A schema-4 cache entry: the key, the description line, the stdout text."""
     with open(path, "wb") as fh:
         fh.write(f"{key}\n{description}\n{text}".encode("utf-8"))
 
@@ -224,43 +226,49 @@ def test_records_must_match_the_command_parameters(capsys):
 
 
 def test_verify_cache_lists_foreign_entries_as_unverifiable(tmp_path, capsys):
-    run_cli(capsys, "--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
+    argv = ["--cache-dir", str(tmp_path), "bernoulli", "--n", "12"]
+    run_cli(capsys, *argv)
     cache = Cache(str(tmp_path))
     (_, (key, description, text)), = list(cache.entries())
-    text_params = {"f": "12", "parity": "", "conductor": ""}
     schema_2 = {"key": key, "version": 2, "command": "bernoulli", "params": {"n": 12},
                 "payload": json.loads(text)}
+
+    def typed(other):
+        """An entry for the command line other, keyed as main keys it."""
+        return Cache.key_text(other), dict(description, argv=other)
+
     foreign = {
-        "a-no-params.entry": (key, dict(description, params={})),
-        "b-schema-2.entry": (key, dict(description, version=2)),
-        "c-chars-text-params.entry": (Cache.key_text("chars", text_params),
-                                      dict(description, command="chars", params=text_params)),
-        "d-wrong-type.entry": (key, dict(description, params={"n": "12"})),
-        "e-extra-flag.entry": (key, dict(description, params={"n": 12, "seed": 0})),
-        "f-uncached.entry": (key, dict(description, command="report")),
-        "g-other-key.entry": (key.replace("|bernoulli|", "|chars|"), description),
-        "h-not-json.entry": (key, None),
+        "a-no-argv.entry": (key, {"version": 4}),
+        "b-schema-3.entry": (key, dict(description, version=3)),
+        "c-argv-of-numbers.entry": (key, dict(description, argv=[*argv[:-1], 12])),
+        "d-argv-not-a-list.entry": (key, dict(description, argv=" ".join(argv))),
+        "e-rejected.entry": typed(["bernoulli", "--n", "x"]),
+        "f-help.entry": typed(["bernoulli", "-h"]),
+        "g-uncached.entry": typed(["report", "--p", "13", "--k", "10", "--sigma", "13"]),
+        "h-verify-cache.entry": typed(["verify-cache"]),
+        "i-other-key.entry": (Cache.key_text([*argv[:-1], "13"]), description),
+        "j-not-json.entry": (key, None),
     }
     for name, (line1, line2) in foreign.items():
         write_entry(os.path.join(cache.root, name), line1,
                     "{not json" if line2 is None else json.dumps(line2), text)
-    with open(os.path.join(cache.root, "i-schema-2-json.entry"), "w") as fh:
+    with open(os.path.join(cache.root, "k-schema-2-json.entry"), "w") as fh:
         json.dump(schema_2, fh)
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
-    assert code == 0
-    payload = json.loads(out)
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)      # the parser's help and usage text were discarded
     assert payload["checked"] == 1 and payload["ok"]
-    assert payload["unverifiable"] == sorted(foreign) + ["i-schema-2-json.entry"]
+    assert payload["unverifiable"] == sorted(foreign) + ["k-schema-2-json.entry"]
 
 
 def test_verify_cache_reports_an_entry_whose_recompute_raises(tmp_path, capsys):
     run_cli(capsys, "--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
     cache = Cache(str(tmp_path))
     (_, (_, description, text)), = list(cache.entries())
-    params = {"n": -1}
-    key = Cache.key_text("bernoulli", params)
+    argv = ["bernoulli", "--n", "-1"]
+    key = Cache.key_text(argv)
     write_entry(os.path.join(cache.root, "0-negative-index.entry"), key,
-                json.dumps(dict(description, params=params)), text)
+                json.dumps(dict(description, argv=argv)), text)
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
     assert code == 0
     payload = json.loads(out)
@@ -269,31 +277,42 @@ def test_verify_cache_reports_an_entry_whose_recompute_raises(tmp_path, capsys):
                                       "error": "Bernoulli index must be non-negative"}]
 
 
-def test_every_declared_flag_changes_the_cache_key(monkeypatch, capsys):
+def test_two_spellings_are_two_entries_with_equal_bytes(tmp_path, capsys):
+    # the key is the command line as typed: each spelling is its own entry,
+    # stored by its first run and served to its second
+    cache = str(tmp_path)
+    spellings = [
+        (["--cache-dir", cache, "bernoulli", "--n", "12"],
+         [f"--cache-dir={cache}", "bernoulli", "--n=12"],
+         ["--cache-dir", cache, "bernoulli", "--n", "5", "--n", "12"]),
+        (["--cache-dir", cache, "eta", "--p", "37", "--k", "32", "--sigma", "31,37"],
+         ["--cache-dir", cache, "eta", "--sigma", "31,37", "--k", "32", "--p", "37",
+          "--psi", "trivial"]),
+    ]
+    entries = 0
+    for lines in spellings:
+        outputs = set()
+        for argv in lines:
+            for _ in range(2):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                outputs.add(out)
+            entries += 1
+            assert len(list(Cache(cache).entries())) == entries, argv
+            assert Cache(cache).get(argv) == out, argv
+        assert len(outputs) == 1, lines
+
+
+def test_a_value_holding_a_newline_is_served_as_a_hit(tmp_path, monkeypatch, capsys):
     import eiscong.cli as cli
-    keys = []
-    monkeypatch.setattr(cli, "run_cached", lambda command, params, cache:
-                        keys.append(Cache.key_text(command, params)) or "{}\n")
-
-    def other(flag):
-        if flag.choices:
-            return next(c for c in flag.choices if c != flag.default)
-        if flag.type is int:
-            return 6 if flag.default is None else flag.default + 1
-        return "y"
-
-    for name, spec in cli.COMMANDS.items():
-        if not spec.cached:
-            continue
-        base = {f.name: 5 if f.type is int else "x" for f in spec.flags if f.required}
-        variants = [base] + [base | {f.name: other(f)} for f in spec.flags]
-        seen = []
-        for values in variants:
-            argv = [a for n, v in values.items() for a in ("--" + n, str(v))]
-            assert main(["--no-cache", name, *argv]) == 0
-            seen.append(keys[-1])
-        assert len(set(seen)) == len(seen) == len(spec.flags) + 1, name
-    capsys.readouterr()
+    argv = ["--cache-dir", str(tmp_path), "bernoulli", "--n", "12\n"]
+    _, expected, _ = run_cli(capsys, "--no-cache", "bernoulli", "--n", "12")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    (name, (key, description, text)), = list(Cache(str(tmp_path)).entries())
+    assert "\n" not in key and description["argv"] == argv and text == expected
+    monkeypatch.setattr(cli, "_parse_args", None)   # a hit parses nothing
+    monkeypatch.setattr(cli, "run_cached", None)    # and computes nothing
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_negative_eisenstein_precision_is_a_parameter_error(capsys):
@@ -559,11 +578,11 @@ def test_criterion_and_example37_reach_the_same_verdict(capsys):
 
 
 def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
-    args = ("bernoulli", "--n", "12")
-    _, expected, _ = run_cli(capsys, "--no-cache", *args)
+    argv = ["--cache-dir", str(tmp_path), "bernoulli", "--n", "12"]
+    _, expected, _ = run_cli(capsys, "--no-cache", *argv[2:])
     cache = Cache(str(tmp_path))
-    key = Cache.key_text("bernoulli", {"n": 12})
-    head = f'{key}\n{{"version":3,"command":"bernoulli","params":{{"n":12}}}}\n'.encode()
+    key = Cache.key_text(argv)
+    head = f'{key}\n{{"version":4,"argv":{json.dumps(argv)}}}\n'.encode()
     schema_2 = {"key": key, "version": 2, "command": "bernoulli", "params": {"n": 12},
                 "payload": json.loads(expected)}
     os.makedirs(cache.root)
@@ -571,14 +590,14 @@ def test_corrupt_cache_entries_are_misses(tmp_path, capsys):
                     head + expected.encode()[:-1],                   # truncated stdout
                     head + expected.encode().replace(b"-691", b"\xff691"),   # not UTF-8
                     b"\x80" + head[1:] + expected.encode(),         # key not UTF-8
-                    head.replace(b"n=12", b"n=13") + expected.encode(),  # another key
+                    head.replace(b"'12'", b"'13'", 1) + expected.encode(),  # another key
                     json.dumps(schema_2).encode()):                 # schema 2
         with open(cache._path(key), "wb") as fh:
             fh.write(content)
-        assert cache.get(key) is None
-        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
+        assert cache.get(argv) is None
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (0, expected, ""), content
-    assert cache.get(key) == expected
+    assert cache.get(argv) == expected
 
 
 def test_verify_cache_lists_corrupt_entries_as_unverifiable(tmp_path, capsys):
@@ -620,19 +639,19 @@ def test_unwritable_cache_dir_still_prints_the_result(tmp_path, capsys):
 def test_entries_from_other_code_are_not_served(tmp_path, monkeypatch, capsys):
     import eiscong
     import eiscong.cli as cli
-    args = ("--cache-dir", str(tmp_path), "bernoulli", "--n", "12")
-    key = Cache.key_text("bernoulli", {"n": 12})
-    assert key == f"{eiscong.__version__}|{cli._code_digest()}|bernoulli|n=12"
+    argv = ["--cache-dir", str(tmp_path), "bernoulli", "--n", "12"]
+    key = Cache.key_text(argv)
+    assert key == f"{eiscong.__version__}|{cli._code_digest()}|{argv!r}"
     monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
-    run_cli(capsys, *args)
+    run_cli(capsys, *argv)
     cache = Cache(str(tmp_path))
     (name, (other, description, text)), = list(cache.entries())
     assert other != key
     write_entry(os.path.join(cache.root, name), other, json.dumps(description),
                 text.replace("-691/2730", "0"))
-    assert json.loads(run_cli(capsys, *args)[1])["value"] == "0"
+    assert json.loads(run_cli(capsys, *argv)[1])["value"] == "0"
     monkeypatch.undo()
-    code, out, _ = run_cli(capsys, *args)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["value"] == "-691/2730"
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify-cache")
     assert json.loads(out) == {"checked": 1, "mismatches": [], "unverifiable": [name],
@@ -794,6 +813,50 @@ def test_parser_matches_the_argparse_reference(capsys):
         assert err.endswith("error: argument -h/--help: ignored explicit argument 'x'\n")
     else:
         assert (code, err) == (0, "") and out.startswith("usage: eiscong [-h] ")
+
+
+def test_the_cache_directory_rule_agrees_with_the_parser(monkeypatch):
+    # main reads an entry's directory off the tokens before the command,
+    # without argparse; where it names one, argparse reads the same one and
+    # caches the command, and where it names none, argparse does not cache
+    # or the line puts `--` before its command
+    import functools
+    import eiscong.cli as cli
+    from eiscong.cli import COMMANDS, _cache_dir, _parse_args
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))   # built once
+    checked = 0
+    for line in command_lines():
+        for prefix in ([], ["--cache-dir", "d"], ["--pretty", "--cache-dir=e", "--pretty"]):
+            argv = prefix + line
+            parsed = parse_quietly(_parse_args, argv)
+            if isinstance(parsed, int):
+                continue
+            options, command, _ = parsed
+            caches = COMMANDS[command].cached and not options["no_cache"]
+            root = _cache_dir(argv)
+            if root is not None or not caches:
+                assert root == (options["cache_dir"] if caches else None), argv
+            else:
+                assert "--" in argv[:argv.index(command)], argv
+            checked += caches
+    assert checked > 500
+
+
+def test_usage_lines_show_required_flags_without_brackets(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")    # one usage line, unwrapped
+    usage = ("usage: eiscong build-h [-h] --p P --k K [--psi PSI] --ell ELL [--mmax MMAX] "
+             "--sigma SIGMA [--prec PREC]\n")
+    code, out, err = run_cli(capsys, "build-h", "-h")
+    assert (code, err) == (0, "") and out.startswith(usage)
+    assert "\n  --sigma SIGMA  required\n" in out
+    # a rejected line: the unknown flag first, then the missing required ones
+    code, out, err = run_cli(capsys, "--no-cache", "build-h", "--p", "37", "--bogus", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: --bogus 1\n")
+    code, out, err = run_cli(capsys, "--no-cache", "build-h", "--p", "37")
+    assert (code, out) == (1, "")
+    assert err == usage + ("eiscong build-h: error: the following arguments are required: "
+                           "--k, --ell, --sigma\n")
 
 
 def test_help_lists_every_command_and_flag(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """Import budget: `import eiscong.cli` loads no arithmetic and no argparse,
-json or OpenSSL, a cache hit loads argparse but no arithmetic, json or
-OpenSSL, and the package exports resolve lazily to the objects of their home
+json or OpenSSL, a cache hit, compact or pretty, loads none of them either,
+and the package exports resolve lazily to the objects of their home
 modules.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so that modules
@@ -50,16 +50,32 @@ HIT = ("import sys; import eiscong.cli; "
        "print(repr([imported, code, loaded(), eiscong.cli._code_digest()]))")
 
 
+def hit(argv):
+    """(stdout, the HIT result) of argv in a fresh interpreter."""
+    run = subprocess.run([sys.executable, "-S", "-c", HIT, *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    out, result = run.stdout.rsplit("\n", 2)[:2]
+    return out + "\n", ast.literal_eval(result)
+
+
+def test_a_pretty_hit_prints_the_bytes_of_a_pretty_miss(tmp_path, capsys):
+    argv = ["--pretty", "--cache-dir", str(tmp_path), "eta", "--p", "37", "--k", "32",
+            "--sigma", "31,37"]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    assert miss.count("\n") > 10
+    out, (_, code, loaded, _) = hit(argv)
+    assert (out, code, loaded) == (miss, 0, [])
+
+
 def test_a_hit_loads_no_json_or_openssl(tmp_path, capsys):
     import hashlib
     argv = ["--cache-dir", str(tmp_path), "build-h", "--p", "37", "--k", "32", "--ell", "31",
             "--sigma", "31,37", "--prec", "20"]
     assert main(argv) == 0
     miss = capsys.readouterr().out
-    run = subprocess.run([sys.executable, "-S", "-c", HIT, *argv], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
-    out, result = run.stdout.rsplit("\n", 2)[:2]
-    assert out + "\n" == miss
+    out, result = hit(argv)
+    assert out == miss
     here = os.path.join(SRC, "eiscong")
     names = [n for n in os.listdir(here) if n.endswith(".py")]
     names += [f"fixtures/{n}" for n in os.listdir(os.path.join(here, "fixtures"))
@@ -69,8 +85,8 @@ def test_a_hit_loads_no_json_or_openssl(tmp_path, capsys):
     for name in sorted(names):
         with open(os.path.join(here, name), "rb") as fh:
             reference.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
-    # argparse parses the command line; importing eiscong.cli does not load it
-    assert ast.literal_eval(result) == [[], 0, ["argparse"], reference.hexdigest()]
+    # a hit is looked up before the command line is parsed: no argparse either
+    assert result == [[], 0, [], reference.hexdigest()]
 
 
 def test_package_exports_resolve_lazily():

@@ -332,6 +332,18 @@ def test_build_h_fails_each_check_it_reports(monkeypatch):
     assert perturbed._replace(cusps_vanish=True) == rep
 
 
+def test_build_h_depth_counts_the_constant_term():
+    # F - H = c*G, so the depth is v(c) + min_n v(a_n(G)) over every n >= 0,
+    # and a_0(G) is a unit; at p = 13, k = 8, ell = 3 to precision 1, 13
+    # divides a_1(G), and a depth read over a_1, a_2, ... alone is v(c) + 1
+    from eiscong.qexp import aux_char_and_h
+    aux, (_, rep) = aux_char_and_h(13, 8, trivial_char(1), 3, 1, [3, 13], 1)
+    ctx = padic_context(13, aux.context_conductor)
+    g = build_g(trivial_char(1), 8, aux.char, 1).lift_conductor(ctx.f)
+    assert [valp_cyc(c, ctx) for c in g.coefficients] == [0, 1]
+    assert rep.congruence_depth == rep.scale_valuation == 0
+
+
 def test_build_h_rejects_non_punit_character():
     # the quadratic character mod 11 gives a_0(G) of valuation 2 at p = 5
     # for weight 6, so the constructor must refuse it
